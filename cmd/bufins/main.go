@@ -37,6 +37,7 @@ import (
 	"bufio"
 	"bytes"
 	"cmp"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -107,7 +108,7 @@ func run() error {
 		treeFile  = flag.String("tree", "", "tree file in rctree text format")
 		algo      = flag.String("algo", "wid", "nom, d2d, or wid")
 		ruleName  = flag.String("rule", "2p", "pruning rule for variation-aware runs: 2p or 4p")
-		hullName  = flag.String("hull", "auto", "convex-hull buffering kernel: auto, on, or off (results identical)")
+		hullName  = flag.String("hull", "auto", "convex-hull buffering kernel: auto or off (results identical)")
 		pbar      = flag.Float64("pbar", 0.5, "2P thresholds pbar_L = pbar_T")
 		budget    = flag.Float64("budget", 0.15, "per-class variation budget")
 		hetero    = flag.Bool("hetero", true, "heterogeneous spatial variation")
@@ -248,7 +249,6 @@ func run() error {
 		PbarT:          *pbar,
 		SelectQuantile: *quantile,
 		MaxCandidates:  *maxCand,
-		Timeout:        *timeout,
 		Parallelism:    *parallel,
 	}
 	if *wireSize {
@@ -288,6 +288,11 @@ func run() error {
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 
+	if *timeout > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		defer cancel()
+		opts.Context = ctx
+	}
 	t0 := time.Now()
 	res, err := vabuf.Insert(tree, opts)
 	if err != nil {

@@ -76,7 +76,7 @@ func run() error {
 		pbarOn   = flag.String("pbar-bench", "r1", "benchmark for the pbar sweep")
 		csvDir   = flag.String("csv", "", "also write the figure data series as CSV files into this directory")
 		parallel = flag.Int("parallel", 0, "DP worker goroutines per insertion (0 = GOMAXPROCS, 1 = serial; results identical)")
-		hullName = flag.String("hull", "auto", "convex-hull buffering kernel: auto, on, or off (results identical)")
+		hullName = flag.String("hull", "auto", "convex-hull buffering kernel: auto or off (results identical)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)

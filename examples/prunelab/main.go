@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -78,13 +79,15 @@ func timeRun(tree *vabuf.Tree, lib vabuf.Library, rule vabuf.Rule) (time.Duratio
 	if err != nil {
 		return 0, 0, err
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	t0 := time.Now()
 	res, err := vabuf.Insert(tree, vabuf.Options{
 		Library:       lib,
 		Model:         model,
 		Rule:          rule,
 		MaxCandidates: 2_000_000,
-		Timeout:       30 * time.Second,
+		Context:       ctx,
 	})
 	if err != nil {
 		return 0, 0, err

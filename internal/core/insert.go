@@ -151,9 +151,6 @@ func (e *engine) newWorker() *worker {
 	w := &worker{eng: e, terms: variation.NewArena()}
 	w.prov = provWriter{pa: &e.prov}
 	w.prn = newPruner(e.space, e.opts, &w.stats)
-	if e.opts.Timeout > 0 {
-		w.prn.deadline = e.start.Add(e.opts.Timeout)
-	}
 	w.prn.ctx = e.ctx
 	e.mu.Lock()
 	e.arenas = append(e.arenas, w.terms)
@@ -161,32 +158,17 @@ func (e *engine) newWorker() *worker {
 	return w
 }
 
-// retire folds a worker's counters into the run totals. Sums and maxima
-// commute, so the merge order does not affect the reported stats.
+// retire folds a worker's counters, including its arena occupancy, into
+// the run totals.
 func (e *engine) retire(w *worker) {
+	w.stats.Workers = 1
+	w.stats.ArenaCandidates = w.prov.count
+	w.stats.ArenaTerms = w.terms.Terms()
+	w.stats.ArenaBytes = w.terms.Bytes()
+	w.stats.ArenaUsedBytes = w.terms.UsedBytes()
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stats.Generated += w.stats.Generated
-	e.stats.Pruned += w.stats.Pruned
-	e.stats.Merges += w.stats.Merges
-	e.stats.Nodes += w.stats.Nodes
-	if w.stats.PeakList > e.stats.PeakList {
-		e.stats.PeakList = w.stats.PeakList
-	}
-	e.stats.Workers++
-	e.stats.ArenaCandidates += w.prov.count
-	e.stats.ArenaTerms += w.terms.Terms()
-	e.stats.ArenaBytes += w.terms.Bytes()
-	e.stats.ArenaUsedBytes += w.terms.UsedBytes()
-	e.stats.SubtreeHits += w.stats.SubtreeHits
-	e.stats.SubtreeMisses += w.stats.SubtreeMisses
-	e.stats.SubtreeStores += w.stats.SubtreeStores
-	e.stats.HullSites += w.stats.HullSites
-	e.stats.HullSkipped += w.stats.HullSkipped
-	e.stats.HullFallbacks += w.stats.HullFallbacks
-	if w.stats.HullPeak > e.stats.HullPeak {
-		e.stats.HullPeak = w.stats.HullPeak
-	}
+	e.stats.Add(w.stats)
+	e.mu.Unlock()
 }
 
 // release returns every term arena's slabs to the shared pool. Only legal
@@ -241,20 +223,17 @@ func (e *engine) replayEntry(idx int32) *cachedList {
 }
 
 // dp computes the candidate frontiers of the subtree rooted at id, going
-// through the subtree cache when the node is eligible. Per-node abort,
-// timeout, and cancellation checks happen here so every node pays them
-// exactly once, cached or not.
+// through the subtree cache when the node is eligible. Per-node abort and
+// context checks happen here so every node pays them exactly once, cached
+// or not.
 func (w *worker) dp(id rctree.NodeID) (polarityLists, error) {
 	e := w.eng
 	if e.abort.Load() {
 		return polarityLists{}, errAborted
 	}
-	if e.opts.Timeout > 0 && time.Since(e.start) > e.opts.Timeout {
-		return polarityLists{}, e.fail(fmt.Errorf("%w after %d nodes", ErrTimeout, w.stats.Nodes))
-	}
 	if e.ctx != nil {
 		if cerr := e.ctx.Err(); cerr != nil {
-			return polarityLists{}, e.fail(fmt.Errorf("%w after %d nodes: %v", ErrCanceled, w.stats.Nodes, cerr))
+			return polarityLists{}, e.fail(w.contextErr(cerr))
 		}
 	}
 	if e.fps != nil && e.subSize[id] >= int32(e.cacheMin) {
@@ -372,11 +351,8 @@ func (w *worker) dpCompute(id rctree.NodeID) (polarityLists, error) {
 			}
 		}
 	}
-	if w.prn.timedOut {
-		return polarityLists{}, e.fail(fmt.Errorf("%w during pruning after %d nodes", ErrTimeout, w.stats.Nodes))
-	}
-	if w.prn.canceled {
-		return polarityLists{}, e.fail(fmt.Errorf("%w during pruning after %d nodes", ErrCanceled, w.stats.Nodes))
+	if w.prn.ctxErr != nil {
+		return polarityLists{}, e.fail(w.contextErr(w.prn.ctxErr))
 	}
 	total := pl[0].len() + pl[1].len()
 	if err := w.checkBudget(total); err != nil {
@@ -523,6 +499,16 @@ func (w *worker) capacityErr(n int) error {
 	}
 	return fmt.Errorf("%w: %d candidates > limit %d (rule %v, node %d of %d)",
 		ErrCapacity, n, w.eng.maxCand, w.eng.opts.Rule, w.stats.Nodes, total)
+}
+
+// contextErr maps the run context's error to ErrTimeout (its deadline
+// passed) or ErrCanceled (any other cancellation), wrapping the cause.
+func (w *worker) contextErr(cause error) error {
+	sentinel := ErrCanceled
+	if errors.Is(cause, context.DeadlineExceeded) {
+		sentinel = ErrTimeout
+	}
+	return fmt.Errorf("%w after %d nodes: %w", sentinel, w.stats.Nodes, cause)
 }
 
 // selectRoot applies the driver delay to every surviving root candidate

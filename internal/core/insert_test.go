@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -516,14 +518,33 @@ func Test4PCapacityExceeded(t *testing.T) {
 	}
 }
 
+// TestTimeout: the run's context is its only cancellation input. A passed
+// deadline is the Table 2 time limit (ErrTimeout); any other cancellation
+// is ErrCanceled. Both wrap the context's own error.
 func TestTimeout(t *testing.T) {
 	tr, err := benchgen.Random(benchgen.Spec{Sinks: 300, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Insert(tr, Options{Library: device.DefaultLibrary(), Timeout: time.Nanosecond})
-	if !errors.Is(err, ErrTimeout) {
-		t.Errorf("want ErrTimeout, got %v", err)
+	expired, cancelExpired := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancelExpired()
+	<-expired.Done()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name          string
+		ctx           context.Context
+		want, notWant error
+		cause         error
+	}{
+		{"deadline", expired, ErrTimeout, ErrCanceled, context.DeadlineExceeded},
+		{"canceled", canceled, ErrCanceled, ErrTimeout, context.Canceled},
+	}
+	for _, c := range cases {
+		_, err := Insert(tr, Options{Library: device.DefaultLibrary(), Context: c.ctx})
+		if !errors.Is(err, c.want) || errors.Is(err, c.notWant) || !errors.Is(err, c.cause) {
+			t.Errorf("%s: got %v, want %v wrapping %v", c.name, err, c.want, c.cause)
+		}
 	}
 }
 
@@ -585,6 +606,36 @@ func TestStatsPopulated(t *testing.T) {
 	}
 	if res.RootCandidates == 0 {
 		t.Error("no root candidates recorded")
+	}
+}
+
+// TestStatsAddFoldsEveryField pins Add to the Stats schema: every numeric
+// field gets a distinct non-zero value, and Add must sum it (or take the
+// maximum for the peak fields). A counter added to Stats without a line in
+// Add fails here instead of silently reading zero in retire and /metrics.
+func TestStatsAddFoldsEveryField(t *testing.T) {
+	maxFields := map[string]bool{"PeakList": true, "HullPeak": true}
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if k := va.Field(i).Kind(); k != reflect.Int && k != reflect.Int64 {
+			t.Fatalf("Stats.%s has kind %v; extend this test and Add", va.Type().Field(i).Name, k)
+		}
+		va.Field(i).SetInt(int64(i + 1))
+		vb.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	got := a
+	got.Add(b)
+	vg := reflect.ValueOf(got)
+	for i := 0; i < vg.NumField(); i++ {
+		name := vg.Type().Field(i).Name
+		want := va.Field(i).Int() + vb.Field(i).Int()
+		if maxFields[name] {
+			want = vb.Field(i).Int()
+		}
+		if g := vg.Field(i).Int(); g != want {
+			t.Errorf("Add: %s = %d, want %d", name, g, want)
+		}
 	}
 }
 

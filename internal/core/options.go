@@ -82,9 +82,6 @@ const (
 	// pruning) and 2P at pbar > 0.5 (per-type sandwich pre-prune). 4P
 	// sites always take the exact path.
 	HullAuto HullMode = iota
-	// HullOn behaves like HullAuto; it exists so flags and DTOs can state
-	// the choice explicitly.
-	HullOn
 	// HullOff disables the kernel: every (candidate, type) pair is
 	// materialized and pruned pairwise, the pre-PR behavior. The AoS
 	// reference tests run with HullOff because they assert the exact
@@ -97,8 +94,6 @@ func (m HullMode) String() string {
 	switch m {
 	case HullAuto:
 		return "auto"
-	case HullOn:
-		return "on"
 	case HullOff:
 		return "off"
 	default:
@@ -106,17 +101,15 @@ func (m HullMode) String() string {
 	}
 }
 
-// ParseHullMode maps the flag/DTO spellings auto, on, off to a HullMode.
+// ParseHullMode maps the flag/DTO spellings auto and off to a HullMode.
 func ParseHullMode(s string) (HullMode, error) {
 	switch s {
 	case "", "auto":
 		return HullAuto, nil
-	case "on":
-		return HullOn, nil
 	case "off":
 		return HullOff, nil
 	default:
-		return HullAuto, fmt.Errorf("core: unknown hull mode %q (want auto, on, or off)", s)
+		return HullAuto, fmt.Errorf("core: unknown hull mode %q (want auto or off)", s)
 	}
 }
 
@@ -149,9 +142,6 @@ type Options struct {
 	// ErrCapacity — the "exceeds memory capacity" outcome of Table 2.
 	// Zero means no cap.
 	MaxCandidates int
-	// Timeout aborts the run with ErrTimeout when exceeded — the
-	// "tolerable time limit" outcome of Table 2. Zero means no limit.
-	Timeout time.Duration
 	// Parallelism bounds the number of DP workers that process independent
 	// subtrees concurrently. 0 selects GOMAXPROCS; 1 forces the serial
 	// engine. The result is bit-identical for every value — the fan-out
@@ -183,8 +173,10 @@ type Options struct {
 	// on the exact path can succeed under the hull kernel — the cap
 	// guards memory, and the skipped candidates never exist.
 	HullBuffering HullMode
-	// Context, when non-nil, cancels the run early: the engine checks it
-	// at every node and inside the quadratic 4P prune, aborting with
+	// Context, when non-nil, bounds the run: the engine checks it at every
+	// node and inside the quadratic 4P prune. A passed deadline aborts
+	// with ErrTimeout — the "tolerable time limit" outcome of Table 2, set
+	// with context.WithTimeout — and any other cancellation with
 	// ErrCanceled. Servers wire the per-request context here so abandoned
 	// requests stop burning a worker.
 	Context context.Context
@@ -195,9 +187,10 @@ var (
 	// ErrCapacity reports that a candidate list or merge cross-product
 	// outgrew Options.MaxCandidates.
 	ErrCapacity = errors.New("core: candidate capacity exceeded")
-	// ErrTimeout reports that the run exceeded Options.Timeout.
+	// ErrTimeout reports that Options.Context's deadline passed mid-run.
 	ErrTimeout = errors.New("core: time limit exceeded")
-	// ErrCanceled reports that Options.Context was canceled mid-run.
+	// ErrCanceled reports that Options.Context was canceled mid-run for
+	// any other reason.
 	ErrCanceled = errors.New("core: run canceled")
 )
 
@@ -252,37 +245,41 @@ func (o *Options) withDefaults() (Options, error) {
 }
 
 // Stats instruments one run: the counters behind Table 2 and Figure 5.
+// It is the one counter schema of the system: the server's result DTO
+// embeds it and its lifetime /metrics totals fold runs with Add.
 type Stats struct {
 	// Generated counts every candidate ever created; Pruned counts the
 	// ones dominance removed.
-	Generated, Pruned int64
+	Generated int64 `json:"generated"`
+	Pruned    int64 `json:"pruned"`
 	// PeakList is the largest candidate list observed at any node.
-	PeakList int
+	PeakList int `json:"peak_list"`
 	// Merges counts two-list merge operations.
-	Merges int64
+	Merges int64 `json:"merges"`
 	// Nodes is the number of tree nodes processed.
-	Nodes int
-	// Elapsed is the wall-clock runtime of the DP.
-	Elapsed time.Duration
+	Nodes int `json:"nodes"`
+	// Elapsed is the wall-clock runtime of the DP. Encoders report it in
+	// their own unit (the server DTO as elapsed_ms).
+	Elapsed time.Duration `json:"-"`
 	// Workers is the number of DP goroutines that participated (1 for a
 	// serial run).
-	Workers int
+	Workers int `json:"workers"`
 	// ArenaCandidates counts provenance records (one per candidate ever
 	// created); ArenaTerms and ArenaBytes describe the pooled Term arenas
 	// backing the canonical forms (see internal/variation.Arena).
 	// ArenaBytes is reserved slab capacity; ArenaUsedBytes the bytes of
 	// terms actually handed out — the live occupancy.
-	ArenaCandidates int64
-	ArenaTerms      int64
-	ArenaBytes      int64
-	ArenaUsedBytes  int64
+	ArenaCandidates int64 `json:"arena_candidates"`
+	ArenaTerms      int64 `json:"arena_terms"`
+	ArenaBytes      int64 `json:"arena_bytes"`
+	ArenaUsedBytes  int64 `json:"arena_used_bytes"`
 	// SubtreeHits/Misses/Stores count subtree-cache outcomes for this run:
 	// lookups that restored a memoized frontier, eligible lookups that
 	// missed, and frontiers stored for future runs. All zero when
 	// Options.SubtreeCache is nil.
-	SubtreeHits   int64
-	SubtreeMisses int64
-	SubtreeStores int64
+	SubtreeHits   int64 `json:"subtree_hits"`
+	SubtreeMisses int64 `json:"subtree_misses"`
+	SubtreeStores int64 `json:"subtree_stores"`
 	// Hull-kernel counters (all zero with HullOff or under Rule4P).
 	// HullSites counts buffer sites the kernel handled; HullSkipped the
 	// buffered candidates it proved dead before generation (each one
@@ -290,10 +287,34 @@ type Stats struct {
 	// HullFallbacks the sites that bailed to exact generation because the
 	// staircase invariant could not be certified; HullPeak the largest
 	// per-site count of hull-selected candidates actually emitted.
-	HullSites     int64
-	HullSkipped   int64
-	HullFallbacks int64
-	HullPeak      int
+	HullSites     int64 `json:"hull_sites,omitempty"`
+	HullSkipped   int64 `json:"hull_skipped,omitempty"`
+	HullFallbacks int64 `json:"hull_fallbacks,omitempty"`
+	HullPeak      int   `json:"hull_peak,omitempty"`
+}
+
+// Add folds o into s: counters and Elapsed sum, the PeakList and HullPeak
+// maxima take the larger value. Sums and maxima commute, so the fold order
+// never affects the totals.
+func (s *Stats) Add(o Stats) {
+	s.Generated += o.Generated
+	s.Pruned += o.Pruned
+	s.PeakList = max(s.PeakList, o.PeakList)
+	s.Merges += o.Merges
+	s.Nodes += o.Nodes
+	s.Elapsed += o.Elapsed
+	s.Workers += o.Workers
+	s.ArenaCandidates += o.ArenaCandidates
+	s.ArenaTerms += o.ArenaTerms
+	s.ArenaBytes += o.ArenaBytes
+	s.ArenaUsedBytes += o.ArenaUsedBytes
+	s.SubtreeHits += o.SubtreeHits
+	s.SubtreeMisses += o.SubtreeMisses
+	s.SubtreeStores += o.SubtreeStores
+	s.HullSites += o.HullSites
+	s.HullSkipped += o.HullSkipped
+	s.HullFallbacks += o.HullFallbacks
+	s.HullPeak = max(s.HullPeak, o.HullPeak)
 }
 
 // Result is the outcome of a successful insertion.

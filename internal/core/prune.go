@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"slices"
-	"time"
 
 	"vabuf/internal/stats"
 	"vabuf/internal/variation"
@@ -23,15 +22,11 @@ type pruner struct {
 	zL, zT float64
 	// 4P quantile z-values precomputed from FourPParams.
 	zAlphaL, zAlphaU, zBetaL, zBetaU float64
-	// deadline bounds the pairwise 4P prune, which is quadratic and can
-	// dwarf the per-node timeout granularity of the engine. Zero means no
-	// deadline. timedOut is latched when the deadline fires mid-prune.
-	deadline time.Time
-	timedOut bool
-	// ctx, when non-nil, cancels the 4P prune at the same stride as the
-	// deadline check; canceled is latched like timedOut.
-	ctx      context.Context
-	canceled bool
+	// ctx, when non-nil, bounds the pairwise 4P prune, which is quadratic
+	// and can dwarf the per-node check granularity of the engine. ctxErr
+	// latches the context's error when it fires mid-prune.
+	ctx    context.Context
+	ctxErr error
 	// stats sink
 	stats *Stats
 
@@ -283,13 +278,8 @@ func (p *pruner) prune4P(f *frontier) {
 		if dead[i] {
 			continue
 		}
-		if i%64 == 0 {
-			if !p.deadline.IsZero() && time.Now().After(p.deadline) {
-				p.timedOut = true
-				break
-			}
-			if p.ctx != nil && p.ctx.Err() != nil {
-				p.canceled = true
+		if i%64 == 0 && p.ctx != nil {
+			if p.ctxErr = p.ctx.Err(); p.ctxErr != nil {
 				break
 			}
 		}

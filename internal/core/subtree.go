@@ -173,7 +173,7 @@ func (w *fpWriter) bool(b bool) {
 // budget (cache hits skip intra-subtree budget checks, so entries must
 // never cross budgets), the buffer and wire libraries, the tree's default
 // wire parasitics, and the variation model instance token. Root-only
-// parameters (SelectQuantile, DriverR) and value-neutral ones (Timeout,
+// parameters (SelectQuantile, DriverR) and value-neutral ones (Context,
 // Parallelism) are deliberately excluded to maximize hit rates.
 func configFingerprint(tree *rctree.Tree, opts *Options) subtreeKey {
 	var w fpWriter

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -101,17 +102,19 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		}
 		row := Table2Row{Bench: e.name, Sinks: tr.NumSinks()}
 
+		ctx, cancel := context.WithTimeout(context.Background(), cfg.FourPTimeout)
 		t0 := time.Now()
 		_, err = core.Insert(tr, core.Options{
 			Library:        lib,
 			Model:          wid,
 			Rule:           core.Rule4P,
 			MaxCandidates:  cfg.FourPMaxCandidates,
-			Timeout:        cfg.FourPTimeout,
 			SelectQuantile: cfg.YieldQuantile,
 			Parallelism:    cfg.Parallelism,
 			HullBuffering:  cfg.Hull,
+			Context:        ctx,
 		})
+		cancel()
 		switch {
 		case err == nil:
 			row.Time4P = time.Since(t0)

@@ -130,7 +130,7 @@ func TestResizeServesMovedKeyFromOldOwner(t *testing.T) {
 	for e := range errs {
 		t.Fatalf("request failed during resize: %s", e)
 	}
-	if n := rt.met.ringRebuildCount(); n != 2 {
+	if n := rt.met.ringRebuilds.Load(); n != 2 {
 		t.Errorf("ring_rebuilds = %d after one reload, want 2 (boot + reload)", n)
 	}
 	waitFor(t, "new backend healthy", func() bool { return rt.prober.healthy(fleet[2].ts.URL) })
@@ -147,7 +147,7 @@ func TestResizeServesMovedKeyFromOldOwner(t *testing.T) {
 		t.Fatalf("no key of %d moved to the new backend — ring did not rebalance", nKeys)
 	}
 
-	hitsBefore := rt.met.lookupHitCount()
+	hitsBefore := rt.met.lookupHits.Total()
 	resp, raw := postJSON(t, ts.URL+"/v1/insert", reqs[moved])
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("moved-key insert: status %d: %s", resp.StatusCode, raw)
@@ -160,7 +160,7 @@ func TestResizeServesMovedKeyFromOldOwner(t *testing.T) {
 	if string(raw) != string(warm[moved]) {
 		t.Error("lookup-served answer differs from the original computation")
 	}
-	if hits := rt.met.lookupHitCount(); hits <= hitsBefore {
+	if hits := rt.met.lookupHits.Total(); hits <= hitsBefore {
 		t.Errorf("lookup hits = %d, want > %d", hits, hitsBefore)
 	}
 	if h := routerLookups(t, ts, "hits"); h < 1 {
@@ -214,11 +214,11 @@ func TestReloadManagesProbers(t *testing.T) {
 		t.Error("reload did not start a prober for the added backend")
 	}
 	// Same set, different order: no-op, no rebuild counted.
-	before := rt.met.ringRebuildCount()
+	before := rt.met.ringRebuilds.Load()
 	if err := rt.Reload([]string{urls[2], urls[0], urls[1]}); err != nil {
 		t.Fatal(err)
 	}
-	if n := rt.met.ringRebuildCount(); n != before {
+	if n := rt.met.ringRebuilds.Load(); n != before {
 		t.Errorf("same-set reload bumped ring_rebuilds %d -> %d", before, n)
 	}
 	// Shrink: the removed backend's prober stops and healthy() is false.
@@ -266,8 +266,8 @@ func TestAdminBackendsEndpoint(t *testing.T) {
 	if len(got.Backends) != 3 || got.RingRebuilds != 2 {
 		t.Errorf("after resize: %+v, want 3 backends and 2 rebuilds", got)
 	}
-	if rt.met.ringRebuildCount() != 2 {
-		t.Errorf("ring_rebuilds = %d, want 2", rt.met.ringRebuildCount())
+	if rt.met.ringRebuilds.Load() != 2 {
+		t.Errorf("ring_rebuilds = %d, want 2", rt.met.ringRebuilds.Load())
 	}
 	resp, _ = postJSON(t, ts.URL+"/admin/backends", adminBackendsRequest{})
 	if resp.StatusCode != http.StatusBadRequest {

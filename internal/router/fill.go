@@ -100,13 +100,13 @@ func (f *filler) enqueue(job fillJob) {
 	f.mu.Lock()
 	if f.total >= f.cap {
 		f.mu.Unlock()
-		f.met.recordFillQueued(true)
+		f.met.fillDropped.Inc()
 		return
 	}
 	f.pending[job.owner] = append(f.pending[job.owner], job)
 	f.total++
 	f.mu.Unlock()
-	f.met.recordFillQueued(false)
+	f.met.fillQueued.Inc()
 	select {
 	case f.wake <- struct{}{}:
 	default:
@@ -122,7 +122,7 @@ func (f *filler) retire(owner string) {
 	f.total -= n
 	f.mu.Unlock()
 	if n > 0 {
-		f.met.recordFillDrops(n)
+		f.met.fillDropped.Add(int64(n))
 	}
 }
 
@@ -180,7 +180,7 @@ func (f *filler) sweep() {
 				f.pending[owner] = kept
 			}
 			for i := 0; i < expired; i++ {
-				f.met.recordFillOutcome(owner, false)
+				f.met.fillErrors.Inc(owner)
 			}
 		}
 	}
@@ -202,11 +202,11 @@ func (f *filler) deliver(job fillJob) {
 	// A fill is pure re-warming; when the owner's budget is dry it just
 	// recomputes on the next repeat instead.
 	if !f.budget.spend(job.owner) {
-		f.met.recordBudgetExhausted()
-		f.met.recordFillOutcome(job.owner, false)
+		f.met.budgetExhausted.Inc()
+		f.met.fillErrors.Inc(job.owner)
 		return
 	}
-	f.met.recordAttempt(job.owner)
+	f.met.attempts.Inc(job.owner)
 	payload, err := json.Marshal(server.CacheFillRequest{
 		Kind:    job.kind,
 		Epoch:   job.epoch,
@@ -214,7 +214,7 @@ func (f *filler) deliver(job fillJob) {
 		Result:  job.result,
 	})
 	if err != nil {
-		f.met.recordFillOutcome(job.owner, false)
+		f.met.fillErrors.Inc(job.owner)
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -222,13 +222,13 @@ func (f *filler) deliver(job fillJob) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		job.owner+"/v1/cache/fill", bytes.NewReader(payload))
 	if err != nil {
-		f.met.recordFillOutcome(job.owner, false)
+		f.met.fillErrors.Inc(job.owner)
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := f.client.Do(req)
 	if err != nil {
-		f.met.recordFillOutcome(job.owner, false)
+		f.met.fillErrors.Inc(job.owner)
 		f.logf("vabufr: peer fill to %s failed: %v", job.owner, err)
 		return
 	}
@@ -237,9 +237,9 @@ func (f *filler) deliver(job fillJob) {
 		// 409 = epoch mismatch: the owner moved to a new library
 		// generation while the fill waited — exactly the stale result the
 		// epoch exists to refuse. Count it and move on.
-		f.met.recordFillOutcome(job.owner, false)
+		f.met.fillErrors.Inc(job.owner)
 		f.logf("vabufr: peer fill to %s refused: %s", job.owner, resp.Status)
 		return
 	}
-	f.met.recordFillOutcome(job.owner, true)
+	f.met.fillsSent.Inc(job.owner)
 }

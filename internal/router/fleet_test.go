@@ -328,7 +328,7 @@ func TestFailoverOnBackendKill(t *testing.T) {
 	if inst := resp.Header.Get("Vabuf-Instance"); inst != fleet[1-owner].name {
 		t.Errorf("failover served by %q, want successor %q", inst, fleet[1-owner].name)
 	}
-	if n := rt.met.failoversOf(fleet[owner].ts.URL); n < 1 {
+	if n := rt.met.failovers.Get(fleet[owner].ts.URL); n < 1 {
 		t.Errorf("owner failover count = %d, want >= 1", n)
 	}
 
@@ -466,7 +466,7 @@ func TestRouterRejectsBadRequestLocally(t *testing.T) {
 	}
 	// No backend was bothered.
 	for _, b := range fleet {
-		if n := rt.met.proxiedOf(b.ts.URL); n != 0 {
+		if n := rt.met.proxied.Get(b.ts.URL); n != 0 {
 			t.Errorf("backend %s proxied %d requests for a locally-rejected body", b.name, n)
 		}
 	}

@@ -120,7 +120,7 @@ func (rt *Router) tryHedged(ctx context.Context, order []string, path string, pa
 	results := make(chan armResult, 2)
 
 	arm := func(actx context.Context, b string, sec bool) {
-		rt.met.recordAttempt(b)
+		rt.met.attempts.Inc(b)
 		t0 := time.Now()
 		att, err := rt.post(actx, b, path, payload)
 		if err != nil {
@@ -157,7 +157,7 @@ func (rt *Router) tryHedged(ctx context.Context, order []string, path string, pa
 			if !hedged && rt.spendRetry(secondary) {
 				hedged = true
 				pending++
-				rt.met.recordHedge()
+				rt.met.hedges.Inc()
 				go arm(sctx, secondary, true)
 			}
 		case res := <-results:
@@ -171,9 +171,9 @@ func (rt *Router) tryHedged(ctx context.Context, order []string, path string, pa
 				failed = res.att
 			default:
 				if res.secondary {
-					rt.met.recordHedgeWin()
+					rt.met.hedgeWins.Inc()
 				}
-				rt.met.recordProxied(res.backend)
+				rt.met.proxied.Inc(res.backend)
 				pcancel()
 				scancel()
 				return res.att, sat

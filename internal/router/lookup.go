@@ -69,7 +69,7 @@ func (rt *Router) peerLookup(ctx context.Context, mem *membership, kind, fp, tar
 	if !rt.spendRetry(cand) {
 		return nil
 	}
-	rt.met.recordAttempt(cand)
+	rt.met.attempts.Inc(cand)
 	payload, err := json.Marshal(server.CacheLookupRequest{
 		Kind: kind,
 		// The lookup carries the *target's* epoch: the answer must be
@@ -86,31 +86,31 @@ func (rt *Router) peerLookup(ctx context.Context, mem *membership, kind, fp, tar
 	req, err := http.NewRequestWithContext(lctx, http.MethodPost,
 		cand+"/v1/cache/lookup", bytes.NewReader(payload))
 	if err != nil {
-		rt.met.recordLookup(cand, lookupError)
+		rt.met.lookupErrors.Inc()
 		return nil
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := rt.cfg.Client.Do(req)
 	if err != nil {
-		rt.met.recordLookup(cand, lookupError)
+		rt.met.lookupErrors.Inc()
 		return nil
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxRequestBytes))
 	if err != nil {
-		rt.met.recordLookup(cand, lookupError)
+		rt.met.lookupErrors.Inc()
 		return nil
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
-		rt.met.recordLookup(cand, lookupHit)
+		rt.met.lookupHits.Inc(cand)
 		return &attempt{backend: cand, status: http.StatusOK, header: resp.Header, body: body}
 	case http.StatusNotFound:
-		rt.met.recordLookup(cand, lookupMiss)
+		rt.met.lookupMisses.Inc()
 		return nil
 	default:
 		// 409 (epoch mismatch), 400, 5xx — all non-answers.
-		rt.met.recordLookup(cand, lookupError)
+		rt.met.lookupErrors.Inc()
 		return nil
 	}
 }

@@ -2,283 +2,68 @@ package router
 
 import (
 	"runtime"
-	"strconv"
-	"sync"
 	"time"
+
+	"vabuf/internal/metric"
 )
 
-// backendCounters are the per-backend traffic counters of the router.
-type backendCounters struct {
-	proxied    int64 // requests (or sub-batches) this backend answered
-	failovers  int64 // requests this backend owned but another served
-	fillsSent  int64 // peer cache fills delivered to this backend
-	fillErrors int64 // fills that failed (post error, non-200, or expiry)
-	lookupHits int64 // synchronous peer lookups this backend answered
-	// attempts counts every outbound request the router sent this
-	// backend — first tries, failover hops, hedges, peer lookups, peer
-	// fills alike. Summed across backends it is the fleet's true
-	// amplification numerator: injected faults that never reach a
-	// backend's own mux still show up here.
-	attempts int64
-}
-
-// rmetrics is the registry behind the router's GET /metrics. Counters
-// are keyed by backend URL, never by ring index, so a membership change
-// renumbers nothing: a backend that leaves and rejoins keeps its
+// rmetrics is the registry behind the router's GET /metrics. Per-backend
+// counters are keyed by backend URL, never by ring index, so a membership
+// change renumbers nothing: a backend that leaves and rejoins keeps its
 // history, and in-flight requests recording against a just-removed
 // backend land harmlessly in its retained entry.
 type rmetrics struct {
 	start time.Time
 
-	mu       sync.Mutex
-	requests map[string]map[string]int64 // endpoint -> status -> count
-	backends map[string]*backendCounters // backend URL -> counters
+	requests metric.Requests // endpoint -> status -> count
+	// Per-backend counters. proxied counts requests (or sub-batches) a
+	// backend answered, failovers requests it owned but another served,
+	// fillsSent/fillErrors peer cache fills delivered to it or failed
+	// (post error, non-200, or expiry), lookupHits synchronous peer
+	// lookups it answered. attempts counts every outbound request the
+	// router sent it — first tries, failover hops, hedges, peer lookups,
+	// peer fills alike; its total is the fleet's true amplification
+	// numerator: injected faults that never reach a backend's own mux
+	// still show up here.
+	proxied, failovers, fillsSent, fillErrors, lookupHits, attempts metric.Labelled
 	// fanout histograms how many distinct backends each batch request
-	// scattered to (key = owner-group count).
-	fanout map[int]int64
+	// scattered to (label = owner-group count).
+	fanout metric.Labelled
 	// ringRebuilds counts ring constructions: 1 at boot, +1 per
 	// membership reload that changed the member set.
-	ringRebuilds int64
-	fillQueued   int64
-	fillDropped  int64
-	// Synchronous peer-lookup outcomes: hits served a moved/failover key
-	// from the previous owner's cache, misses fell through to a normal
-	// (cold) proxy, errors are transport failures or refusals.
-	lookupHits   int64
-	lookupMisses int64
-	lookupErrors int64
+	ringRebuilds metric.Counter
+	fillQueued   metric.Counter
+	fillDropped  metric.Counter
+	// Synchronous peer-lookup outcomes besides hits: misses fell through
+	// to a normal (cold) proxy, errors are transport failures or refusals.
+	lookupMisses metric.Counter
+	lookupErrors metric.Counter
 	// Resilience counters: hedged duplicates sent / won, manufactured
 	// requests denied by a dry retry budget, and requests answered 504
 	// locally because their propagated deadline was already spent.
-	hedges           int64
-	hedgeWins        int64
-	budgetExhausted  int64
-	deadlineRejected map[string]int64 // endpoint -> local 504s
+	hedges           metric.Counter
+	hedgeWins        metric.Counter
+	budgetExhausted  metric.Counter
+	deadlineRejected metric.Labelled // endpoint -> local 504s
 }
 
-func newRMetrics() *rmetrics {
-	return &rmetrics{
-		start:            time.Now(),
-		requests:         make(map[string]map[string]int64),
-		backends:         make(map[string]*backendCounters),
-		fanout:           make(map[int]int64),
-		deadlineRejected: make(map[string]int64),
-	}
-}
-
-// of returns the counters of a backend, creating them on first touch.
-// Callers must hold m.mu.
-func (m *rmetrics) of(url string) *backendCounters {
-	c := m.backends[url]
-	if c == nil {
-		c = &backendCounters{}
-		m.backends[url] = c
-	}
-	return c
-}
-
-func (m *rmetrics) recordRequest(endpoint string, status int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byStatus := m.requests[endpoint]
-	if byStatus == nil {
-		byStatus = make(map[string]int64)
-		m.requests[endpoint] = byStatus
-	}
-	byStatus[strconv.Itoa(status)]++
-}
-
-func (m *rmetrics) recordProxied(url string) {
-	m.mu.Lock()
-	m.of(url).proxied++
-	m.mu.Unlock()
-}
-
-// recordFailover counts a request against the owner that missed it.
-func (m *rmetrics) recordFailover(owner string) {
-	m.mu.Lock()
-	m.of(owner).failovers++
-	m.mu.Unlock()
-}
-
-// recordAttempt counts one outbound request to a backend (any kind).
-func (m *rmetrics) recordAttempt(url string) {
-	m.mu.Lock()
-	m.of(url).attempts++
-	m.mu.Unlock()
-}
-
-// recordHedge counts one hedged duplicate sent.
-func (m *rmetrics) recordHedge() {
-	m.mu.Lock()
-	m.hedges++
-	m.mu.Unlock()
-}
-
-// recordHedgeWin counts one hedged duplicate that answered first.
-func (m *rmetrics) recordHedgeWin() {
-	m.mu.Lock()
-	m.hedgeWins++
-	m.mu.Unlock()
-}
-
-// recordBudgetExhausted counts one manufactured request the retry
-// budget refused to send.
-func (m *rmetrics) recordBudgetExhausted() {
-	m.mu.Lock()
-	m.budgetExhausted++
-	m.mu.Unlock()
-}
-
-// recordDeadlineRejected counts one request answered 504 locally
-// because its propagated deadline was already spent.
-func (m *rmetrics) recordDeadlineRejected(endpoint string) {
-	m.mu.Lock()
-	m.deadlineRejected[endpoint]++
-	m.mu.Unlock()
-}
-
-func (m *rmetrics) recordFanout(groups int) {
-	m.mu.Lock()
-	m.fanout[groups]++
-	m.mu.Unlock()
-}
-
-func (m *rmetrics) recordRingRebuild() {
-	m.mu.Lock()
-	m.ringRebuilds++
-	m.mu.Unlock()
-}
-
-func (m *rmetrics) recordFillQueued(dropped bool) {
-	m.mu.Lock()
-	if dropped {
-		m.fillDropped++
-	} else {
-		m.fillQueued++
-	}
-	m.mu.Unlock()
-}
-
-// recordFillDrops counts n fills dropped in bulk (retired owner).
-func (m *rmetrics) recordFillDrops(n int) {
-	m.mu.Lock()
-	m.fillDropped += int64(n)
-	m.mu.Unlock()
-}
-
-func (m *rmetrics) recordFillOutcome(url string, ok bool) {
-	m.mu.Lock()
-	if ok {
-		m.of(url).fillsSent++
-	} else {
-		m.of(url).fillErrors++
-	}
-	m.mu.Unlock()
-}
-
-// recordLookup counts one synchronous peer-lookup outcome; hits also
-// credit the backend that answered.
-func (m *rmetrics) recordLookup(url string, outcome lookupOutcome) {
-	m.mu.Lock()
-	switch outcome {
-	case lookupHit:
-		m.lookupHits++
-		m.of(url).lookupHits++
-	case lookupMiss:
-		m.lookupMisses++
-	default:
-		m.lookupErrors++
-	}
-	m.mu.Unlock()
-}
-
-// lookupOutcome classifies one peer-lookup attempt.
-type lookupOutcome int
-
-const (
-	lookupHit lookupOutcome = iota
-	lookupMiss
-	lookupError
-)
-
-// ringRebuildCount returns the rebuild counter (tests, admin endpoint).
-func (m *rmetrics) ringRebuildCount() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ringRebuilds
-}
-
-// lookupHitCount returns the lookup-hit counter (tests).
-func (m *rmetrics) lookupHitCount() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lookupHits
-}
-
-// failoversOf returns the failover count charged to a backend (tests).
-func (m *rmetrics) failoversOf(url string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.of(url).failovers
-}
-
-// proxiedOf returns the proxied-request count of a backend (tests).
-func (m *rmetrics) proxiedOf(url string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.of(url).proxied
-}
+func newRMetrics() *rmetrics { return &rmetrics{start: time.Now()} }
 
 // snapshot assembles the /metrics document over the *current*
 // membership. Probe state is merged per backend so one document answers
 // "who is down, who serves what, where do the fills go".
 func (m *rmetrics) snapshot(mem *membership, prober *prober,
 	fillBacklog int, ready bool, breakerOpen int, breakerOpens int64) map[string]any {
-	m.mu.Lock()
-	requests := make(map[string]map[string]int64, len(m.requests))
-	for ep, byStatus := range m.requests {
-		cp := make(map[string]int64, len(byStatus))
-		for st, n := range byStatus {
-			cp[st] = n
-		}
-		requests[ep] = cp
-	}
-	fanout := make(map[string]int64, len(m.fanout))
-	for groups, n := range m.fanout {
-		fanout[strconv.Itoa(groups)] = n
-	}
-	counters := make(map[string]backendCounters, len(mem.backends))
-	for _, url := range mem.backends {
-		counters[url] = *m.of(url)
-	}
-	rebuilds := m.ringRebuilds
-	queued, dropped := m.fillQueued, m.fillDropped
-	lhits, lmisses, lerrors := m.lookupHits, m.lookupMisses, m.lookupErrors
-	hedges, hedgeWins, budgetDry := m.hedges, m.hedgeWins, m.budgetExhausted
-	var attemptsTotal int64
-	for _, c := range m.backends {
-		attemptsTotal += c.attempts
-	}
-	dlRejected := make(map[string]int64, len(m.deadlineRejected))
-	var dlTotal int64
-	for ep, n := range m.deadlineRejected {
-		dlRejected[ep] = n
-		dlTotal += n
-	}
-	m.mu.Unlock()
-
 	bs := make([]map[string]any, len(mem.backends))
 	for i, url := range mem.backends {
 		doc := prober.stateSnapshot(url)
-		c := counters[url]
 		doc["url"] = url
-		doc["proxied"] = c.proxied
-		doc["failovers"] = c.failovers
-		doc["fills_sent"] = c.fillsSent
-		doc["fill_errors"] = c.fillErrors
-		doc["lookup_hits"] = c.lookupHits
-		doc["attempts"] = c.attempts
+		doc["proxied"] = m.proxied.Get(url)
+		doc["failovers"] = m.failovers.Get(url)
+		doc["fills_sent"] = m.fillsSent.Get(url)
+		doc["fill_errors"] = m.fillErrors.Get(url)
+		doc["lookup_hits"] = m.lookupHits.Get(url)
+		doc["attempts"] = m.attempts.Get(url)
 		bs[i] = doc
 	}
 	state := "ready"
@@ -289,44 +74,44 @@ func (m *rmetrics) snapshot(mem *membership, prober *prober,
 		"uptime_seconds": time.Since(m.start).Seconds(),
 		"state":          state,
 		"goroutines":     runtime.NumGoroutine(),
-		"requests":       requests,
+		"requests":       &m.requests,
 		"backends":       bs,
 		"ring": map[string]any{
 			"backends": len(mem.backends),
 			"points":   len(mem.ring.points),
-			"rebuilds": rebuilds,
+			"rebuilds": &m.ringRebuilds,
 			"members":  append([]string(nil), mem.backends...),
 		},
 		// scatter_fanout: how many owner groups each batch split into —
 		// "1" means the whole batch shared one owner (perfect affinity).
-		"scatter_fanout": fanout,
+		"scatter_fanout": &m.fanout,
 		"fills": map[string]any{
-			"queued":  queued,
-			"dropped": dropped,
+			"queued":  &m.fillQueued,
+			"dropped": &m.fillDropped,
 			"backlog": fillBacklog,
 		},
 		// lookups: synchronous peer-cache probes at a key's previous
 		// owner before a new/failover owner computes it cold.
 		"lookups": map[string]any{
-			"hits":   lhits,
-			"misses": lmisses,
-			"errors": lerrors,
+			"hits":   m.lookupHits.Total(),
+			"misses": &m.lookupMisses,
+			"errors": &m.lookupErrors,
 		},
 		// resilience: the retry-storm dials. attempts_total over the sum
 		// of client requests is the fleet's amplification factor.
 		"resilience": map[string]any{
-			"hedges":                 hedges,
-			"hedge_wins":             hedgeWins,
-			"retry_budget_exhausted": budgetDry,
+			"hedges":                 &m.hedges,
+			"hedge_wins":             &m.hedgeWins,
+			"retry_budget_exhausted": &m.budgetExhausted,
 			"breaker_open":           breakerOpen,
 			"breaker_opens":          breakerOpens,
-			"attempts_total":         attemptsTotal,
+			"attempts_total":         m.attempts.Total(),
 		},
 		// deadline: requests answered 504 by the router itself because
 		// their propagated budget was already spent on arrival.
 		"deadline": map[string]any{
-			"rejected":       dlRejected,
-			"rejected_total": dlTotal,
+			"rejected":       &m.deadlineRejected,
+			"rejected_total": m.deadlineRejected.Total(),
 		},
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -193,7 +194,7 @@ func New(cfg Config) (*Router, error) {
 		rt.breaker = newBreakerSet(cfg.BreakerFailures, cfg.BreakerCooldown)
 	}
 	rt.mem.Store(&membership{backends: backends, member: memberSet(backends), ring: ring})
-	rt.met.recordRingRebuild()
+	rt.met.ringRebuilds.Inc()
 	rt.prober = newProber(probeConfig{
 		interval:     cfg.ProbeInterval,
 		timeout:      cfg.ProbeTimeout,
@@ -340,7 +341,7 @@ func (rt *Router) Reload(backends []string) error {
 			removed++
 		}
 	}
-	rt.met.recordRingRebuild()
+	rt.met.ringRebuilds.Inc()
 	rt.cfg.Logf("vabufr: ring rebuilt: %d backends (%d added, %d removed)",
 		len(normalized), added, removed)
 	return nil
@@ -383,7 +384,7 @@ func (rt *Router) Close() {
 // writeJSON emits a JSON body with the vabufd response conventions
 // (indented, Retry-After on overload statuses).
 func (rt *Router) writeJSON(w http.ResponseWriter, endpoint string, status int, body any) {
-	rt.met.recordRequest(endpoint, status)
+	rt.met.requests.Record(endpoint, status)
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		if w.Header().Get("Retry-After") == "" {
 			w.Header().Set("Retry-After", "1")
@@ -510,7 +511,7 @@ func (rt *Router) deadlineContext(endpoint string, w http.ResponseWriter, r *htt
 		return r.Context(), func() {}, true
 	}
 	if remaining <= 0 {
-		rt.met.recordDeadlineRejected(endpoint)
+		rt.met.deadlineRejected.Inc(endpoint)
 		rt.writeJSON(w, endpoint, http.StatusGatewayTimeout, errorBody(errDeadlineSpent))
 		return nil, nil, false
 	}
@@ -550,7 +551,7 @@ func (rt *Router) spendRetry(url string) bool {
 	if rt.budget.spend(url) {
 		return true
 	}
-	rt.met.recordBudgetExhausted()
+	rt.met.budgetExhausted.Inc()
 	return false
 }
 
@@ -603,7 +604,7 @@ func (rt *Router) tryBackends(ctx context.Context, order []string, path string, 
 			rt.budget.credit(b)
 		}
 		sent++
-		rt.met.recordAttempt(b)
+		rt.met.attempts.Inc(b)
 		att, err := rt.post(ctx, b, path, payload)
 		if err != nil {
 			if clientFault(ctx, err) {
@@ -623,7 +624,7 @@ func (rt *Router) tryBackends(ctx context.Context, order []string, path string, 
 			continue
 		}
 		rt.breaker.success(b)
-		rt.met.recordProxied(b)
+		rt.met.proxied.Inc(b)
 		return att, sat
 	}
 	if failed != nil {
@@ -636,7 +637,7 @@ func (rt *Router) tryBackends(ctx context.Context, order []string, path string, 
 // and the headers that matter to clients (content type, backpressure,
 // backend identity).
 func (rt *Router) copyProxied(w http.ResponseWriter, endpoint string, att *attempt) {
-	rt.met.recordRequest(endpoint, att.status)
+	rt.met.requests.Record(endpoint, att.status)
 	for _, h := range []string{"Content-Type", "Retry-After", "Vabuf-Instance", "Vabuf-Epoch"} {
 		if v := att.header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -708,7 +709,7 @@ func (rt *Router) single(endpoint, kind string) http.HandlerFunc {
 		switch {
 		case served != nil:
 			if served.backend != order[0] {
-				rt.met.recordFailover(order[0])
+				rt.met.failovers.Inc(order[0])
 				rt.maybeFill(kind, order[0], body, served)
 			}
 			rt.copyProxied(w, endpoint, served)
@@ -796,7 +797,7 @@ func (rt *Router) stream(w http.ResponseWriter, r *http.Request) {
 			rt.budget.credit(b)
 		}
 		sent++
-		rt.met.recordAttempt(b)
+		rt.met.attempts.Inc(b)
 		resp, err := rt.cfg.Client.Do(req)
 		if err != nil {
 			if clientFault(ctx, err) {
@@ -814,10 +815,10 @@ func (rt *Router) stream(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if b != order[0] {
-			rt.met.recordFailover(order[0])
+			rt.met.failovers.Inc(order[0])
 		}
 		rt.breaker.success(b)
-		rt.met.recordProxied(b)
+		rt.met.proxied.Inc(b)
 		if sat != nil {
 			sat.Body.Close()
 		}
@@ -839,7 +840,7 @@ func (rt *Router) stream(w http.ResponseWriter, r *http.Request) {
 // backend emits them.
 func (rt *Router) relayStream(w http.ResponseWriter, endpoint string, resp *http.Response) {
 	defer resp.Body.Close()
-	rt.met.recordRequest(endpoint, resp.StatusCode)
+	rt.met.requests.Record(endpoint, resp.StatusCode)
 	for _, h := range []string{"Content-Type", "Vabuf-Instance", "Vabuf-Epoch"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -903,7 +904,7 @@ func (rt *Router) anyBackend(path string) http.HandlerFunc {
 				continue
 			}
 			server.SetDeadlineHeader(req.Header, ctx)
-			rt.met.recordAttempt(b)
+			rt.met.attempts.Inc(b)
 			resp, err := rt.cfg.Client.Do(req)
 			if err != nil {
 				// A vanished client is not backend evidence: marking the
@@ -920,7 +921,7 @@ func (rt *Router) anyBackend(path string) http.HandlerFunc {
 			if err != nil {
 				continue
 			}
-			rt.met.recordProxied(b)
+			rt.met.proxied.Inc(b)
 			rt.copyProxied(w, path, &attempt{
 				backend: b, status: resp.StatusCode, header: resp.Header, body: body})
 			return
@@ -969,7 +970,7 @@ type adminBackendsResult struct {
 func (rt *Router) adminGetBackends(w http.ResponseWriter, _ *http.Request) {
 	rt.writeJSON(w, "/admin/backends", http.StatusOK, adminBackendsResult{
 		Backends:     rt.Backends(),
-		RingRebuilds: rt.met.ringRebuildCount(),
+		RingRebuilds: rt.met.ringRebuilds.Load(),
 	})
 }
 
@@ -993,7 +994,7 @@ func (rt *Router) adminSetBackends(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.writeJSON(w, endpoint, http.StatusOK, adminBackendsResult{
 		Backends:     rt.Backends(),
-		RingRebuilds: rt.met.ringRebuildCount(),
+		RingRebuilds: rt.met.ringRebuilds.Load(),
 	})
 }
 
@@ -1127,7 +1128,7 @@ func (rt *Router) batch(endpoint, kind string) http.HandlerFunc {
 			groups[target] = append(groups[target], preparedItem{
 				index: i, owner: order[0], order: order, payload: payload})
 		}
-		rt.met.recordFanout(len(groups))
+		rt.met.fanout.Inc(strconv.Itoa(len(groups)))
 
 		// Scatter concurrently; each group writes only its own items.
 		type groupOutcome struct {
@@ -1271,7 +1272,7 @@ func (rt *Router) gatherGroup(kind, endpoint string, out *rawBatchResult, att *a
 		out.Items[it.index].Result = res.Result
 		out.Items[it.index].Error = res.Error
 		if it.owner != att.backend {
-			rt.met.recordFailover(it.owner)
+			rt.met.failovers.Inc(it.owner)
 			if rt.filler != nil && res.Status == http.StatusOK {
 				rt.filler.enqueue(fillJob{
 					owner:   it.owner,

@@ -51,7 +51,7 @@ const (
 func (s *Server) submitBatchItem(ctx context.Context, endpoint string, wg *sync.WaitGroup,
 	fn func(), onPanic func(error), onDoomed func(error)) submitResult {
 	if s.shedding() {
-		s.met.recordShed(endpoint)
+		s.met.shed.Inc(endpoint)
 		return submitShed
 	}
 	job := func() {
@@ -62,8 +62,8 @@ func (s *Server) submitBatchItem(ctx context.Context, endpoint string, wg *sync.
 			}
 		}()
 		if err := ctx.Err(); err != nil {
-			s.pool.noteExpired(classSweep)
-			s.met.recordDeadlineExpired(endpoint)
+			s.pool.classes[classSweep].expired.Inc()
+			s.met.deadlineExpired.Inc(endpoint)
 			onDoomed(err)
 			return
 		}
@@ -139,7 +139,7 @@ func (s *Server) insertBatch(r *http.Request) (int, any) {
 		}
 		if li, ok := leaders[fp]; ok {
 			dupOf[i] = li
-			s.met.recordCoalesced("/v1/insert:batch")
+			s.met.coalesced.Inc("/v1/insert:batch")
 			continue
 		}
 		leaders[fp] = i
@@ -235,7 +235,7 @@ func (s *Server) yieldBatch(r *http.Request) (int, any) {
 		}
 		if li, ok := leaders[fp]; ok {
 			dupOf[i] = li
-			s.met.recordCoalesced("/v1/yield:batch")
+			s.met.coalesced.Inc("/v1/yield:batch")
 			continue
 		}
 		leaders[fp] = i

@@ -113,7 +113,7 @@ func TestCanceledInsertReleasesWorkers(t *testing.T) {
 	waitPoolIdle(t, s)
 	client.CloseIdleConnections()
 	waitGoroutines(t, baseline, 4)
-	if got := s.pool.workerPanics(); got != 0 {
+	if got := s.pool.panics.Load(); got != 0 {
 		t.Errorf("worker panics = %d, want 0", got)
 	}
 }

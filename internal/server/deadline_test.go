@@ -175,13 +175,56 @@ func TestQueueWaitCountsRejections(t *testing.T) {
 			t.Fatal("submit into a zero-depth queue succeeded")
 		}
 	}
-	snap := p.classSnapshot()
-	inter := snap["interactive"].(map[string]any)
+	// Render the block as /metrics does: the histogram marshals itself.
+	raw, err := json.Marshal(p.classSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]map[string]any
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	inter := snap["interactive"]
 	wait := inter["wait_ms"].(map[string]any)
-	if got := wait["count"].(int64); got != 3 {
+	if got := wait["count"].(float64); got != 3 {
 		t.Errorf("wait histogram count = %v, want 3 (rejections counted)", got)
 	}
-	if got := inter["rejected"].(int64); got != 3 {
+	if got := inter["rejected"].(float64); got != 3 {
 		t.Errorf("rejected = %v, want 3", got)
+	}
+}
+
+// TestBatchItemDeadlineExpiresMidRun: a batch item whose propagated
+// budget runs out after dequeue — here while the job is held before its
+// DP starts — answers 504 like the single-request endpoints, not 499:
+// the run context's error, not the endpoint, decides timeout vs cancel.
+func TestBatchItemDeadlineExpiresMidRun(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.testHookJob = func() { time.Sleep(150 * time.Millisecond) }
+	item := InsertRequest{Bench: "p1", Algo: "nom"}
+	cases := []struct {
+		endpoint string
+		body     any
+	}{
+		{"/v1/insert:batch", BatchInsertRequest{Items: []InsertRequest{item}}},
+		{"/v1/yield:batch", BatchYieldRequest{Items: []YieldRequest{{InsertRequest: item}}}},
+	}
+	for _, c := range cases {
+		resp, raw := postDeadline(t, ts.URL+c.endpoint, "60", c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: batch status %d (%s), want 200", c.endpoint, resp.StatusCode, raw)
+		}
+		var out struct {
+			Items []struct {
+				Status int    `json:"status"`
+				Error  string `json:"error"`
+			} `json:"items"`
+		}
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Items) != 1 || out.Items[0].Status != http.StatusGatewayTimeout {
+			t.Errorf("%s: items %+v, want one 504", c.endpoint, out.Items)
+		}
 	}
 }

@@ -26,7 +26,7 @@ type InsertRequest struct {
 	// Rule is the pruning rule for variation-aware runs: 2p (default) or 4p.
 	Rule string `json:"rule,omitempty"`
 	// Hull selects the buffering kernel: "auto" (default; convex-hull
-	// kernel wherever it is certified bit-identical), "on", or "off".
+	// kernel wherever it is certified bit-identical) or "off".
 	// Results are identical for every value — only candidate throughput
 	// changes — so the field does not participate in result fingerprints.
 	Hull string `json:"hull,omitempty"`
@@ -130,37 +130,12 @@ type BatchYieldResult struct {
 	Errors    int                    `json:"errors"`
 }
 
-// StatsDTO mirrors core.Stats: the candidate-pruning counters behind the
-// paper's Table 2 and Figure 5.
+// StatsDTO is the "stats" object of an InsertResult: the run's work
+// counters (core.Stats, the counters behind the paper's Table 2 and
+// Figure 5, under their own json tags) plus the DP wall clock in ms.
 type StatsDTO struct {
-	Generated int64   `json:"generated"`
-	Pruned    int64   `json:"pruned"`
-	PeakList  int     `json:"peak_list"`
-	Merges    int64   `json:"merges"`
-	Nodes     int     `json:"nodes"`
+	vabuf.Stats
 	ElapsedMS float64 `json:"elapsed_ms"`
-	// Workers is the number of DP goroutines that participated;
-	// ArenaCandidates/ArenaTerms/ArenaBytes describe the run's slab
-	// allocations and ArenaUsedBytes the slab bytes actually occupied at
-	// release (see core.Stats).
-	Workers         int   `json:"workers"`
-	ArenaCandidates int64 `json:"arena_candidates"`
-	ArenaTerms      int64 `json:"arena_terms"`
-	ArenaBytes      int64 `json:"arena_bytes"`
-	ArenaUsedBytes  int64 `json:"arena_used_bytes"`
-	// Subtree DP-frontier cache activity of this run (zero without a
-	// cache wired into Options.SubtreeCache).
-	SubtreeHits   int64 `json:"subtree_hits"`
-	SubtreeMisses int64 `json:"subtree_misses"`
-	SubtreeStores int64 `json:"subtree_stores"`
-	// Convex-hull buffering kernel activity: sites handled by the kernel,
-	// buffer candidates skipped before generation, sites that fell back to
-	// the exact kernel, and the peak per-site hull size (zero when the
-	// kernel is off or inapplicable, e.g. rule 4p).
-	HullSites     int64 `json:"hull_sites,omitempty"`
-	HullSkipped   int64 `json:"hull_skipped,omitempty"`
-	HullFallbacks int64 `json:"hull_fallbacks,omitempty"`
-	HullPeak      int   `json:"hull_peak,omitempty"`
 }
 
 // AssignmentEntry is one inserted buffer in an InsertResult.
@@ -427,24 +402,8 @@ func NewInsertResult(tree *vabuf.Tree, lib vabuf.Library, algo string,
 		NumBuffers:      res.NumBuffers,
 		RootCandidates:  res.RootCandidates,
 		Stats: StatsDTO{
-			Generated:       res.Stats.Generated,
-			Pruned:          res.Stats.Pruned,
-			PeakList:        res.Stats.PeakList,
-			Merges:          res.Stats.Merges,
-			Nodes:           res.Stats.Nodes,
-			ElapsedMS:       float64(res.Stats.Elapsed) / float64(time.Millisecond),
-			Workers:         res.Stats.Workers,
-			ArenaCandidates: res.Stats.ArenaCandidates,
-			ArenaTerms:      res.Stats.ArenaTerms,
-			ArenaBytes:      res.Stats.ArenaBytes,
-			ArenaUsedBytes:  res.Stats.ArenaUsedBytes,
-			SubtreeHits:     res.Stats.SubtreeHits,
-			SubtreeMisses:   res.Stats.SubtreeMisses,
-			SubtreeStores:   res.Stats.SubtreeStores,
-			HullSites:       res.Stats.HullSites,
-			HullSkipped:     res.Stats.HullSkipped,
-			HullFallbacks:   res.Stats.HullFallbacks,
-			HullPeak:        res.Stats.HullPeak,
+			Stats:     res.Stats,
+			ElapsedMS: float64(res.Stats.Elapsed) / float64(time.Millisecond),
 		},
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 	}

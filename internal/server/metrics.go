@@ -5,262 +5,86 @@ import (
 	"log"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"time"
 
 	"vabuf"
+	"vabuf/internal/metric"
 )
 
-// latencyBucketsMS are the upper bounds (milliseconds) of the latency
-// histogram buckets; a final +Inf bucket catches the rest.
-var latencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
-// histogram is a fixed-bucket latency histogram.
-type histogram struct {
-	count   int64
-	sumMS   float64
-	buckets []int64 // len(latencyBucketsMS)+1, last = +Inf
-}
-
-func (h *histogram) observe(ms float64) {
-	h.count++
-	h.sumMS += ms
-	for i, ub := range latencyBucketsMS {
-		if ms <= ub {
-			h.buckets[i]++
-			return
-		}
-	}
-	h.buckets[len(latencyBucketsMS)]++
-}
-
-func (h *histogram) snapshot() map[string]any {
-	buckets := make(map[string]int64, len(h.buckets))
-	for i, ub := range latencyBucketsMS {
-		buckets[fmt.Sprintf("le_%g", ub)] = h.buckets[i]
-	}
-	buckets["inf"] = h.buckets[len(latencyBucketsMS)]
-	return map[string]any{
-		"count":   h.count,
-		"sum_ms":  h.sumMS,
-		"buckets": buckets,
-	}
-}
-
-// pruneTotals accumulates core.Result.Stats across every successful run —
-// the service-lifetime view of the paper's Table 2 counters.
-type pruneTotals struct {
-	runs      int64
-	generated int64
-	pruned    int64
-	merges    int64
-	nodes     int64
-	peakList  int
-	// Worker/arena totals of the parallel allocation-lean engine.
-	workers         int64
-	arenaCandidates int64
-	arenaTerms      int64
-	arenaBytes      int64
-	arenaUsedBytes  int64
-	// Subtree DP-frontier cache totals across runs (per-run counters;
-	// the cache's own lifetime view sits under caches.subtree).
-	subtreeHits   int64
-	subtreeMisses int64
-	subtreeStores int64
-	// Convex-hull buffering kernel totals: skipped counts candidates
-	// never generated (the kernel's savings), fallbacks sites that took
-	// the exact path because the certification preconditions failed.
-	hullSites     int64
-	hullSkipped   int64
-	hullFallbacks int64
-}
-
-// snapshotCounters tracks the cache snapshot/warm-restart machinery.
-type snapshotCounters struct {
-	restoredTrees   int64
-	restoredModels  int64
-	restoredResults int64
-	skipped         int64 // corrupt/unrecoverable entries dropped on restore
-	saves           int64
-	saveErrors      int64
-}
-
-// metrics is the expvar-style registry behind GET /metrics.
+// metrics is the registry behind GET /metrics. Its members are the
+// shared metric types; handlers count on them directly.
 type metrics struct {
 	start time.Time
 
-	mu       sync.Mutex
-	requests map[string]map[string]int64 // endpoint -> status code -> count
-	latency  map[string]*histogram       // "algo/rule" -> run latency
-	prune    pruneTotals
-	panics   map[string]int64 // endpoint -> panics recovered in its jobs
-	shed     map[string]int64 // endpoint -> sweep submissions shed early
+	requests metric.Requests                 // endpoint -> status -> count
+	latency  metric.Family[metric.Histogram] // "algo/rule" -> run latency
+	panics   metric.Labelled                 // endpoint -> panics recovered in its jobs
+	shed     metric.Labelled                 // endpoint -> sweep submissions shed early
 	// coalesced counts requests answered by joining an identical
 	// in-flight request (single-flight waiters), per endpoint. Batch
 	// endpoints count intra-batch duplicate items here too.
-	coalesced map[string]int64
+	coalesced metric.Labelled
 	snap      snapshotCounters
 	// peerFills counts /v1/cache/fill admissions: accepted entries stored
 	// in the result cache, rejected ones refused (epoch mismatch or
 	// malformed fill).
-	peerFillsAccepted int64
-	peerFillsRejected int64
+	peerFills struct {
+		Accepted metric.Counter `json:"accepted"`
+		Rejected metric.Counter `json:"rejected"`
+	}
 	// peerLookups counts /v1/cache/lookup probes: hits served a cached
 	// result to a peer router, misses cover 404s plus refused lookups
 	// (epoch mismatch or malformed request).
-	peerLookupHits   int64
-	peerLookupMisses int64
+	peerLookups struct {
+		Hits   metric.Counter `json:"hits"`
+		Misses metric.Counter `json:"misses"`
+	}
 	// deadlineRejected counts requests refused with 504 at admission
 	// because their propagated Vabuf-Deadline-Ms budget was already spent
 	// — they never touched a cache or the queue. deadlineExpired counts
 	// queued jobs dropped at dequeue because their deadline passed (or
 	// their client vanished) while they waited. Both keyed by endpoint.
-	deadlineRejected map[string]int64
-	deadlineExpired  map[string]int64
+	deadlineRejected metric.Labelled
+	deadlineExpired  metric.Labelled
+
+	// pruning accumulates core.Result.Stats across every successful run —
+	// the service-lifetime view of the paper's Table 2 counters.
+	mu      sync.Mutex
+	runs    int64
+	pruning vabuf.Stats
 }
 
-func newMetrics() *metrics {
-	return &metrics{
-		start:            time.Now(),
-		requests:         make(map[string]map[string]int64),
-		latency:          make(map[string]*histogram),
-		panics:           make(map[string]int64),
-		shed:             make(map[string]int64),
-		coalesced:        make(map[string]int64),
-		deadlineRejected: make(map[string]int64),
-		deadlineExpired:  make(map[string]int64),
-	}
+// snapshotCounters tracks the cache snapshot/warm-restart machinery.
+type snapshotCounters struct {
+	RestoredTrees   metric.Counter `json:"restored_trees"`
+	RestoredModels  metric.Counter `json:"restored_models"`
+	RestoredResults metric.Counter `json:"restored_results"`
+	Skipped         metric.Counter `json:"skipped"` // corrupt/unrecoverable entries dropped on restore
+	Saves           metric.Counter `json:"saves"`
+	SaveErrors      metric.Counter `json:"save_errors"`
 }
 
-// recordCoalesced counts a request (or batch item) answered by an
-// identical in-flight or sibling computation instead of its own run.
-func (m *metrics) recordCoalesced(endpoint string) {
-	m.mu.Lock()
-	m.coalesced[endpoint]++
-	m.mu.Unlock()
-}
+func newMetrics() *metrics { return &metrics{start: time.Now()} }
 
 // panicRecovered records a panic recovered inside a pool job submitted
 // by endpoint, logs the stack, and returns the error the request (or
 // batch item) answers as its structured 500. The worker that ran the
 // job survives and returns to the pool.
 func (m *metrics) panicRecovered(endpoint string, v any) error {
-	m.mu.Lock()
-	m.panics[endpoint]++
-	m.mu.Unlock()
+	m.panics.Inc(endpoint)
 	log.Printf("%s: recovered panic in job: %v\n%s", endpoint, v, debug.Stack())
 	return fmt.Errorf("internal panic in insertion job (recovered): %v", v)
 }
 
-// recordPeerFill counts one /v1/cache/fill admission outcome.
-func (m *metrics) recordPeerFill(accepted bool) {
-	m.mu.Lock()
-	if accepted {
-		m.peerFillsAccepted++
-	} else {
-		m.peerFillsRejected++
-	}
-	m.mu.Unlock()
-}
-
-// recordPeerLookup counts one /v1/cache/lookup outcome.
-func (m *metrics) recordPeerLookup(hit bool) {
-	m.mu.Lock()
-	if hit {
-		m.peerLookupHits++
-	} else {
-		m.peerLookupMisses++
-	}
-	m.mu.Unlock()
-}
-
-// recordDeadlineRejected counts one request refused at admission because
-// its propagated deadline was already spent.
-func (m *metrics) recordDeadlineRejected(endpoint string) {
-	m.mu.Lock()
-	m.deadlineRejected[endpoint]++
-	m.mu.Unlock()
-}
-
-// recordDeadlineExpired counts one queued job dropped at dequeue because
-// its deadline passed (or its client vanished) while it waited.
-func (m *metrics) recordDeadlineExpired(endpoint string) {
-	m.mu.Lock()
-	m.deadlineExpired[endpoint]++
-	m.mu.Unlock()
-}
-
-// recordShed counts a sweep-class submission rejected by the shed gate.
-func (m *metrics) recordShed(endpoint string) {
-	m.mu.Lock()
-	m.shed[endpoint]++
-	m.mu.Unlock()
-}
-
-// recordSnapshotSave counts a snapshot write attempt.
-func (m *metrics) recordSnapshotSave(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err != nil {
-		m.snap.saveErrors++
-		return
-	}
-	m.snap.saves++
-}
-
-// recordSnapshotRestore accumulates the outcome of a snapshot restore.
-func (m *metrics) recordSnapshotRestore(stats RestoreStats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.restoredTrees += int64(stats.Trees)
-	m.snap.restoredModels += int64(stats.Models)
-	m.snap.restoredResults += int64(stats.Results)
-	m.snap.skipped += int64(stats.Skipped)
-}
-
-func (m *metrics) recordRequest(endpoint string, status int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byStatus := m.requests[endpoint]
-	if byStatus == nil {
-		byStatus = make(map[string]int64)
-		m.requests[endpoint] = byStatus
-	}
-	byStatus[strconv.Itoa(status)]++
-}
-
 // recordRun records one successful insertion run: its latency under the
-// algo/rule key and its pruning counters.
+// algo/rule key and its work counters.
 func (m *metrics) recordRun(algo, rule string, elapsed time.Duration, res *vabuf.Result) {
-	key := algo + "/" + rule
+	m.latency.With(algo + "/" + rule).Observe(elapsed)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.latency[key]
-	if h == nil {
-		h = &histogram{buckets: make([]int64, len(latencyBucketsMS)+1)}
-		m.latency[key] = h
-	}
-	h.observe(float64(elapsed) / float64(time.Millisecond))
-	m.prune.runs++
-	m.prune.generated += res.Stats.Generated
-	m.prune.pruned += res.Stats.Pruned
-	m.prune.merges += res.Stats.Merges
-	m.prune.nodes += int64(res.Stats.Nodes)
-	if res.Stats.PeakList > m.prune.peakList {
-		m.prune.peakList = res.Stats.PeakList
-	}
-	m.prune.workers += int64(res.Stats.Workers)
-	m.prune.arenaCandidates += res.Stats.ArenaCandidates
-	m.prune.arenaTerms += res.Stats.ArenaTerms
-	m.prune.arenaBytes += res.Stats.ArenaBytes
-	m.prune.arenaUsedBytes += res.Stats.ArenaUsedBytes
-	m.prune.subtreeHits += res.Stats.SubtreeHits
-	m.prune.subtreeMisses += res.Stats.SubtreeMisses
-	m.prune.subtreeStores += res.Stats.SubtreeStores
-	m.prune.hullSites += res.Stats.HullSites
-	m.prune.hullSkipped += res.Stats.HullSkipped
-	m.prune.hullFallbacks += res.Stats.HullFallbacks
+	m.runs++
+	m.pruning.Add(res.Stats)
+	m.mu.Unlock()
 }
 
 func cacheSnapshot(c *lruCache, capacity int) map[string]any {
@@ -305,76 +129,10 @@ func (m *metrics) snapshot(pool *workerPool, trees, models, results *lruCache,
 	subtrees *vabuf.SubtreeCache,
 	treeCap, modelCap, resultCap, inflight int, state string) map[string]any {
 	m.mu.Lock()
-	requests := make(map[string]map[string]int64, len(m.requests))
-	for ep, byStatus := range m.requests {
-		cp := make(map[string]int64, len(byStatus))
-		for st, n := range byStatus {
-			cp[st] = n
-		}
-		requests[ep] = cp
-	}
-	latency := make(map[string]any, len(m.latency))
-	for key, h := range m.latency {
-		latency[key] = h.snapshot()
-	}
-	panics := make(map[string]int64, len(m.panics))
-	for ep, n := range m.panics {
-		panics[ep] = n
-	}
-	shed := make(map[string]int64, len(m.shed))
-	for ep, n := range m.shed {
-		shed[ep] = n
-	}
-	coalesced := make(map[string]int64, len(m.coalesced))
-	for ep, n := range m.coalesced {
-		coalesced[ep] = n
-	}
-	peerFills := map[string]any{
-		"accepted": m.peerFillsAccepted,
-		"rejected": m.peerFillsRejected,
-	}
-	peerLookups := map[string]any{
-		"hits":   m.peerLookupHits,
-		"misses": m.peerLookupMisses,
-	}
-	var rejectedTotal, expiredTotal int64
-	deadlineRejected := make(map[string]int64, len(m.deadlineRejected))
-	for ep, n := range m.deadlineRejected {
-		deadlineRejected[ep] = n
-		rejectedTotal += n
-	}
-	deadlineExpired := make(map[string]int64, len(m.deadlineExpired))
-	for ep, n := range m.deadlineExpired {
-		deadlineExpired[ep] = n
-		expiredTotal += n
-	}
-	snap := map[string]any{
-		"restored_trees":   m.snap.restoredTrees,
-		"restored_models":  m.snap.restoredModels,
-		"restored_results": m.snap.restoredResults,
-		"skipped":          m.snap.skipped,
-		"saves":            m.snap.saves,
-		"save_errors":      m.snap.saveErrors,
-	}
-	prune := map[string]any{
-		"runs":             m.prune.runs,
-		"generated":        m.prune.generated,
-		"pruned":           m.prune.pruned,
-		"merges":           m.prune.merges,
-		"nodes":            m.prune.nodes,
-		"peak_list":        m.prune.peakList,
-		"workers":          m.prune.workers,
-		"arena_candidates": m.prune.arenaCandidates,
-		"arena_terms":      m.prune.arenaTerms,
-		"arena_bytes":      m.prune.arenaBytes,
-		"arena_used_bytes": m.prune.arenaUsedBytes,
-		"subtree_hits":     m.prune.subtreeHits,
-		"subtree_misses":   m.prune.subtreeMisses,
-		"subtree_stores":   m.prune.subtreeStores,
-		"hull_sites":       m.prune.hullSites,
-		"hull_skipped":     m.prune.hullSkipped,
-		"hull_fallbacks":   m.prune.hullFallbacks,
-	}
+	pruning := struct {
+		Runs int64 `json:"runs"`
+		vabuf.Stats
+	}{m.runs, m.pruning}
 	m.mu.Unlock()
 
 	doc := map[string]any{
@@ -383,35 +141,35 @@ func (m *metrics) snapshot(pool *workerPool, trees, models, results *lruCache,
 		// goroutines is the live goroutine count — fleet.sh and chaos.sh
 		// compare it across a run to catch leaks in the serve path.
 		"goroutines": runtime.NumGoroutine(),
-		"requests":   requests,
-		"latency_ms": latency,
+		"requests":   &m.requests,
+		"latency_ms": &m.latency,
 		// deadline tracks Vabuf-Deadline-Ms enforcement: rejected counts
 		// 504s at admission (budget spent before any work), expired counts
 		// queued jobs dropped at dequeue — both per endpoint plus totals,
 		// so a soak can assert doomed work never reached a DP worker.
 		"deadline": map[string]any{
-			"rejected":       deadlineRejected,
-			"expired":        deadlineExpired,
-			"rejected_total": rejectedTotal,
-			"expired_total":  expiredTotal,
+			"rejected":       &m.deadlineRejected,
+			"expired":        &m.deadlineExpired,
+			"rejected_total": m.deadlineRejected.Total(),
+			"expired_total":  m.deadlineExpired.Total(),
 		},
 		// panics_recovered counts jobs whose panic was converted into a
 		// structured 500 for that request/item, keyed by the endpoint
 		// that submitted them; the worker always survives.
-		"panics_recovered": panics,
+		"panics_recovered": &m.panics,
 		// shed counts sweep-class submissions rejected early (503) while
 		// the queue was saturated past -shed-after.
-		"shed": shed,
+		"shed": &m.shed,
 		// snapshot tracks cache persistence: restore/skip counts from
 		// warm restarts plus save attempts and failures.
-		"snapshot": snap,
+		"snapshot": &m.snap,
 		// peer_fills tracks /v1/cache/fill: results replayed by a router
 		// after serving a failover miss, accepted into the result cache
 		// or refused (epoch mismatch / malformed).
-		"peer_fills": peerFills,
+		"peer_fills": &m.peerFills,
 		// peer_lookups tracks /v1/cache/lookup: synchronous cache probes
 		// from a router rescuing a moved key's result, hits vs misses.
-		"peer_lookups": peerLookups,
+		"peer_lookups": &m.peerLookups,
 		// depth/capacity/rejected keep their pre-priority-queue meaning
 		// (existing dashboards); "classes" splits them per class with
 		// queue-wait latency histograms.
@@ -421,10 +179,10 @@ func (m *metrics) snapshot(pool *workerPool, trees, models, results *lruCache,
 			"workers":       pool.workers,
 			"rejected":      pool.rejectedTotal(),
 			"sweep_every":   pool.sweepEvery,
-			"worker_panics": pool.workerPanics(),
+			"worker_panics": &pool.panics,
 			"classes":       pool.classSnapshot(),
 		},
-		"pruning": prune,
+		"pruning": pruning,
 	}
 	caches := map[string]any{
 		"tree":  cacheSnapshot(trees, treeCap),
@@ -441,7 +199,7 @@ func (m *metrics) snapshot(pool *workerPool, trees, models, results *lruCache,
 	// intra-batch sibling computation; inflight is the current number of
 	// active single-flight leaders.
 	doc["coalescing"] = map[string]any{
-		"coalesced": coalesced,
+		"coalesced": &m.coalesced,
 		"inflight":  inflight,
 	}
 	return doc

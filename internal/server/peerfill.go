@@ -56,21 +56,21 @@ func (s *Server) cacheFill(r *http.Request) (int, any) {
 		return st, errBody(err)
 	}
 	if fill.Epoch != s.cfg.Epoch {
-		s.met.recordPeerFill(false)
+		s.met.peerFills.Rejected.Inc()
 		return http.StatusConflict, errBody(fmt.Errorf(
 			"cache fill epoch %q does not match instance epoch %q (stale peer result refused)",
 			fill.Epoch, s.cfg.Epoch))
 	}
 	fp, val, err := s.decodeFill(&fill)
 	if err != nil {
-		s.met.recordPeerFill(false)
+		s.met.peerFills.Rejected.Inc()
 		return http.StatusBadRequest, errBody(err)
 	}
 	if s.results == nil {
 		return http.StatusOK, CacheFillResult{Stored: false, Reason: "result cache disabled"}
 	}
 	s.resultStore(fp, val)
-	s.met.recordPeerFill(true)
+	s.met.peerFills.Accepted.Inc()
 	return http.StatusOK, CacheFillResult{Stored: true, Fingerprint: fp}
 }
 

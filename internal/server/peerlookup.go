@@ -46,23 +46,23 @@ func (s *Server) cacheLookup(r *http.Request) (int, any) {
 		return st, errBody(err)
 	}
 	if look.Epoch != s.cfg.Epoch {
-		s.met.recordPeerLookup(false)
+		s.met.peerLookups.Misses.Inc()
 		return http.StatusConflict, errBody(fmt.Errorf(
 			"cache lookup epoch %q does not match instance epoch %q",
 			look.Epoch, s.cfg.Epoch))
 	}
 	fp, err := s.lookupFingerprint(&look)
 	if err != nil {
-		s.met.recordPeerLookup(false)
+		s.met.peerLookups.Misses.Inc()
 		return http.StatusBadRequest, errBody(err)
 	}
 	body, ok := s.resultGet(fp)
 	if !ok {
-		s.met.recordPeerLookup(false)
+		s.met.peerLookups.Misses.Inc()
 		return http.StatusNotFound, errBody(fmt.Errorf(
 			"no cached result for fingerprint %s", fp))
 	}
-	s.met.recordPeerLookup(true)
+	s.met.peerLookups.Hits.Inc()
 	return http.StatusOK, body
 }
 

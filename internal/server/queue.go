@@ -6,6 +6,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"vabuf/internal/metric"
 )
 
 // jobClass is the scheduling class of a queued job. Interactive requests
@@ -51,13 +53,14 @@ type classState struct {
 	dispatched int64
 	// expired counts dequeued jobs dropped without running because their
 	// deadline passed (or their client vanished) while they waited —
-	// doomed work the pool refused to burn a worker on.
-	expired int64
+	// doomed work the pool refused to burn a worker on. The job's queue
+	// wait was already observed at dequeue.
+	expired metric.Counter
 	// wait observes queue-wait latency (ms) for every admission outcome:
 	// dispatched jobs their true wait, expired jobs the wait that doomed
 	// them, and rejected submissions a 0 — so the histogram count always
 	// equals admissions + rejections and drops are visible in it.
-	wait *histogram
+	wait metric.Histogram
 }
 
 // workerPool runs insertion jobs on a fixed set of goroutines fed by a
@@ -77,7 +80,7 @@ type workerPool struct {
 	// the backstop recover. Server-submitted jobs recover (and answer a
 	// structured 500) inside their own closure, so this stays zero unless
 	// a raw pool submission escapes its own guard.
-	panics int64
+	panics metric.Counter
 	// saturatedSince is the start of the current saturation episode: set
 	// when a submit is refused with a full queue, cleared lazily once both
 	// class queues have free slots again. The server's shed gate compares
@@ -111,9 +114,6 @@ func newWorkerPool(workers, depth, sweepDepth, sweepEvery int) *workerPool {
 	p.cond = sync.NewCond(&p.mu)
 	p.classes[classInteractive].capacity = depth
 	p.classes[classSweep].capacity = sweepDepth
-	for c := range p.classes {
-		p.classes[c].wait = &histogram{buckets: make([]int64, len(latencyBucketsMS)+1)}
-	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.run()
@@ -139,9 +139,7 @@ func (p *workerPool) run() {
 func (p *workerPool) runJob(job queuedJob) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.mu.Lock()
-			p.panics++
-			p.mu.Unlock()
+			p.panics.Inc()
 			log.Printf("worker: recovered panic in %s job: %v\n%s",
 				classNames[job.class], r, debug.Stack())
 		}
@@ -177,7 +175,7 @@ func (p *workerPool) next() (queuedJob, bool) {
 		st.queued = st.queued[1:]
 		st.inFlight++
 		st.dispatched++
-		st.wait.observe(float64(time.Since(job.enqueued)) / float64(time.Millisecond))
+		st.wait.Observe(time.Since(job.enqueued))
 		return job, true
 	}
 }
@@ -197,7 +195,7 @@ func (p *workerPool) trySubmit(job func(), class jobClass) bool {
 	st := &p.classes[class]
 	if p.closed || len(st.queued) >= st.capacity {
 		st.rejected++
-		st.wait.observe(0) // rejected work never waited, but is counted
+		st.wait.Observe(0) // rejected work never waited, but is counted
 		if !p.closed && p.saturatedSince.IsZero() {
 			p.saturatedSince = time.Now()
 		}
@@ -234,27 +232,9 @@ func (p *workerPool) saturatedFor() time.Duration {
 	return time.Since(p.saturatedSince)
 }
 
-// noteExpired counts one dequeued job dropped without running: its
-// deadline passed (or its client vanished) while it waited. The job's
-// queue wait was already observed at dequeue.
-func (p *workerPool) noteExpired(class jobClass) {
-	p.mu.Lock()
-	p.classes[class].expired++
-	p.mu.Unlock()
-}
-
 // expiredTotal is the number of dequeued-but-dropped jobs across classes.
 func (p *workerPool) expiredTotal() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.classes[classInteractive].expired + p.classes[classSweep].expired
-}
-
-// workerPanics is the number of panics the backstop recover absorbed.
-func (p *workerPool) workerPanics() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.panics
+	return p.classes[classInteractive].expired.Load() + p.classes[classSweep].expired.Load()
 }
 
 // close stops accepting work and blocks until every queued and in-flight
@@ -319,8 +299,8 @@ func (p *workerPool) classSnapshot() map[string]any {
 			"capacity":   st.capacity,
 			"rejected":   st.rejected,
 			"dispatched": st.dispatched,
-			"expired":    st.expired,
-			"wait_ms":    st.wait.snapshot(),
+			"expired":    &st.expired,
+			"wait_ms":    &st.wait,
 		}
 	}
 	return out

@@ -63,7 +63,8 @@ type Config struct {
 	// branches. 0 selects 64 MiB; negative disables the cache.
 	SubtreeCacheMB int
 	// DefaultTimeout caps runs whose request omits timeout_ms; 0 means
-	// no server-side deadline.
+	// no server-side limit. Either limit bounds the run's context, next to
+	// any propagated request deadline.
 	DefaultTimeout time.Duration
 	// MaxRequestBytes bounds request bodies; <=0 selects 8 MiB.
 	MaxRequestBytes int64
@@ -277,26 +278,32 @@ func (s *Server) Close() {
 // overload/unavailable responses, and writes the JSON body.
 func (s *Server) instrument(endpoint string, h func(*http.Request) (int, any)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var status int
-		var body any
-		if dr, cancel, doomed := withRequestDeadline(r); doomed {
-			s.met.recordDeadlineRejected(endpoint)
-			status, body = http.StatusGatewayTimeout, errBody(errDeadlineSpent)
-		} else {
-			defer cancel()
-			status, body = h(dr)
+		dr, cancel, doomed := withRequestDeadline(r)
+		if doomed {
+			s.met.deadlineRejected.Inc(endpoint)
+			s.writeJSON(w, endpoint, http.StatusGatewayTimeout, errBody(errDeadlineSpent))
+			return
 		}
-		s.met.recordRequest(endpoint, status)
-		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		s.identityHeaders(w)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(body)
+		defer cancel()
+		status, body := h(dr)
+		s.writeJSON(w, endpoint, status, body)
 	}
+}
+
+// writeJSON answers a request with an indented JSON body: it records the
+// request counter, stamps the identity headers, and attaches Retry-After
+// to overload/unavailable responses.
+func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, status int, body any) {
+	s.met.requests.Record(endpoint, status)
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	s.identityHeaders(w)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(body)
 }
 
 // Sentinel errors of the request path.
@@ -346,9 +353,31 @@ type preparedRun struct {
 	tree     *vabuf.Tree
 	lib      vabuf.Library
 	opts     vabuf.Options
-	entry    *modelEntry // nil for deterministic (nom) runs
+	timeout  time.Duration // run time limit (timeout_ms or DefaultTimeout; 0 = none)
+	entry    *modelEntry   // nil for deterministic (nom) runs
 	treeHit  bool
 	modelHit bool
+}
+
+// run executes the insertion on the calling goroutine (a pool worker)
+// under ctx bounded by the run's time limit, so abandoned requests cancel
+// the DP and a spent limit or request deadline ends it with ErrTimeout.
+// The caller holds p.entry.mu when p.entry is set: a cached model
+// allocates per-site sources lazily (see modelEntry).
+func (p *preparedRun) run(ctx context.Context) (*vabuf.Result, time.Duration, error) {
+	if p.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.timeout)
+		defer cancel()
+	}
+	opts := p.opts
+	opts.Context = ctx
+	if p.entry != nil {
+		opts.Model = p.entry.model
+	}
+	t0 := time.Now()
+	res, err := vabuf.Insert(p.tree, opts)
+	return res, time.Since(t0), err
 }
 
 // prepare resolves the tree and model through the caches and assembles
@@ -368,12 +397,8 @@ func (s *Server) prepare(req *InsertRequest) (*preparedRun, error) {
 		PbarT:          req.Pbar,
 		SelectQuantile: req.Quantile,
 		MaxCandidates:  req.MaxCandidates,
-		Timeout:        s.cfg.DefaultTimeout,
 		Parallelism:    req.Parallelism,
 		SubtreeCache:   s.subtrees,
-	}
-	if req.TimeoutMS > 0 {
-		opts.Timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	if req.Rule == "4p" {
 		opts.Rule = vabuf.Rule4P
@@ -383,7 +408,10 @@ func (s *Server) prepare(req *InsertRequest) (*preparedRun, error) {
 	if req.WireSizing {
 		opts.WireLibrary = vabuf.DefaultWireLibrary()
 	}
-	p := &preparedRun{tree: tree, lib: lib, opts: opts, treeHit: treeHit}
+	p := &preparedRun{tree: tree, lib: lib, opts: opts, timeout: s.cfg.DefaultTimeout, treeHit: treeHit}
+	if req.TimeoutMS > 0 {
+		p.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	}
 	if req.Algo != "nom" {
 		entry, modelHit, err := s.loadModel(req, tree)
 		if err != nil {
@@ -475,14 +503,14 @@ func (s *Server) execute(ctx context.Context, endpoint string, class jobClass, f
 		return http.StatusServiceUnavailable, errDraining
 	}
 	if class == classSweep && s.shedding() {
-		s.met.recordShed(endpoint)
+		s.met.shed.Inc(endpoint)
 		return http.StatusServiceUnavailable, errShedding
 	}
 	if err := ctx.Err(); err != nil {
 		// Dead on arrival — the deadline (or the client) gave up between
 		// admission and submit. Refuse before consuming a queue slot.
 		if errors.Is(err, context.DeadlineExceeded) {
-			s.met.recordDeadlineRejected(endpoint)
+			s.met.deadlineRejected.Inc(endpoint)
 			return http.StatusGatewayTimeout, fmt.Errorf("deadline spent before enqueue: %w", err)
 		}
 		return statusClientClosed, fmt.Errorf("client closed request: %w", err)
@@ -503,8 +531,8 @@ func (s *Server) execute(ctx context.Context, endpoint string, class jobClass, f
 		// burn a worker the live requests need.
 		if ctx.Err() != nil {
 			droppedQueued = true
-			s.pool.noteExpired(class)
-			s.met.recordDeadlineExpired(endpoint)
+			s.pool.classes[class].expired.Inc()
+			s.met.deadlineExpired.Inc(endpoint)
 			return
 		}
 		if s.testHookJob != nil {
@@ -541,8 +569,10 @@ func (s *Server) execute(ctx context.Context, endpoint string, class jobClass, f
 }
 
 // statusForRunError maps an insertion failure to an HTTP status: the
-// Table 2 capacity guards become 504/413; anything else stems from the
-// request's tree or options and is a 400.
+// Table 2 guards become 504/413, a client that went away 499; anything
+// else stems from the request's tree or options and is a 400. The core
+// decides timeout vs cancel from the run context's error, so a spent
+// request deadline is a 504 on every path.
 func statusForRunError(err error) int {
 	switch {
 	case errors.Is(err, vabuf.ErrTimeout):
@@ -562,20 +592,12 @@ func statusForRunError(err error) int {
 // each /v1/insert:batch item.
 func (s *Server) runPrepared(ctx context.Context, req *InsertRequest,
 	p *preparedRun) (*InsertResult, int, error) {
-	opts := p.opts
-	// Abandoned requests cancel the DP instead of burning the worker
-	// until the run finishes on its own.
-	opts.Context = ctx
 	if p.entry != nil {
-		// Serialize runs sharing one cached model: it allocates
-		// per-site sources lazily (see modelEntry).
+		// Serialize runs sharing one cached model.
 		p.entry.mu.Lock()
 		defer p.entry.mu.Unlock()
-		opts.Model = p.entry.model
 	}
-	t0 := time.Now()
-	res, err := vabuf.Insert(p.tree, opts)
-	elapsed := time.Since(t0)
+	res, elapsed, err := p.run(ctx)
 	if err != nil {
 		return nil, statusForRunError(err), err
 	}
@@ -593,18 +615,13 @@ func (s *Server) runPrepared(ctx context.Context, req *InsertRequest,
 // receives adaptive-sampler progress (streaming only).
 func (s *Server) runPreparedYield(ctx context.Context, req *YieldRequest,
 	p *preparedRun, onEstimate func(vabuf.MCEstimate) bool) (*YieldResult, int, error) {
-	opts := p.opts
-	opts.Context = ctx
 	var model *vabuf.VariationModel
 	if p.entry != nil {
 		p.entry.mu.Lock()
 		defer p.entry.mu.Unlock()
 		model = p.entry.model
-		opts.Model = model
 	}
-	t0 := time.Now()
-	res, err := vabuf.Insert(p.tree, opts)
-	elapsed := time.Since(t0)
+	res, elapsed, err := p.run(ctx)
 	if err != nil {
 		return nil, statusForRunError(err), err
 	}
@@ -664,7 +681,7 @@ func (s *Server) memoized(r *http.Request, endpoint, fp string,
 		}
 		f, isLeader := s.flights.join(fp)
 		if !isLeader {
-			s.met.recordCoalesced(endpoint)
+			s.met.coalesced.Inc(endpoint)
 			select {
 			case <-f.done:
 				if f.status == http.StatusOK {

@@ -300,6 +300,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown algo", `{"bench":"p1","algo":"fast"}`},
 		{"unknown rule", `{"bench":"p1","rule":"5p"}`},
 		{"unknown hull", `{"bench":"p1","hull":"convex"}`},
+		{"hull on", `{"bench":"p1","hull":"on"}`},
 		{"pbar out of range", `{"bench":"p1","pbar":1.5}`},
 		{"quantile out of range", `{"bench":"p1","quantile":-0.1}`},
 		{"negative timeout", `{"bench":"p1","timeout_ms":-5}`},

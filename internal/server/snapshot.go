@@ -171,7 +171,11 @@ func (s *Server) marshalSnapshot() ([]byte, error) {
 // snapshot.save_errors and never disturb serving.
 func (s *Server) SaveSnapshot(path string) error {
 	err := s.saveSnapshot(path)
-	s.met.recordSnapshotSave(err)
+	if err != nil {
+		s.met.snap.SaveErrors.Inc()
+	} else {
+		s.met.snap.Saves.Inc()
+	}
 	return err
 }
 
@@ -325,7 +329,10 @@ func (s *Server) restoreSnapshot(path string) (RestoreStats, error) {
 			stats.Skipped++
 		}
 	}
-	s.met.recordSnapshotRestore(stats)
+	s.met.snap.RestoredTrees.Add(int64(stats.Trees))
+	s.met.snap.RestoredModels.Add(int64(stats.Models))
+	s.met.snap.RestoredResults.Add(int64(stats.Results))
+	s.met.snap.Skipped.Add(int64(stats.Skipped))
 	return stats, nil
 }
 

@@ -52,16 +52,11 @@ func (s *Server) yieldStream(w http.ResponseWriter, r *http.Request) {
 	// The stream bypasses instrument, so it enforces the propagated
 	// deadline itself: spent budgets answer 504 before any work, live
 	// ones bound the run through the request context.
+	const endpoint = "/v1/yield:stream"
 	dr, cancel, doomed := withRequestDeadline(r)
 	if doomed {
-		s.met.recordDeadlineRejected("/v1/yield:stream")
-		s.met.recordRequest("/v1/yield:stream", http.StatusGatewayTimeout)
-		s.identityHeaders(w)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusGatewayTimeout)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(errBody(errDeadlineSpent))
+		s.met.deadlineRejected.Inc(endpoint)
+		s.writeJSON(w, endpoint, http.StatusGatewayTimeout, errBody(errDeadlineSpent))
 		return
 	}
 	defer cancel()
@@ -69,16 +64,7 @@ func (s *Server) yieldStream(w http.ResponseWriter, r *http.Request) {
 
 	status, errResult, run := s.prepareYieldStream(r)
 	if run == nil {
-		s.met.recordRequest("/v1/yield:stream", status)
-		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		s.identityHeaders(w)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(errResult)
+		s.writeJSON(w, endpoint, status, errResult)
 		return
 	}
 
@@ -108,7 +94,7 @@ func (s *Server) yieldStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	out := <-outcome
-	s.met.recordRequest("/v1/yield:stream", out.status)
+	s.met.requests.Record(endpoint, out.status)
 }
 
 // streamOutcome is the terminal state of one streamed run, recorded in

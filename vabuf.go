@@ -83,11 +83,13 @@ type (
 	Options = core.Options
 	// Result is the outcome of an insertion run.
 	Result = core.Result
+	// Stats holds the work counters of a run (Result.Stats).
+	Stats = core.Stats
 	// Rule selects the variation-aware pruning rule (2P or 4P).
 	Rule = core.Rule
 	// FourPParams are the quantile levels of the 4P baseline rule.
 	FourPParams = core.FourPParams
-	// HullMode selects the convex-hull buffering kernel (auto/on/off);
+	// HullMode selects the convex-hull buffering kernel (auto/off);
 	// results are bit-identical in every mode.
 	HullMode = core.HullMode
 	// SubtreeCache memoizes per-subtree DP frontiers across Insert calls
@@ -142,13 +144,11 @@ const (
 	// HullAuto engages the hull kernel wherever the active rule supports
 	// it (the default).
 	HullAuto = core.HullAuto
-	// HullOn requests the kernel explicitly (same engagement as auto).
-	HullOn = core.HullOn
 	// HullOff forces the exact per-pair generation path.
 	HullOff = core.HullOff
 )
 
-// ParseHullMode parses "auto" (or ""), "on", "off" into a HullMode — the
+// ParseHullMode parses "auto" (or "") and "off" into a HullMode — the
 // spelling accepted by the CLI -hull flags and the JSON "hull" field.
 func ParseHullMode(s string) (HullMode, error) { return core.ParseHullMode(s) }
 
@@ -156,9 +156,10 @@ func ParseHullMode(s string) (HullMode, error) { return core.ParseHullMode(s) }
 var (
 	// ErrCapacity reports that a run exceeded Options.MaxCandidates.
 	ErrCapacity = core.ErrCapacity
-	// ErrTimeout reports that a run exceeded Options.Timeout.
+	// ErrTimeout reports that Options.Context's deadline passed mid-run.
 	ErrTimeout = core.ErrTimeout
-	// ErrCanceled reports that Options.Context was canceled mid-run.
+	// ErrCanceled reports that Options.Context was otherwise canceled
+	// mid-run.
 	ErrCanceled = core.ErrCanceled
 )
 
