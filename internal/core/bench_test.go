@@ -152,11 +152,25 @@ func benchmarkInsertLib(b *testing.B, bench string, nlib int, withModel bool, hu
 	}
 }
 
-func BenchmarkInsertLib8NOMr3Serial(b *testing.B)       { benchmarkInsertLib(b, "r3", 8, false, HullAuto) }
-func BenchmarkInsertLib8NOMr3SerialExact(b *testing.B)  { benchmarkInsertLib(b, "r3", 8, false, HullOff) }
-func BenchmarkInsertLib32NOMr3Serial(b *testing.B)      { benchmarkInsertLib(b, "r3", 32, false, HullAuto) }
-func BenchmarkInsertLib32NOMr3SerialExact(b *testing.B) { benchmarkInsertLib(b, "r3", 32, false, HullOff) }
-func BenchmarkInsertLib32WIDr3Serial(b *testing.B)      { benchmarkInsertLib(b, "r3", 32, true, HullAuto) }
+func BenchmarkInsertLib8NOMr3Serial(b *testing.B) {
+	benchmarkInsertLib(b, "r3", 8, false, HullAuto)
+}
+
+func BenchmarkInsertLib8NOMr3SerialExact(b *testing.B) {
+	benchmarkInsertLib(b, "r3", 8, false, HullOff)
+}
+
+func BenchmarkInsertLib32NOMr3Serial(b *testing.B) {
+	benchmarkInsertLib(b, "r3", 32, false, HullAuto)
+}
+
+func BenchmarkInsertLib32NOMr3SerialExact(b *testing.B) {
+	benchmarkInsertLib(b, "r3", 32, false, HullOff)
+}
+
+func BenchmarkInsertLib32WIDr3Serial(b *testing.B) {
+	benchmarkInsertLib(b, "r3", 32, true, HullAuto)
+}
 
 // benchmarkInsertSubtree measures ECO-style re-insertion on r3 under the
 // WID model: every iteration perturbs one sink RAT (a different sink and a

@@ -218,11 +218,14 @@ func (w *provWriter) alloc(p prov) int32 {
 }
 
 // collectDecisions walks the provenance DAG from the record at idx and
-// records every buffer decision into bufs and (when non-nil) every
-// wire-sizing decision into wires. The walk is iterative to stay safe on
-// very deep candidate chains (segmentized wires, large H-trees).
-func (e *engine) collectDecisions(idx int32, bufs map[rctree.NodeID]int, wires map[rctree.NodeID]int) {
-	stack := []int32{idx}
+// appends every buffer and wire-sizing decision to d in walk order. A
+// node is decided at most once per candidate (one buffer per site, one
+// wire choice per edge, disjoint subtrees under a merge), so d needs no
+// deduplication. The walk is iterative to stay safe on very deep
+// candidate chains (segmentized wires, large H-trees).
+func (e *engine) collectDecisions(idx int32, d *candDecisions) {
+	var buf [32]int32
+	stack := append(buf[:0], idx)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -232,26 +235,20 @@ func (e *engine) collectDecisions(idx int32, bufs map[rctree.NodeID]int, wires m
 			case opLeaf:
 				cur = -1
 			case opWire:
-				if wires != nil && p.aux >= 0 {
-					wires[p.node] = int(p.aux)
+				if p.aux >= 0 {
+					d.wires = append(d.wires, nodeChoice{node: p.node, idx: int16(p.aux)})
 				}
 				cur = p.pred
 			case opBuffer:
-				bufs[p.node] = int(p.aux)
+				d.bufs = append(d.bufs, nodeChoice{node: p.node, idx: int16(p.aux)})
 				cur = p.pred
 			case opMerge:
 				stack = append(stack, p.pred2)
 				cur = p.pred
 			case opCached:
-				d := e.replayEntry(p.aux).dec[p.pred]
-				for _, b := range d.bufs {
-					bufs[b.node] = int(b.idx)
-				}
-				if wires != nil {
-					for _, w := range d.wires {
-						wires[w.node] = int(w.idx)
-					}
-				}
+				c := e.replayEntry(p.aux).dec[p.pred]
+				d.bufs = append(d.bufs, c.bufs...)
+				d.wires = append(d.wires, c.wires...)
 				cur = -1
 			}
 		}

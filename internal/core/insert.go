@@ -536,12 +536,19 @@ func (e *engine) selectRoot(rootList *frontier) (*Result, error) {
 			bestRAT = rat
 		}
 	}
-	assignment := make(map[rctree.NodeID]int)
+	var dec candDecisions
+	e.collectDecisions(rootList.ref[best], &dec)
+	assignment := make(map[rctree.NodeID]int, len(dec.bufs))
+	for _, c := range dec.bufs {
+		assignment[c.node] = int(c.idx)
+	}
 	var wires map[rctree.NodeID]int
 	if len(e.opts.WireLibrary) > 0 {
-		wires = make(map[rctree.NodeID]int)
+		wires = make(map[rctree.NodeID]int, len(dec.wires))
+		for _, c := range dec.wires {
+			wires[c.node] = int(c.idx)
+		}
 	}
-	e.collectDecisions(rootList.ref[best], assignment, wires)
 	e.stats.Elapsed = time.Since(e.start)
 	// Detach the RAT from the (pooled) term arenas before they are
 	// released: the fast path of AXPY can alias a candidate's terms.

@@ -36,6 +36,19 @@ type candDecisions struct {
 	wires []nodeChoice
 }
 
+// clone copies d into exactly sized slices (nil when empty), detaching
+// it from a reused scratch collector.
+func (d candDecisions) clone() candDecisions {
+	var c candDecisions
+	if len(d.bufs) > 0 {
+		c.bufs = slices.Clone(d.bufs)
+	}
+	if len(d.wires) > 0 {
+		c.wires = slices.Clone(d.wires)
+	}
+	return c
+}
+
 // cachedList is one polarity frontier detached from its run: scalar keys,
 // term slices over a private flat backing array (safe to share read-only
 // across runs — forms are immutable), and per-candidate decisions.
@@ -57,6 +70,11 @@ type subtreeEntry struct {
 // SubtreeCache memoizes per-subtree DP frontiers across Insert calls,
 // keyed by canonical subtree fingerprints. Batch sweeps and ECO-style
 // re-inserts that share subtrees recompute only the changed branches.
+// Under a variation model the fingerprint covers the model instance's
+// token, so runs hit each other's entries only when they share one
+// model: callers that re-insert edited trees should reuse the model
+// built for the first tree with the same buffer-site layout (vabufd
+// keys its model cache that way).
 // Safe for concurrent use; entries are evicted LRU under a byte budget.
 type SubtreeCache struct {
 	mu       sync.Mutex
@@ -255,13 +273,8 @@ func subtreeFingerprints(tree *rctree.Tree, opts *Options) ([]subtreeKey, []int3
 // candidate's decisions materialized by walking the provenance DAG now.
 func (e *engine) storeSubtree(id rctree.NodeID, pl polarityLists) bool {
 	ent := &subtreeEntry{key: e.fps[id]}
-	needWires := len(e.opts.WireLibrary) > 0
 	bytes := int64(256)
-	bufs := make(map[rctree.NodeID]int)
-	var wires map[rctree.NodeID]int
-	if needWires {
-		wires = make(map[rctree.NodeID]int)
-	}
+	var scratch candDecisions
 	for p := 0; p < 2; p++ {
 		f := pl[p]
 		n := f.len()
@@ -298,10 +311,9 @@ func (e *engine) storeSubtree(id rctree.NodeID, pl polarityLists) bool {
 			cl.tt[i] = detach(f.tt[i])
 		}
 		for i := 0; i < n; i++ {
-			clear(bufs)
-			clear(wires)
-			e.collectDecisions(f.ref[i], bufs, wires)
-			cl.dec[i] = flattenDecisions(bufs, wires)
+			scratch.bufs, scratch.wires = scratch.bufs[:0], scratch.wires[:0]
+			e.collectDecisions(f.ref[i], &scratch)
+			cl.dec[i] = scratch.clone()
 			bytes += int64(len(cl.dec[i].bufs)+len(cl.dec[i].wires)) * 8
 		}
 		bytes += int64(nTerms)*16 + int64(n)*(4*8+4*24+32)
@@ -309,27 +321,6 @@ func (e *engine) storeSubtree(id rctree.NodeID, pl polarityLists) bool {
 	}
 	ent.bytes = bytes
 	return e.cache.store(ent)
-}
-
-// flattenDecisions converts decision maps to compact slices sorted by node
-// ID (deterministic entry layout; map order is not).
-func flattenDecisions(bufs, wires map[rctree.NodeID]int) candDecisions {
-	var d candDecisions
-	if len(bufs) > 0 {
-		d.bufs = make([]nodeChoice, 0, len(bufs))
-		for node, idx := range bufs {
-			d.bufs = append(d.bufs, nodeChoice{node: node, idx: int16(idx)})
-		}
-		slices.SortFunc(d.bufs, func(a, b nodeChoice) int { return int(a.node) - int(b.node) })
-	}
-	if len(wires) > 0 {
-		d.wires = make([]nodeChoice, 0, len(wires))
-		for node, idx := range wires {
-			d.wires = append(d.wires, nodeChoice{node: node, idx: int16(idx)})
-		}
-		slices.SortFunc(d.wires, func(a, b nodeChoice) int { return int(a.node) - int(b.node) })
-	}
-	return d
 }
 
 // restoreCached rebuilds polarity frontiers from a cache entry. Scalar

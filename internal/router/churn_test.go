@@ -90,8 +90,14 @@ func TestResizeServesMovedKeyFromOldOwner(t *testing.T) {
 	rt, ts := newTestRouter(t, fleet[:2])
 
 	// Warm a spread of keys through the 2-backend ring and remember
-	// each one's answer.
-	const nKeys = 20
+	// each one's answer. The first half is re-requested while the ring
+	// is rebuilt; the moved key under test comes from the second half,
+	// which no request touches between the rebuild and the asserted
+	// lookup rescue (a re-request could get it computed or filled at the
+	// new owner first). With a third of the keys moving, the chance that
+	// none of the second half moves is (2/3)^20, about 3e-4.
+	const nKeys = 40
+	const half = nKeys / 2
 	reqs := make([]server.InsertRequest, nKeys)
 	warm := make([][]byte, nKeys)
 	oldOwner := make([]int, nKeys)
@@ -105,16 +111,19 @@ func TestResizeServesMovedKeyFromOldOwner(t *testing.T) {
 		warm[i] = raw
 	}
 
-	// Rebuild the ring to 3 backends while warm keys are being
-	// re-requested concurrently: no request may fail across the swap.
+	// Rebuild the ring to 3 backends while the first half of the warm
+	// keys is re-requested concurrently, each once: no request may fail
+	// across the swap. (Every rescued re-request spends a retry token of
+	// the key's old owner, so repeats could leave the asserted lookup
+	// below without one.)
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for n := 0; n < 8; n++ {
-				i := (w*8 + n) % nKeys
+			for n := 0; n < half/4; n++ {
+				i := w*(half/4) + n
 				resp, raw := postJSON(t, ts.URL+"/v1/insert", reqs[i])
 				if resp.StatusCode != http.StatusOK {
 					errs <- string(raw)
@@ -135,18 +144,21 @@ func TestResizeServesMovedKeyFromOldOwner(t *testing.T) {
 	}
 	waitFor(t, "new backend healthy", func() bool { return rt.prober.healthy(fleet[2].ts.URL) })
 
-	// Find a key the rebuild moved to the new backend.
+	// Find an untouched key the rebuild moved to the new backend.
 	moved := -1
-	for i := range reqs {
+	for i := half; i < nKeys; i++ {
 		if ownerOf(t, rt, fleet, reqs[i]) == 2 {
 			moved = i
 			break
 		}
 	}
 	if moved < 0 {
-		t.Fatalf("no key of %d moved to the new backend — ring did not rebalance", nKeys)
+		t.Fatalf("no key of %d moved to the new backend — ring did not rebalance", half)
 	}
 
+	// The swap may have sent a first-half key to the new owner cold (a
+	// lookup that timed out under load); only runs from here on count.
+	runsBefore := backendStat(t, fleet[2], "pruning", "runs")
 	hitsBefore := rt.met.lookupHits.Total()
 	resp, raw := postJSON(t, ts.URL+"/v1/insert", reqs[moved])
 	if resp.StatusCode != http.StatusOK {
@@ -173,8 +185,9 @@ func TestResizeServesMovedKeyFromOldOwner(t *testing.T) {
 	waitFor(t, "fill to warm the new owner", func() bool {
 		return resultCacheStat(t, fleet[2], "size") >= 1
 	})
-	if runs := backendStat(t, fleet[2], "pruning", "runs"); runs != 0 {
-		t.Errorf("new owner ran %g computations; the moved key should arrive via lookup+fill", runs)
+	if runs := backendStat(t, fleet[2], "pruning", "runs"); runs != runsBefore {
+		t.Errorf("new owner ran %g computations for the moved key; it should arrive via lookup+fill",
+			runs-runsBefore)
 	}
 	// Within the lookup window, repeats keep being rescued by the old
 	// owner; once it closes the moved key routes to the new owner and

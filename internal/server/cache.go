@@ -236,19 +236,22 @@ func (g *flightGroup) inflight() int {
 	return len(g.flights)
 }
 
-// modelEntry pairs a cached variation model with a mutex serializing the
-// runs that share it: variation.Model allocates per-site random sources
-// lazily, so two concurrent insertions over one instance would race. Runs
-// on distinct (tree, config) keys still proceed in parallel.
+// modelEntry is one cached variation model. It is filed under its
+// tree's site layout (modelCacheKey), so every tree with that layout — an
+// ECO edit of a sink's load or RAT keeps it — shares one model, and with
+// it the model token the subtree cache keys on. buildModelEntry resolves
+// every site's deviation before the entry is published, which leaves the
+// model read-only: runs sharing it proceed concurrently, with no lock.
 //
 // The build parameters ride along so the snapshot writer can persist the
 // recipe instead of the model itself — models rebuild deterministically
-// from (tree, algo, budget, heterogeneous) on restore.
+// from (tree, algo, budget, heterogeneous) on restore. treeKey names the
+// tree of the latest request the model served, so the recipe stays
+// resolvable after the tree that first built it leaves the tree LRU.
 type modelEntry struct {
-	mu    sync.Mutex
 	model *vabuf.VariationModel
 
-	treeKey string // tree-cache key the model was built against
+	treeKey atomic.Pointer[string] // tree-cache key of the latest user
 	algo    string
 	budget  float64
 	hetero  bool

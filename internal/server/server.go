@@ -11,6 +11,7 @@ package server
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -353,8 +354,8 @@ type preparedRun struct {
 	tree     *vabuf.Tree
 	lib      vabuf.Library
 	opts     vabuf.Options
-	timeout  time.Duration // run time limit (timeout_ms or DefaultTimeout; 0 = none)
-	entry    *modelEntry   // nil for deterministic (nom) runs
+	timeout  time.Duration         // run time limit (timeout_ms or DefaultTimeout; 0 = none)
+	model    *vabuf.VariationModel // nil for deterministic (nom) runs
 	treeHit  bool
 	modelHit bool
 }
@@ -362,8 +363,6 @@ type preparedRun struct {
 // run executes the insertion on the calling goroutine (a pool worker)
 // under ctx bounded by the run's time limit, so abandoned requests cancel
 // the DP and a spent limit or request deadline ends it with ErrTimeout.
-// The caller holds p.entry.mu when p.entry is set: a cached model
-// allocates per-site sources lazily (see modelEntry).
 func (p *preparedRun) run(ctx context.Context) (*vabuf.Result, time.Duration, error) {
 	if p.timeout > 0 {
 		var cancel context.CancelFunc
@@ -372,9 +371,7 @@ func (p *preparedRun) run(ctx context.Context) (*vabuf.Result, time.Duration, er
 	}
 	opts := p.opts
 	opts.Context = ctx
-	if p.entry != nil {
-		opts.Model = p.entry.model
-	}
+	opts.Model = p.model
 	t0 := time.Now()
 	res, err := vabuf.Insert(p.tree, opts)
 	return res, time.Since(t0), err
@@ -417,7 +414,7 @@ func (s *Server) prepare(req *InsertRequest) (*preparedRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.entry = entry
+		p.model = entry.model
 		p.modelHit = modelHit
 	}
 	return p, nil
@@ -450,9 +447,13 @@ func (s *Server) loadTree(req *InsertRequest) (*vabuf.Tree, bool, error) {
 	return v.(*vabuf.Tree), hit, nil
 }
 
-// buildModelEntry constructs a variation model from its recipe. The
-// request path and the snapshot-restore path share it, so a restored
-// model is bit-identical to one built for a live request.
+// buildModelEntry constructs a variation model from its recipe and
+// resolves every buffer site's deviation in post order — the order in
+// which Insert on a fresh model allocates the per-site random sources —
+// so the published model is read-only and gives every tree with this
+// layout the source IDs a fresh model would. The request path and the
+// snapshot-restore path share it, so a restored model is bit-identical
+// to one built for a live request.
 func buildModelEntry(tree *vabuf.Tree, treeKey, algo string, budget float64, hetero bool) (*modelEntry, error) {
 	cfg := vabuf.DefaultModelConfig(tree)
 	cfg.RandomFrac = budget
@@ -467,29 +468,58 @@ func buildModelEntry(tree *vabuf.Tree, treeKey, algo string, budget float64, het
 	if err != nil {
 		return nil, err
 	}
-	return &modelEntry{
-		model:   model,
-		treeKey: treeKey,
-		algo:    algo,
-		budget:  budget,
-		hetero:  hetero,
-	}, nil
+	for _, id := range tree.PostOrder() {
+		if n := tree.Node(id); n.BufferOK {
+			model.Deviation(int(id), n.Loc)
+		}
+	}
+	entry := &modelEntry{model: model, algo: algo, budget: budget, hetero: hetero}
+	entry.treeKey.Store(&treeKey)
+	return entry, nil
 }
 
-// loadModel resolves the variation model for (tree, algo, budget,
-// heterogeneity) through the LRU cache, skipping the grid and source
-// construction on a hit.
+// modelCacheKey is the model-LRU key of a tree under (algo, budget,
+// heterogeneity): the tree's site layout, i.e. the die its default model
+// config covers plus the post-order (node ID, location) of every buffer
+// site. That is exactly what decides a model's lazily allocated source
+// IDs and each site's deviation form, so trees with equal keys get
+// bit-identical results from one shared model.
+func modelCacheKey(tree *vabuf.Tree, algo string, budget float64, hetero bool) string {
+	die := vabuf.DefaultModelConfig(tree).Die
+	buf := make([]byte, 0, 64+16*tree.Len())
+	for _, v := range []float64{die.Min.X, die.Min.Y, die.Max.X, die.Max.Y} {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	for _, id := range tree.PostOrder() {
+		if n := tree.Node(id); n.BufferOK {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.Loc.X))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.Loc.Y))
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return fmt.Sprintf("layout:%s|algo=%s|budget=%g|hetero=%t",
+		hex.EncodeToString(sum[:]), algo, budget, hetero)
+}
+
+// loadModel resolves the variation model for (tree layout, algo, budget,
+// heterogeneity) through the LRU cache, skipping the grid, source and
+// deviation construction on a hit. A hit records the request's tree as
+// the entry's snapshot recipe.
 func (s *Server) loadModel(req *InsertRequest, tree *vabuf.Tree) (*modelEntry, bool, error) {
 	treeKey := treeCacheKey(req)
-	key := fmt.Sprintf("%s|algo=%s|budget=%g|hetero=%t",
-		treeKey, req.Algo, req.Budget, req.heterogeneous())
+	key := modelCacheKey(tree, req.Algo, req.Budget, req.heterogeneous())
 	v, hit, err := s.models.do(key, func() (any, error) {
 		return buildModelEntry(tree, treeKey, req.Algo, req.Budget, req.heterogeneous())
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	return v.(*modelEntry), hit, nil
+	entry := v.(*modelEntry)
+	if hit {
+		entry.treeKey.Store(&treeKey)
+	}
+	return entry, hit, nil
 }
 
 // execute submits fn to the pool under the given class and waits for it
@@ -592,11 +622,6 @@ func statusForRunError(err error) int {
 // each /v1/insert:batch item.
 func (s *Server) runPrepared(ctx context.Context, req *InsertRequest,
 	p *preparedRun) (*InsertResult, int, error) {
-	if p.entry != nil {
-		// Serialize runs sharing one cached model.
-		p.entry.mu.Lock()
-		defer p.entry.mu.Unlock()
-	}
 	res, elapsed, err := p.run(ctx)
 	if err != nil {
 		return nil, statusForRunError(err), err
@@ -615,21 +640,15 @@ func (s *Server) runPrepared(ctx context.Context, req *InsertRequest,
 // receives adaptive-sampler progress (streaming only).
 func (s *Server) runPreparedYield(ctx context.Context, req *YieldRequest,
 	p *preparedRun, onEstimate func(vabuf.MCEstimate) bool) (*YieldResult, int, error) {
-	var model *vabuf.VariationModel
-	if p.entry != nil {
-		p.entry.mu.Lock()
-		defer p.entry.mu.Unlock()
-		model = p.entry.model
-	}
 	res, elapsed, err := p.run(ctx)
 	if err != nil {
 		return nil, statusForRunError(err), err
 	}
-	report, err := vabuf.EvaluateYield(p.tree, p.lib, res.Assignment, model, req.Quantile)
+	report, err := vabuf.EvaluateYield(p.tree, p.lib, res.Assignment, p.model, req.Quantile)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
-	mc, err := s.runMonteCarlo(req, p, model, res.Assignment, onEstimate)
+	mc, err := s.runMonteCarlo(req, p, res.Assignment, onEstimate)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
@@ -776,8 +795,9 @@ func (s *Server) yield(r *http.Request) (int, any) {
 // non-nil, observes every committed shard of an adaptive run (the
 // streaming endpoint's progress feed) and may stop it early.
 func (s *Server) runMonteCarlo(req *YieldRequest, p *preparedRun,
-	model *vabuf.VariationModel, assignment map[vabuf.NodeID]int,
+	assignment map[vabuf.NodeID]int,
 	onEstimate func(vabuf.MCEstimate) bool) (*MonteCarloDTO, error) {
+	model := p.model
 	if req.MonteCarlo <= 0 || model == nil {
 		return nil, nil
 	}

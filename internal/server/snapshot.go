@@ -127,7 +127,7 @@ func (s *Server) marshalSnapshot() ([]byte, error) {
 		e := snapshotEntry{
 			Kind:          "model",
 			Key:           ce.key,
-			TreeKey:       me.treeKey,
+			TreeKey:       *me.treeKey.Load(),
 			Algo:          me.algo,
 			Budget:        me.budget,
 			Heterogeneous: me.hetero,
@@ -300,7 +300,9 @@ func (s *Server) restoreSnapshot(path string) (RestoreStats, error) {
 				stats.Skipped++
 				continue
 			}
-			s.models.add(e.Key, entry)
+			// File the model under the key its tree gives it now, not the
+			// saved key: the key scheme is this binary's, the recipe is data.
+			s.models.add(modelCacheKey(tree, e.Algo, e.Budget, e.Heterogeneous), entry)
 			stats.Models++
 		case "insert_result", "yield_result":
 			// Dropped without counting when the result cache is off: the

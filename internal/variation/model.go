@@ -62,11 +62,21 @@ type Model struct {
 	// cached spatial weight stencils keyed by grid cell, since every site
 	// inside one cell sees the same neighbourhood weights.
 	stencil map[int][]Term
+	// devs memoizes Deviation per site key. An entry is reused only when
+	// the location matches too, so a model shared by trees that place one
+	// key at different points still answers each as a fresh model would.
+	devs map[int]siteDeviation
 	// token identifies this model instance process-wide. Source allocation
 	// is lazy and per-instance, so forms (and anything derived from them,
 	// like cached DP frontiers) are only comparable within one instance;
 	// caches key on the token to never mix instances.
 	token uint64
+}
+
+// siteDeviation is one memoized Deviation result.
+type siteDeviation struct {
+	loc  geom.Point
+	form Form
 }
 
 // modelTokens hands out process-unique, non-zero model instance tokens.
@@ -101,6 +111,7 @@ func NewModel(cfg ModelConfig) (*Model, error) {
 		Grid:    grid,
 		random:  make(map[int]SourceID),
 		stencil: make(map[int][]Term),
+		devs:    make(map[int]siteDeviation),
 		token:   modelTokens.Add(1),
 	}
 	m.interDie = m.Space.Add(ClassInterDie, 1, "G")
@@ -186,7 +197,15 @@ func (m *Model) spatialStencil(cell int) []Term {
 // characteristic then becomes nominal·(1 + D) per eq. 23–24. siteKey must
 // be stable per physical location so identical sites share their random
 // source across candidate solutions.
+//
+// The form is memoized per (siteKey, loc): a repeated call returns the
+// same form, whose terms the caller must treat as read-only (as every
+// Form operation does), and touches no model state. A model on which
+// every site has been resolved is therefore safe for concurrent readers.
 func (m *Model) Deviation(siteKey int, loc geom.Point) Form {
+	if d, ok := m.devs[siteKey]; ok && d.loc == loc {
+		return d.form
+	}
 	terms := make([]Term, 0, 16)
 	if f := m.Config.RandomFrac; f > 0 {
 		terms = append(terms, Term{ID: m.RandomSourceFor(siteKey), Coef: f})
@@ -203,7 +222,9 @@ func (m *Model) Deviation(siteKey int, loc geom.Point) Form {
 	if f := m.Config.InterDieFrac; f > 0 {
 		terms = append(terms, Term{ID: m.interDie, Coef: f})
 	}
-	return NewForm(0, terms)
+	form := NewForm(0, terms)
+	m.devs[siteKey] = siteDeviation{loc: loc, form: form}
+	return form
 }
 
 // TotalFracAt returns the combined 1-sigma relative budget at loc,

@@ -204,3 +204,41 @@ func TestDefaultsFilledIn(t *testing.T) {
 		t.Errorf("defaults not applied: %+v", m.Config)
 	}
 }
+
+func TestDeviationMemo(t *testing.T) {
+	cfg := DefaultConfig(die10mm())
+	cfg.Heterogeneous = true
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := geom.Point{X: 1200, Y: 800}
+	b := geom.Point{X: 8700, Y: 6100}
+	d1 := m.Deviation(7, a)
+	sources := m.Space.Len()
+	d2 := m.Deviation(7, a)
+	if !formsEqual(d1, d2) || &d1.Terms[0] != &d2.Terms[0] {
+		t.Error("repeated Deviation at one (key, loc) is not the memoized form")
+	}
+	if m.Space.Len() != sources {
+		t.Errorf("memo hit allocated sources: %d -> %d", sources, m.Space.Len())
+	}
+
+	// The same key at another location must answer what a fresh model
+	// answers there, not the memoized form of the first location.
+	fresh, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Deviation(7, b)
+	got := m.Deviation(7, b)
+	if !formsEqual(got, want) {
+		t.Errorf("Deviation(7, %v) on a shared model = %v, fresh model %v", b, got, want)
+	}
+	if formsEqual(got, d1) {
+		t.Error("moved site reused the old location's form")
+	}
+	if again := m.Deviation(7, a); !formsEqual(again, d1) {
+		t.Errorf("Deviation(7, %v) changed after a moved lookup: %v, want %v", a, again, d1)
+	}
+}
