@@ -11,9 +11,9 @@
 //	POST /v1/yield:batch  batched yield runs
 //	POST /v1/yield:stream insertion + adaptive Monte Carlo streamed as
 //	                      newline-delimited JSON progress events and a final result
-//	POST /v1/cache/fill   peer cache fill: accept a result computed by a
-//	                      fleet sibling (vabufr replays failover-served
-//	                      answers here; epoch-checked, fingerprint recomputed)
+//	POST /v1/cache/lookup peer cache read: answer a cached result to a
+//	                      vabufr rescuing a moved key (epoch-checked,
+//	                      fingerprint recomputed; 404 on a miss)
 //	GET  /v1/benchmarks   list the built-in Table 1 benchmark names
 //	GET  /healthz         liveness probe (200 while the process is up)
 //	GET  /readyz          readiness probe (503 while draining, restoring a

@@ -13,21 +13,20 @@
 //	GET  /healthz          liveness (200 while the router is up)
 //	GET  /readyz           503 until at least one backend probes healthy
 //	GET  /metrics          per-backend counters, failovers, probe state,
-//	                       scatter fan-out histogram, peer-fill queue
+//	                       scatter fan-out histogram, peer lookups
 //	GET/POST /admin/backends  (with -admin) inspect/replace membership
 //
 // A background poller probes each backend's /readyz on a jittered
 // interval with hysteresis; a failed proxy attempt marks the backend
-// down immediately. Results served by a failover backend are replayed
-// asynchronously to the recovered owner (POST /v1/cache/fill) so the
-// fleet's cache partition re-converges without recomputation, and a key
-// whose owner changed is first looked up synchronously at its previous
-// owner (POST /v1/cache/lookup) before being recomputed cold.
+// down immediately. A key whose owner changed (a ring rebuild moved it,
+// or its owner is down) is first looked up synchronously at the backend
+// whose cache should hold it (POST /v1/cache/lookup) before being
+// recomputed cold.
 //
 // Membership is dynamic: with -backends-file, SIGHUP re-reads the file
 // and rebuilds the ring in place — in-flight requests finish against
 // the old view, new backends take traffic once their probes pass, and
-// removed backends' probers and pending fills are retired.
+// removed backends' probers are retired.
 package main
 
 import (
@@ -97,11 +96,7 @@ func main() {
 			"consecutive probe failures before a backend is marked down (proxy errors mark down immediately)")
 		recoverAfter = flag.Int("recover-after", 2,
 			"consecutive probe successes before a down backend takes traffic again")
-		maxBody   = flag.Int64("max-body", 8<<20, "request body limit in bytes")
-		fillQueue = flag.Int("fill-queue", 256,
-			"pending peer-cache-fill queue depth (0 = default, negative disables peer fill)")
-		fillWait = flag.Duration("fill-wait", 2*time.Minute,
-			"how long a queued fill waits for its owner to recover before being dropped")
+		maxBody       = flag.Int64("max-body", 8<<20, "request body limit in bytes")
 		lookupTimeout = flag.Duration("lookup-timeout", 500*time.Millisecond,
 			"deadline for one synchronous peer cache lookup (negative disables peer lookup)")
 		lookupWindow = flag.Duration("lookup-window", time.Minute,
@@ -109,7 +104,7 @@ func main() {
 		admin = flag.Bool("admin", false,
 			"expose GET/POST /admin/backends for runtime membership changes")
 		retryBudget = flag.Float64("retry-budget", 0,
-			"per-backend retry-budget ratio: tokens earned per first attempt; each manufactured request (failover, hedge, lookup, fill) pays one token (0 = 0.1, negative disables)")
+			"per-backend retry-budget ratio: tokens earned per first attempt; each manufactured request (failover, hedge, lookup) pays one token (0 = 0.1, negative disables)")
 		retryBurst = flag.Int("retry-burst", 0,
 			"retry token-bucket cap and initial balance per backend (0 = 10)")
 		hedgeAfter = flag.Duration("hedge-after", 0,
@@ -158,8 +153,6 @@ func main() {
 		FailAfter:       *failAfter,
 		RecoverAfter:    *recoverAfter,
 		MaxRequestBytes: *maxBody,
-		FillQueue:       *fillQueue,
-		FillWait:        *fillWait,
 		LookupTimeout:   *lookupTimeout,
 		LookupWindow:    *lookupWindow,
 		RetryBudget:     *retryBudget,
@@ -221,8 +214,7 @@ func main() {
 
 	select {
 	case err := <-errc:
-		// Not log.Fatalf: the probers and the fill worker must drain
-		// before exit, or an in-flight peer fill could be cut mid-POST.
+		// Not log.Fatalf: the probers must stop before exit.
 		log.Printf("vabufr: serve: %v", err)
 		rt.Close()
 		os.Exit(1)

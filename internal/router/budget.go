@@ -1,10 +1,10 @@
 package router
 
 // Retry budget. Every retry the router sends — a failover hop after the
-// first attempt, a hedged duplicate, a synchronous peer lookup, an async
-// peer fill — is traffic the client did not send. Under a partial outage
-// that extra traffic is exactly what turns a brownout into a retry storm:
-// each backend failure mints more requests against the survivors. The
+// first attempt, a hedged duplicate, a synchronous peer lookup — is
+// traffic the client did not send. Under a partial outage that extra
+// traffic is exactly what turns a brownout into a retry storm: each
+// backend failure mints more requests against the survivors. The
 // budget bounds it Finagle-style: each backend has a token bucket that
 // earns a fraction of a token (the ratio, default 10%) for every *first*
 // attempt routed to it and pays one whole token for every extra request
@@ -60,9 +60,9 @@ func (b *retryBudget) credit(url string) {
 	b.mu.Unlock()
 }
 
-// spend pays one token for an extra request (retry, hedge, lookup,
-// fill) about to be sent to url, reporting false when the bucket is dry
-// — the caller must not send.
+// spend pays one token for an extra request (retry, hedge, lookup)
+// about to be sent to url, reporting false when the bucket is dry — the
+// caller must not send.
 func (b *retryBudget) spend(url string) bool {
 	if b == nil {
 		return true

@@ -43,7 +43,6 @@ func TestFleetUnderChaos(t *testing.T) {
 		cfg.BreakerFailures = 5
 		cfg.BreakerCooldown = 250 * time.Millisecond
 		cfg.LookupTimeout = -1 // lookups would skew the amplification count
-		cfg.FillQueue = -1     // so would async peer fills
 	})
 	waitFor(t, "all chaos-wrapped backends healthy", func() bool {
 		for _, u := range urls {

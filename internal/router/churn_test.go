@@ -1,13 +1,14 @@
 package router
 
 // Churn tests: ring membership changes at runtime, synchronous peer
-// lookup, and the regression tests for the cold-start, head-of-line,
-// and gather-error bugs.
+// lookup, and the regression tests for the cold-start and gather-error
+// bugs.
 
 import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -27,7 +28,6 @@ func newTestRouterCfg(t *testing.T, fleet []*fleetBackend, mut func(*Config)) (*
 		ProbeTimeout:  500 * time.Millisecond,
 		FailAfter:     1,
 		RecoverAfter:  1,
-		FillWait:      10 * time.Second,
 		Logf:          func(string, ...any) {},
 	}
 	if mut != nil {
@@ -83,17 +83,24 @@ func backendStat(t *testing.T, b *fleetBackend, section, field string) float64 {
 // TestResizeServesMovedKeyFromOldOwner is the churn acceptance test:
 // grow a 2-backend ring to 3 under concurrent load — every request
 // answers 200 throughout — and a key whose owner changed is served from
-// the old owner's cache via the synchronous peer lookup (not
-// recomputed), while the async fill warms the new owner.
+// the old owner's cache via the synchronous peer lookup for as long as
+// the lookup window is open, without the new owner computing it. Once
+// the window closes, the new owner computes the key exactly once, to
+// the same answer.
 func TestResizeServesMovedKeyFromOldOwner(t *testing.T) {
 	fleet := newFleet(t, 3, "")
-	rt, ts := newTestRouter(t, fleet[:2])
+	rt, ts := newTestRouterCfg(t, fleet[:2], func(c *Config) {
+		// Every lookup spends a token of the old owner; the budget is
+		// not under test here.
+		c.RetryBurst = 100
+	})
+	waitFor(t, "router ready", func() bool { return rt.prober.anyHealthy() })
 
 	// Warm a spread of keys through the 2-backend ring and remember
 	// each one's answer. The first half is re-requested while the ring
 	// is rebuilt; the moved key under test comes from the second half,
 	// which no request touches between the rebuild and the asserted
-	// lookup rescue (a re-request could get it computed or filled at the
+	// lookup rescue (a re-request could get it computed at the
 	// new owner first). With a third of the keys moving, the chance that
 	// none of the second half moves is (2/3)^20, about 3e-4.
 	const nKeys = 40
@@ -159,46 +166,63 @@ func TestResizeServesMovedKeyFromOldOwner(t *testing.T) {
 	// The swap may have sent a first-half key to the new owner cold (a
 	// lookup that timed out under load); only runs from here on count.
 	runsBefore := backendStat(t, fleet[2], "pruning", "runs")
-	hitsBefore := rt.met.lookupHits.Total()
-	resp, raw := postJSON(t, ts.URL+"/v1/insert", reqs[moved])
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("moved-key insert: status %d: %s", resp.StatusCode, raw)
+	// The moved key and a repeat of it inside the lookup window are both
+	// served by the *old* owner's cache, byte-identical, via lookup.
+	for n := 0; n < 2; n++ {
+		hitsBefore := rt.met.lookupHits.Total()
+		resp, raw := postJSON(t, ts.URL+"/v1/insert", reqs[moved])
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("moved-key insert %d: status %d: %s", n, resp.StatusCode, raw)
+		}
+		if inst := resp.Header.Get("Vabuf-Instance"); inst != fleet[oldOwner[moved]].name {
+			t.Errorf("moved key (request %d) served by %q, want previous owner %q (lookup rescue)",
+				n, inst, fleet[oldOwner[moved]].name)
+		}
+		if string(raw) != string(warm[moved]) {
+			t.Errorf("lookup-served answer %d differs from the original computation", n)
+		}
+		if hits := rt.met.lookupHits.Total(); hits != hitsBefore+1 {
+			t.Errorf("lookup hits = %d after request %d, want %d", hits, n, hitsBefore+1)
+		}
 	}
-	// Served by the *old* owner's cache, byte-identical, via lookup.
-	if inst := resp.Header.Get("Vabuf-Instance"); inst != fleet[oldOwner[moved]].name {
-		t.Errorf("moved key served by %q, want previous owner %q (lookup rescue)",
-			inst, fleet[oldOwner[moved]].name)
+	if h := routerLookups(t, ts, "hits"); h < 2 {
+		t.Errorf("/metrics lookups.hits = %g, want >= 2", h)
 	}
-	if string(raw) != string(warm[moved]) {
-		t.Error("lookup-served answer differs from the original computation")
+	if h := backendStat(t, fleet[oldOwner[moved]], "peer_lookups", "hits"); h < 2 {
+		t.Errorf("old owner peer_lookups.hits = %g, want >= 2", h)
 	}
-	if hits := rt.met.lookupHits.Total(); hits <= hitsBefore {
-		t.Errorf("lookup hits = %d, want > %d", hits, hitsBefore)
-	}
-	if h := routerLookups(t, ts, "hits"); h < 1 {
-		t.Errorf("/metrics lookups.hits = %g, want >= 1", h)
-	}
-	if h := backendStat(t, fleet[oldOwner[moved]], "peer_lookups", "hits"); h < 1 {
-		t.Errorf("old owner peer_lookups.hits = %g, want >= 1", h)
-	}
-	// The new owner gets warmed by the async fill, never recomputing.
-	waitFor(t, "fill to warm the new owner", func() bool {
-		return resultCacheStat(t, fleet[2], "size") >= 1
-	})
 	if runs := backendStat(t, fleet[2], "pruning", "runs"); runs != runsBefore {
-		t.Errorf("new owner ran %g computations for the moved key; it should arrive via lookup+fill",
+		t.Errorf("new owner ran %g computations inside the lookup window, want 0",
 			runs-runsBefore)
 	}
-	// Within the lookup window, repeats keep being rescued by the old
-	// owner; once it closes the moved key routes to the new owner and
-	// its fill-warmed cache serves directly.
+
+	// Once the window closes the moved key routes to the new owner,
+	// which computes it exactly once, to the warm answer (only
+	// elapsed_ms and the cache flags may differ).
 	rt.expirePrev()
-	resp2, raw2 := postJSON(t, ts.URL+"/v1/insert", reqs[moved])
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("post-fill repeat: status %d: %s", resp2.StatusCode, raw2)
+	resp, raw := postJSON(t, ts.URL+"/v1/insert", reqs[moved])
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-window insert: status %d: %s", resp.StatusCode, raw)
 	}
-	if inst := resp2.Header.Get("Vabuf-Instance"); inst != fleet[2].name {
-		t.Errorf("post-fill repeat served by %q, want new owner %q", inst, fleet[2].name)
+	if inst := resp.Header.Get("Vabuf-Instance"); inst != fleet[2].name {
+		t.Errorf("post-window insert served by %q, want new owner %q", inst, fleet[2].name)
+	}
+	if runs := backendStat(t, fleet[2], "pruning", "runs"); runs != runsBefore+1 {
+		t.Errorf("new owner ran %g computations for the moved key after the window, want 1",
+			runs-runsBefore)
+	}
+	var got, want server.InsertResult
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(warm[moved], &want); err != nil {
+		t.Fatal(err)
+	}
+	if got.ObjectivePS != want.ObjectivePS {
+		t.Errorf("new owner objective = %v, want the warm answer's %v", got.ObjectivePS, want.ObjectivePS)
+	}
+	if !reflect.DeepEqual(got.Assignment, want.Assignment) {
+		t.Errorf("new owner assignment = %+v, want the warm answer's %+v", got.Assignment, want.Assignment)
 	}
 }
 
@@ -316,57 +340,6 @@ func TestAnyBackendColdStart(t *testing.T) {
 	}
 }
 
-// TestFillNoHeadOfLineBlocking is the regression test for the fill
-// queue: with fills pending for two down owners, recovering one owner
-// must land its fill promptly even though the other owner — whose job
-// was enqueued first — stays down for the whole FillWait.
-func TestFillNoHeadOfLineBlocking(t *testing.T) {
-	fleet := newFleet(t, 3, "")
-	rt, ts := newTestRouterCfg(t, fleet, func(c *Config) {
-		c.FillWait = 5 * time.Minute // a blocked queue would stall far past the test deadline
-	})
-	waitFor(t, "router ready", func() bool { return rt.prober.anyHealthy() })
-
-	// Two requests with two distinct owners.
-	reqA := server.InsertRequest{Tree: treeText(t, 50), Algo: "nom"}
-	ownerA := ownerOf(t, rt, fleet, reqA)
-	var reqB server.InsertRequest
-	ownerB := ownerA
-	for seed := int64(51); ownerB == ownerA; seed++ {
-		reqB = server.InsertRequest{Tree: treeText(t, seed), Algo: "nom"}
-		ownerB = ownerOf(t, rt, fleet, reqB)
-	}
-
-	// Kill both owners; serve both requests via failover, queueing a
-	// fill per owner — A's strictly first.
-	fleet[ownerA].down.Store(true)
-	fleet[ownerB].down.Store(true)
-	waitFor(t, "both owners down", func() bool {
-		return !rt.prober.healthy(fleet[ownerA].ts.URL) && !rt.prober.healthy(fleet[ownerB].ts.URL)
-	})
-	for _, req := range []server.InsertRequest{reqA, reqB} {
-		resp, raw := postJSON(t, ts.URL+"/v1/insert", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("failover insert: status %d: %s", resp.StatusCode, raw)
-		}
-	}
-	waitFor(t, "both fills queued", func() bool { return rt.filler.backlog() >= 2 })
-
-	// Recover only B. Its fill must not wait behind A's.
-	fleet[ownerB].down.Store(false)
-	waitFor(t, "B's fill delivered while A is still down", func() bool {
-		return backendStat(t, fleet[ownerB], "peer_fills", "accepted") >= 1
-	})
-	if rt.filler.backlog() < 1 {
-		t.Error("A's fill vanished from the queue instead of waiting for recovery")
-	}
-	// A's fill is merely waiting, not lost: recovery delivers it too.
-	fleet[ownerA].down.Store(false)
-	waitFor(t, "A's fill delivered after recovery", func() bool {
-		return backendStat(t, fleet[ownerA], "peer_fills", "accepted") >= 1
-	})
-}
-
 // TestGatherGroupDistinguishesBadBody: the regression test for the
 // misleading 502 — an unparsable sub-batch body must not be reported as
 // an item-count mismatch ("0 items for N sent").
@@ -375,7 +348,7 @@ func TestGatherGroupDistinguishesBadBody(t *testing.T) {
 	items := []preparedItem{{index: 0, owner: "http://a"}, {index: 1, owner: "http://a"}}
 
 	out := rawBatchResult{Items: make([]rawBatchItem, 2)}
-	rt.gatherGroup("insert", "/v1/insert:batch", &out,
+	rt.gatherGroup(&out,
 		&attempt{backend: "http://a", status: 200, header: http.Header{}, body: []byte("<html>gateway error</html>")},
 		items)
 	for i, it := range out.Items {
@@ -391,7 +364,7 @@ func TestGatherGroupDistinguishesBadBody(t *testing.T) {
 	}
 
 	out = rawBatchResult{Items: make([]rawBatchItem, 2)}
-	rt.gatherGroup("insert", "/v1/insert:batch", &out,
+	rt.gatherGroup(&out,
 		&attempt{backend: "http://a", status: 200, header: http.Header{},
 			body: []byte(`{"items":[{"index":0,"status":200}],"succeeded":1,"errors":0}`)},
 		items)
@@ -406,8 +379,7 @@ func TestGatherGroupDistinguishesBadBody(t *testing.T) {
 }
 
 // TestRouterCloseMidStream: closing the router while a proxied stream is
-// in flight must drain the prober and filler goroutines — no leak under
-// -race. The backend streams NDJSON until its client disappears.
+// in flight must drain the prober goroutines — no leak under -race. The backend streams NDJSON until its client disappears.
 func TestRouterCloseMidStream(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 

@@ -82,7 +82,6 @@ func newTestRouter(t *testing.T, fleet []*fleetBackend) (*Router, *httptest.Serv
 		ProbeTimeout:  500 * time.Millisecond,
 		FailAfter:     1,
 		RecoverAfter:  1,
-		FillWait:      10 * time.Second,
 		Logf:          func(string, ...any) {}, // prober logs race test teardown
 	})
 	if err != nil {
@@ -369,62 +368,6 @@ func TestRouterAllDown(t *testing.T) {
 	rz.Body.Close()
 	if rz.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("readyz = %d with no healthy backends, want 503", rz.StatusCode)
-	}
-}
-
-// TestPeerFillConvergence: a failover-served miss is replayed to the
-// recovered owner, which then serves the repeat from its cache without
-// recomputing.
-func TestPeerFillConvergence(t *testing.T) {
-	fleet := newFleet(t, 2, "")
-	rt, ts := newTestRouter(t, fleet)
-	req := server.InsertRequest{Tree: treeText(t, 4), Algo: "wid"}
-	owner := ownerOf(t, rt, fleet, req)
-	sibling := 1 - owner
-
-	// Kill the owner before it ever sees the request: the sibling computes.
-	fleet[owner].down.Store(true)
-	waitFor(t, "owner down", func() bool { return !rt.prober.healthy(fleet[owner].ts.URL) })
-	resp, raw := postJSON(t, ts.URL+"/v1/insert", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("failover insert: status %d: %s", resp.StatusCode, raw)
-	}
-	if inst := resp.Header.Get("Vabuf-Instance"); inst != fleet[sibling].name {
-		t.Fatalf("served by %q, want sibling %q", inst, fleet[sibling].name)
-	}
-
-	// Recover the owner: the queued fill must land in its result cache.
-	fleet[owner].down.Store(false)
-	waitFor(t, "peer fill accepted by owner", func() bool {
-		var met map[string]any
-		getJSON(t, fleet[owner].ts.URL+"/metrics", &met)
-		pf, ok := met["peer_fills"].(map[string]any)
-		if !ok {
-			return false
-		}
-		accepted, _ := pf["accepted"].(float64)
-		return accepted >= 1
-	})
-	if size := resultCacheStat(t, fleet[owner], "size"); size < 1 {
-		t.Fatalf("owner result cache size = %g after fill, want >= 1", size)
-	}
-
-	// Kill the sibling: the repeat routes to the owner and must be a
-	// cache hit — the fill carried the answer, nothing recomputes.
-	fleet[sibling].down.Store(true)
-	waitFor(t, "sibling down", func() bool { return !rt.prober.healthy(fleet[sibling].ts.URL) })
-	resp2, raw2 := postJSON(t, ts.URL+"/v1/insert", req)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("post-fill insert: status %d: %s", resp2.StatusCode, raw2)
-	}
-	if inst := resp2.Header.Get("Vabuf-Instance"); inst != fleet[owner].name {
-		t.Errorf("post-fill request served by %q, want owner %q", inst, fleet[owner].name)
-	}
-	if hits := resultCacheStat(t, fleet[owner], "hits"); hits < 1 {
-		t.Errorf("owner result cache hits = %g — the fill did not serve the repeat", hits)
-	}
-	if !bytes.Equal(raw, raw2) {
-		t.Error("fill-served repeat answered different bytes than the original computation")
 	}
 }
 

@@ -1,16 +1,14 @@
 package router
 
-// Synchronous peer lookup. The async peer fill (fill.go) re-warms a
-// cache *eventually*; this path rescues the very first request after a
-// key changed hands. Two events move a key: a ring rebuild reassigned
+// Synchronous peer lookup: the router's only way to rescue a warm cache
+// after a key changed hands. Two events move a key: a ring rebuild reassigned
 // it to a different backend, or its owner died and a failover successor
 // is standing in. Either way some *other* backend very likely still
 // holds the computed result — so before letting the new target compute
 // cold, the router asks that backend's cache directly (POST
 // /v1/cache/lookup: fingerprint in, cached result or 404 out) with a
-// tight deadline. A hit is served to the client verbatim and replayed
-// to the target through the normal async fill; a miss, error, or
-// timeout falls through to the normal proxy path, so the lookup can
+// tight deadline. A hit is served to the client verbatim; a miss,
+// error, or timeout falls through to the normal proxy path, so the lookup can
 // only ever add bounded latency, never an error.
 //
 // Only the single-request endpoints (insert, yield) consult peers:
@@ -36,8 +34,8 @@ import (
 func lookupCandidate(mem *membership, fp, target string) string {
 	// A rebuild moved the key: its previous owner (old ring) differs
 	// from the target and is still a member. Consulted only within the
-	// post-rebuild window — past it the fills have warmed the new
-	// owners and the old entry is just an LRU eviction candidate.
+	// post-rebuild window — past it the new owner computes the key once
+	// and caches it, and the old entry is just an LRU eviction candidate.
 	if mem.prev != nil && time.Now().Before(mem.prevExpires) {
 		if prev := mem.prev.owner(fp); prev != target && mem.member[prev] {
 			return prev

@@ -18,22 +18,18 @@ type rmetrics struct {
 	requests metric.Requests // endpoint -> status -> count
 	// Per-backend counters. proxied counts requests (or sub-batches) a
 	// backend answered, failovers requests it owned but another served,
-	// fillsSent/fillErrors peer cache fills delivered to it or failed
-	// (post error, non-200, or expiry), lookupHits synchronous peer
-	// lookups it answered. attempts counts every outbound request the
-	// router sent it — first tries, failover hops, hedges, peer lookups,
-	// peer fills alike; its total is the fleet's true amplification
-	// numerator: injected faults that never reach a backend's own mux
-	// still show up here.
-	proxied, failovers, fillsSent, fillErrors, lookupHits, attempts metric.Labelled
+	// lookupHits synchronous peer lookups it answered. attempts counts
+	// every outbound request the router sent it — first tries, failover
+	// hops, hedges, peer lookups alike; its total is the fleet's true
+	// amplification numerator: injected faults that never reach a
+	// backend's own mux still show up here.
+	proxied, failovers, lookupHits, attempts metric.Labelled
 	// fanout histograms how many distinct backends each batch request
 	// scattered to (label = owner-group count).
 	fanout metric.Labelled
 	// ringRebuilds counts ring constructions: 1 at boot, +1 per
 	// membership reload that changed the member set.
 	ringRebuilds metric.Counter
-	fillQueued   metric.Counter
-	fillDropped  metric.Counter
 	// Synchronous peer-lookup outcomes besides hits: misses fell through
 	// to a normal (cold) proxy, errors are transport failures or refusals.
 	lookupMisses metric.Counter
@@ -51,17 +47,15 @@ func newRMetrics() *rmetrics { return &rmetrics{start: time.Now()} }
 
 // snapshot assembles the /metrics document over the *current*
 // membership. Probe state is merged per backend so one document answers
-// "who is down, who serves what, where do the fills go".
+// "who is down, who serves what, who rescued which lookups".
 func (m *rmetrics) snapshot(mem *membership, prober *prober,
-	fillBacklog int, ready bool, breakerOpen int, breakerOpens int64) map[string]any {
+	ready bool, breakerOpen int, breakerOpens int64) map[string]any {
 	bs := make([]map[string]any, len(mem.backends))
 	for i, url := range mem.backends {
 		doc := prober.stateSnapshot(url)
 		doc["url"] = url
 		doc["proxied"] = m.proxied.Get(url)
 		doc["failovers"] = m.failovers.Get(url)
-		doc["fills_sent"] = m.fillsSent.Get(url)
-		doc["fill_errors"] = m.fillErrors.Get(url)
 		doc["lookup_hits"] = m.lookupHits.Get(url)
 		doc["attempts"] = m.attempts.Get(url)
 		bs[i] = doc
@@ -85,11 +79,6 @@ func (m *rmetrics) snapshot(mem *membership, prober *prober,
 		// scatter_fanout: how many owner groups each batch split into —
 		// "1" means the whole batch shared one owner (perfect affinity).
 		"scatter_fanout": &m.fanout,
-		"fills": map[string]any{
-			"queued":  &m.fillQueued,
-			"dropped": &m.fillDropped,
-			"backlog": fillBacklog,
-		},
 		// lookups: synchronous peer-cache probes at a key's previous
 		// owner before a new/failover owner computes it cold.
 		"lookups": map[string]any{

@@ -125,7 +125,6 @@ func TestBreakerBenchesErroringBackend(t *testing.T) {
 		cfg.BreakerCooldown = time.Minute // stays benched for the whole test
 		cfg.RetryBurst = 100              // budget is not under test here
 		cfg.LookupTimeout = -1            // lookups would muddy the hit counts
-		cfg.FillQueue = -1                // fill replays would too
 	})
 	waitFor(t, "both backends healthy", func() bool {
 		return rt.prober.healthy(badTS.URL) && rt.prober.healthy(fleet[0].ts.URL)
@@ -156,6 +155,39 @@ func TestBreakerBenchesErroringBackend(t *testing.T) {
 	}
 	if got := bad.hits.Load(); got != frozen {
 		t.Errorf("benched backend still saw %d new requests", got-frozen)
+	}
+}
+
+// TestStreamFailsOverOnBackend5xx: the stream walk treats a backend's
+// 500 as tryBackends does — a breaker failure and a hop to the next
+// backend, since no byte has reached the client yet — so every stream
+// is served by the healthy sibling and the erroring backend is benched.
+func TestStreamFailsOverOnBackend5xx(t *testing.T) {
+	bad := &faultyBackend{}
+	badTS := httptest.NewServer(bad)
+	defer badTS.Close()
+	fleet := newFleet(t, 1, "")
+	rt, ts := newTestRouterCfg(t, fleet, func(cfg *Config) {
+		cfg.Backends = []string{badTS.URL, fleet[0].ts.URL}
+		cfg.BreakerFailures = 3
+		cfg.BreakerCooldown = time.Minute // stays benched for the whole test
+		cfg.LookupTimeout = -1
+	})
+	waitFor(t, "both backends healthy", func() bool {
+		return rt.prober.healthy(badTS.URL) && rt.prober.healthy(fleet[0].ts.URL)
+	})
+
+	for i := 0; i < 20; i++ {
+		resp, raw := postJSON(t, ts.URL+"/v1/yield:stream", server.YieldRequest{
+			InsertRequest: server.InsertRequest{Tree: treeText(t, int64(i)), Algo: "wid"},
+			MonteCarlo:    64,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("stream %d: status %d despite a healthy sibling: %s", i, resp.StatusCode, raw)
+		}
+	}
+	if open, _ := rt.breaker.stats(); open != 1 {
+		t.Errorf("open breakers = %d, want 1 (the erroring backend)", open)
 	}
 }
 

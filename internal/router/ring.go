@@ -4,14 +4,12 @@
 // epoch) is mapped onto a hash ring of backends so that repeats of a
 // request always land on the same instance and N result caches behave
 // like one big cache instead of N cold ones. Health-aware failover walks
-// the ring's successor order when the owner is down, batch requests are
-// split per owner and scatter-gathered, and failover-served answers are
-// asynchronously replayed to the recovered owner (peer cache fill) so
-// the partition re-converges. Membership is dynamic: the ring can be
-// rebuilt at runtime (config reload, admin endpoint) without dropping
-// in-flight requests, and a key whose owner changed is served from the
-// previous owner's cache via a synchronous peer lookup before the new
-// owner computes it cold.
+// the ring's successor order when the owner is down, and batch requests
+// are split per owner and scatter-gathered. Membership is dynamic: the
+// ring can be rebuilt at runtime (config reload, admin endpoint) without
+// dropping in-flight requests, and a key whose owner changed is served
+// from the previous owner's cache via a synchronous peer lookup before
+// the new owner computes it cold.
 package router
 
 import (

@@ -37,12 +37,6 @@ type Config struct {
 	RecoverAfter int
 	// MaxRequestBytes bounds request bodies; <=0 selects 8 MiB.
 	MaxRequestBytes int64
-	// FillQueue bounds the pending peer-cache-fill queue; 0 selects 256,
-	// negative disables peer fill.
-	FillQueue int
-	// FillWait bounds how long a queued fill waits for its owner to
-	// recover before being dropped; <=0 selects 2 minutes.
-	FillWait time.Duration
 	// LookupTimeout bounds one synchronous peer lookup (POST
 	// /v1/cache/lookup at a key's previous owner before the new or
 	// failover owner computes it cold); <=0 selects 500ms. Negative
@@ -50,14 +44,15 @@ type Config struct {
 	LookupTimeout time.Duration
 	// LookupWindow bounds how long after a ring rebuild moved keys are
 	// still looked up at their previous owner; <=0 selects 1 minute.
-	// The window is a transition aid: within it the async fills warm
-	// the new owners, after it moved keys route normally.
+	// The window is a transition aid: within it repeats of a moved key
+	// are still served from the warm previous owner; after it the new
+	// owner computes each moved key once and caches it.
 	LookupWindow time.Duration
 	// RetryBudget is the per-backend retry token ratio: each first
 	// attempt routed to a backend earns it this fraction of a token, and
 	// every manufactured request sent to it (failover hop, hedge, peer
-	// lookup, peer fill) pays one whole token. 0 selects 0.1 (~10% extra
-	// traffic at steady state); negative disables budgeting.
+	// lookup) pays one whole token. 0 selects 0.1 (~10% extra traffic at
+	// steady state); negative disables budgeting.
 	RetryBudget float64
 	// RetryBurst is the token-bucket cap and initial balance (<=0
 	// selects 10) — the headroom for failover bursts before any credit
@@ -93,12 +88,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = 8 << 20
-	}
-	if c.FillQueue == 0 {
-		c.FillQueue = 256
-	}
-	if c.FillWait <= 0 {
-		c.FillWait = 2 * time.Minute
 	}
 	if c.LookupTimeout == 0 {
 		c.LookupTimeout = 500 * time.Millisecond
@@ -140,23 +129,20 @@ type membership struct {
 	// prev is the ring before the last rebuild (nil until the first
 	// Reload). It answers "who owned this key a moment ago" — the
 	// backend whose cache is still warm for a key the rebuild moved.
-	// It is consulted only until prevExpires: past that the async fills
-	// have had their chance to warm the new owners and moved keys
-	// should route (and cache) normally.
+	// It is consulted only until prevExpires: past that moved keys
+	// route (and cache) normally at their new owners.
 	prev        *hashRing
 	prevExpires time.Time
 }
 
 // Router is the vabufr HTTP front: consistent-hash routing with dynamic
-// membership, health-aware failover, batch scatter-gather, synchronous
-// peer lookup, and asynchronous peer cache fill over a fleet of vabufd
-// backends. Create with New, expose via Handler, Close after the
-// listener has shut down.
+// membership, health-aware failover, batch scatter-gather, and
+// synchronous peer lookup over a fleet of vabufd backends. Create with
+// New, expose via Handler, Close after the listener has shut down.
 type Router struct {
 	cfg    Config
 	mem    atomic.Pointer[membership]
 	prober *prober
-	filler *filler // nil when peer fill is disabled
 	met    *rmetrics
 	mux    *http.ServeMux
 	// budget bounds manufactured traffic (nil = disabled, unlimited);
@@ -171,7 +157,7 @@ type Router struct {
 }
 
 // New builds a Router over the configured backends and starts its
-// health probers (and, unless disabled, the peer-fill worker).
+// health probers.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	backends, err := normalizeBackends(cfg.Backends)
@@ -211,20 +197,6 @@ func New(cfg Config) (*Router, error) {
 			cfg.Logf("vabufr: backend %s marked down (%s)", backend, reason)
 		}
 	})
-	if cfg.FillQueue > 0 {
-		// Re-check a down owner at a quarter of the probe interval so a
-		// fill lands within one probe of the recovery, bounded to stay
-		// polite on long intervals and responsive in tests.
-		poll := rt.prober.cfg.interval / 4
-		if poll < 5*time.Millisecond {
-			poll = 5 * time.Millisecond
-		}
-		if poll > 500*time.Millisecond {
-			poll = 500 * time.Millisecond
-		}
-		rt.filler = newFiller(rt.prober, cfg.Client, rt.met, rt.budget,
-			cfg.FillQueue, cfg.FillWait, poll, cfg.Logf)
-	}
 
 	rt.mux.HandleFunc("POST /v1/insert", rt.single("/v1/insert", "insert"))
 	rt.mux.HandleFunc("POST /v1/yield", rt.single("/v1/yield", "yield"))
@@ -290,11 +262,10 @@ func sameMembers(a, b []string) bool {
 // atomically. In-flight requests keep the membership view they started
 // with; new requests route on the new ring. Probers start for added
 // backends (which begin *down* and take traffic only after their first
-// healthy probes) and stop for removed ones, whose pending peer fills
-// are dropped. A reload naming the same member set is a no-op. The
-// previous ring is retained so keys the rebuild moved are served from
-// their previous owner's cache via synchronous peer lookup instead of
-// being recomputed cold.
+// healthy probes) and stop for removed ones. A reload naming the same
+// member set is a no-op. The previous ring is retained so keys the
+// rebuild moved are served from their previous owner's cache via
+// synchronous peer lookup instead of being recomputed cold.
 func (rt *Router) Reload(backends []string) error {
 	normalized, err := normalizeBackends(backends)
 	if err != nil {
@@ -333,9 +304,6 @@ func (rt *Router) Reload(backends []string) error {
 	for _, url := range old.backends {
 		if !next.member[url] {
 			rt.prober.remove(url)
-			if rt.filler != nil {
-				rt.filler.retire(url)
-			}
 			rt.budget.retire(url)
 			rt.breaker.retire(url)
 			removed++
@@ -369,16 +337,9 @@ func (rt *Router) Backends() []string {
 // Handler returns the root handler for an http.Server.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Close stops the probers and the fill worker. Pending fills are
-// dropped — they are an optimization, and the owners will simply
-// recompute.
+// Close stops the probers.
 func (rt *Router) Close() {
-	rt.closeOnce.Do(func() {
-		rt.prober.close()
-		if rt.filler != nil {
-			rt.filler.close()
-		}
-	})
+	rt.closeOnce.Do(rt.prober.close)
 }
 
 // writeJSON emits a JSON body with the vabufd response conventions
@@ -456,19 +417,22 @@ func routingKey(kind string, body []byte) (string, error) {
 }
 
 // attempt is the outcome of one proxied call that received an HTTP
-// response (transport failures never produce one).
+// response (transport failures never produce one). Its body is
+// buffered, except for a conclusive answer to a stream request: that
+// one keeps its body unread in stream for the relay.
 type attempt struct {
 	backend string
 	status  int
 	header  http.Header
 	body    []byte
+	stream  *http.Response
 }
 
-// post forwards payload to a backend's path, buffering the response.
-// The remaining deadline budget of ctx (when it has one) rides along in
-// Vabuf-Deadline-Ms — stamped at send time, so queue and transit time
-// already spent is naturally subtracted at every hop.
-func (rt *Router) post(ctx context.Context, url, path string, payload []byte) (*attempt, error) {
+// send forwards payload to a backend's path and returns the unread
+// response. The remaining deadline budget of ctx (when it has one) rides
+// along in Vabuf-Deadline-Ms — stamped at send time, so queue and
+// transit time already spent is naturally subtracted at every hop.
+func (rt *Router) send(ctx context.Context, url, path string, payload []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		url+path, bytes.NewReader(payload))
 	if err != nil {
@@ -476,7 +440,12 @@ func (rt *Router) post(ctx context.Context, url, path string, payload []byte) (*
 	}
 	req.Header.Set("Content-Type", "application/json")
 	server.SetDeadlineHeader(req.Header, ctx)
-	resp, err := rt.cfg.Client.Do(req)
+	return rt.cfg.Client.Do(req)
+}
+
+// post is send with the response buffered.
+func (rt *Router) post(ctx context.Context, url, path string, payload []byte) (*attempt, error) {
+	resp, err := rt.send(ctx, url, path, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -486,6 +455,26 @@ func (rt *Router) post(ctx context.Context, url, path string, payload []byte) (*
 		return nil, err
 	}
 	return &attempt{backend: url, status: resp.StatusCode, header: resp.Header, body: body}, nil
+}
+
+// openStream is send for a streaming endpoint: a conclusive answer comes
+// back with its body unread in stream, while the answers the walk may
+// pass over (saturation, retryable 5xx) are buffered like post's.
+func (rt *Router) openStream(ctx context.Context, url, path string, payload []byte) (*attempt, error) {
+	resp, err := rt.send(ctx, url, path, payload)
+	if err != nil {
+		return nil, err
+	}
+	att := &attempt{backend: url, status: resp.StatusCode, header: resp.Header}
+	if !saturated(att.status) && !retryable5xx(att.status) {
+		att.stream = resp
+		return att, nil
+	}
+	defer resp.Body.Close()
+	if att.body, err = io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxRequestBytes)); err != nil {
+		return nil, err
+	}
+	return att, nil
 }
 
 // statusClientClosed mirrors the backends' non-standard 499 for requests
@@ -575,6 +564,14 @@ func saturated(status int) bool {
 // that nil. The client's context dying stops the walk without marking
 // anyone down — retrying for a caller that hung up only burns backends.
 func (rt *Router) tryBackends(ctx context.Context, order []string, path string, payload []byte) (served, sat *attempt) {
+	return rt.walk(ctx, order, func(b string) (*attempt, error) {
+		return rt.post(ctx, b, path, payload)
+	})
+}
+
+// walk is tryBackends over any sender; send issues one attempt to a
+// backend.
+func (rt *Router) walk(ctx context.Context, order []string, send func(b string) (*attempt, error)) (served, sat *attempt) {
 	usable := func(b string) bool {
 		return rt.prober.healthy(b) && !rt.breaker.isOpen(b)
 	}
@@ -605,7 +602,7 @@ func (rt *Router) tryBackends(ctx context.Context, order []string, path string, 
 		}
 		sent++
 		rt.met.attempts.Inc(b)
-		att, err := rt.post(ctx, b, path, payload)
+		att, err := send(b)
 		if err != nil {
 			if clientFault(ctx, err) {
 				return nil, sat
@@ -687,9 +684,8 @@ func (rt *Router) single(endpoint, kind string) http.HandlerFunc {
 		// because a rebuild moved the key to it, or because it is a
 		// failover successor standing in for a down owner — ask the
 		// previous owner's cache synchronously. A hit serves the client
-		// immediately and warms the target via the async fill path.
+		// immediately; the target computes the key on its first miss.
 		if att := rt.peerLookup(ctx, mem, kind, fp, target, body); att != nil {
-			rt.maybeFill(kind, target, body, att)
 			rt.copyProxied(w, endpoint, att)
 			return
 		}
@@ -706,43 +702,38 @@ func (rt *Router) single(endpoint, kind string) http.HandlerFunc {
 				rt.lat.observe(time.Since(t0))
 			}
 		}
-		switch {
-		case served != nil:
-			if served.backend != order[0] {
-				rt.met.failovers.Inc(order[0])
-				rt.maybeFill(kind, order[0], body, served)
-			}
-			rt.copyProxied(w, endpoint, served)
-		case sat != nil:
-			rt.copyProxied(w, endpoint, sat)
-		default:
-			rt.finishUnserved(w, endpoint, ctx)
+		rt.reply(w, endpoint, ctx, order[0], served, sat)
+	}
+}
+
+// reply answers the client with the outcome of a walk over owner's
+// successor order: the served answer (relayed as a stream when it is
+// one), else the saturated answer, else finishUnserved's.
+func (rt *Router) reply(w http.ResponseWriter, endpoint string, ctx context.Context, owner string, served, sat *attempt) {
+	switch {
+	case served != nil:
+		if served.backend != owner {
+			rt.met.failovers.Inc(owner)
 		}
+		if served.stream != nil {
+			rt.relayStream(w, endpoint, served.stream)
+		} else {
+			rt.copyProxied(w, endpoint, served)
+		}
+	case sat != nil:
+		rt.copyProxied(w, endpoint, sat)
+	default:
+		rt.finishUnserved(w, endpoint, ctx)
 	}
 }
 
-// maybeFill enqueues a peer cache fill for a success served by a
-// backend other than `owner` (a failover successor, or the previous
-// owner answering a synchronous lookup).
-func (rt *Router) maybeFill(kind, owner string, reqBody []byte, served *attempt) {
-	if rt.filler == nil || served.status != http.StatusOK || served.backend == owner {
-		return
-	}
-	epoch := served.header.Get("Vabuf-Epoch")
-	rt.filler.enqueue(fillJob{
-		owner:   owner,
-		kind:    kind,
-		epoch:   epoch,
-		request: json.RawMessage(reqBody),
-		result:  json.RawMessage(served.body),
-	})
-}
-
-// stream proxies POST /v1/yield:stream. Failover happens only up to the
-// first accepted response: once NDJSON bytes have been flushed to the
-// client, a mid-stream backend death cannot be replayed transparently
-// (the client has already seen part of the event stream) and surfaces as
-// a truncated stream the client retries.
+// stream proxies POST /v1/yield:stream with tryBackends' walk, so a
+// backend's 500/502 counts against its breaker and moves on to the next
+// backend. Failover happens only up to the first accepted response: once
+// NDJSON bytes have been flushed to the client, a mid-stream backend
+// death cannot be replayed transparently (the client has already seen
+// part of the event stream) and surfaces as a truncated stream the
+// client retries.
 func (rt *Router) stream(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "/v1/yield:stream"
 	ctx, cancel, ok := rt.deadlineContext(endpoint, w, r)
@@ -762,77 +753,10 @@ func (rt *Router) stream(w http.ResponseWriter, r *http.Request) {
 	}
 	mem := rt.mem.Load()
 	order := mem.ring.successors(fp, len(mem.backends))
-	usable := func(b string) bool {
-		return rt.prober.healthy(b) && !rt.breaker.isOpen(b)
-	}
-	anyUsable := false
-	for _, b := range order {
-		if usable(b) {
-			anyUsable = true
-			break
-		}
-	}
-	var sat *http.Response
-	sent := 0
-	for _, b := range order {
-		if ctx.Err() != nil {
-			break
-		}
-		if anyUsable && !usable(b) {
-			continue
-		}
-		// Failover to a second backend is manufactured traffic like any
-		// other retry — it pays a budget token.
-		if sent > 0 && !rt.spendRetry(b) {
-			break
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			b+endpoint, bytes.NewReader(body))
-		if err != nil {
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		server.SetDeadlineHeader(req.Header, ctx)
-		if sent == 0 {
-			rt.budget.credit(b)
-		}
-		sent++
-		rt.met.attempts.Inc(b)
-		resp, err := rt.cfg.Client.Do(req)
-		if err != nil {
-			if clientFault(ctx, err) {
-				break
-			}
-			rt.prober.noteProxyError(b, err)
-			rt.breaker.failure(b)
-			continue
-		}
-		if saturated(resp.StatusCode) {
-			if sat != nil {
-				sat.Body.Close()
-			}
-			sat = resp
-			continue
-		}
-		if b != order[0] {
-			rt.met.failovers.Inc(order[0])
-		}
-		rt.breaker.success(b)
-		rt.met.proxied.Inc(b)
-		if sat != nil {
-			sat.Body.Close()
-		}
-		rt.relayStream(w, endpoint, resp)
-		return
-	}
-	if sat != nil {
-		defer sat.Body.Close()
-		satBody, _ := io.ReadAll(io.LimitReader(sat.Body, rt.cfg.MaxRequestBytes))
-		rt.copyProxied(w, endpoint, &attempt{
-			status: sat.StatusCode, header: sat.Header, body: satBody})
-		return
-	}
-	rt.finishUnserved(w, endpoint, ctx)
+	served, sat := rt.walk(ctx, order, func(b string) (*attempt, error) {
+		return rt.openStream(ctx, b, endpoint, body)
+	})
+	rt.reply(w, endpoint, ctx, order[0], served, sat)
 }
 
 // relayStream copies an accepted streaming response chunk by chunk,
@@ -946,13 +870,9 @@ func (rt *Router) readyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (rt *Router) metricsHandler(w http.ResponseWriter, _ *http.Request) {
-	backlog := 0
-	if rt.filler != nil {
-		backlog = rt.filler.backlog()
-	}
 	openNow, opens := rt.breaker.stats()
 	rt.writeJSON(w, "/metrics", http.StatusOK,
-		rt.met.snapshot(rt.mem.Load(), rt.prober, backlog, rt.prober.anyHealthy(),
+		rt.met.snapshot(rt.mem.Load(), rt.prober, rt.prober.anyHealthy(),
 			openNow, opens))
 }
 
@@ -1028,7 +948,7 @@ type rawBatchResult struct {
 // routing state plus the normalized payload forwarded in the sub-batch.
 type preparedItem struct {
 	index   int
-	owner   string   // ring owner (order[0]) — the fill target
+	owner   string   // ring owner (order[0])
 	order   []string // full successor order of the item's fingerprint
 	payload json.RawMessage
 }
@@ -1157,7 +1077,7 @@ func (rt *Router) batch(endpoint, kind string) http.HandlerFunc {
 			switch {
 			case oc.att != nil && oc.att.status == http.StatusOK:
 				groupsOK++
-				rt.gatherGroup(kind, endpoint, &out, oc.att, oc.items)
+				rt.gatherGroup(&out, oc.att, oc.items)
 			case oc.att != nil:
 				// A conclusive non-200 aggregate (e.g. 400 batch too
 				// large): every item of the group inherits it.
@@ -1242,8 +1162,8 @@ func (rt *Router) groupOrder(mem *membership, target string, items []preparedIte
 }
 
 // gatherGroup maps one sub-batch answer back to the aggregate by
-// original index and enqueues peer fills for failover-served items.
-func (rt *Router) gatherGroup(kind, endpoint string, out *rawBatchResult, att *attempt, items []preparedItem) {
+// original index and counts failover-served items.
+func (rt *Router) gatherGroup(out *rawBatchResult, att *attempt, items []preparedItem) {
 	var sub rawBatchResult
 	if err := json.Unmarshal(att.body, &sub); err != nil {
 		// Unparsable body: say so — reporting an item count from the
@@ -1265,7 +1185,6 @@ func (rt *Router) gatherGroup(kind, endpoint string, out *rawBatchResult, att *a
 		}
 		return
 	}
-	epoch := att.header.Get("Vabuf-Epoch")
 	for j, it := range items {
 		res := sub.Items[j]
 		out.Items[it.index].Status = res.Status
@@ -1273,15 +1192,6 @@ func (rt *Router) gatherGroup(kind, endpoint string, out *rawBatchResult, att *a
 		out.Items[it.index].Error = res.Error
 		if it.owner != att.backend {
 			rt.met.failovers.Inc(it.owner)
-			if rt.filler != nil && res.Status == http.StatusOK {
-				rt.filler.enqueue(fillJob{
-					owner:   it.owner,
-					kind:    kind,
-					epoch:   epoch,
-					request: it.payload,
-					result:  res.Result,
-				})
-			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ package server
 // persisted in snapshots, without moving any ring partition.
 
 import (
-	"encoding/json"
 	"net/http"
 	"path/filepath"
 	"testing"
@@ -84,67 +83,5 @@ func TestEpochBumpInvalidatesWarmSnapshot(t *testing.T) {
 	result = met["caches"].(map[string]any)["result"].(map[string]any)
 	if hits := result["hits"].(float64); hits != 0 {
 		t.Errorf("epoch-bumped instance served %g hits from a stale snapshot", hits)
-	}
-}
-
-// TestCacheFillEpochGuard: /v1/cache/fill refuses a fill computed under
-// another epoch with 409 and admits a matching one, which then serves
-// the repeat of the original request from cache.
-func TestCacheFillEpochGuard(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, Epoch: "v2"})
-	req := InsertRequest{Tree: smallTreeText(t), Algo: "nom"}
-
-	// Compute a legitimate result to replay (any instance's answer works;
-	// here the same instance plays the "serving sibling").
-	resp, raw := postJSON(t, ts.URL+"/v1/insert", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("seed insert: status %d: %s", resp.StatusCode, raw)
-	}
-	reqJSON, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Stale epoch: refused, nothing stored.
-	fill := CacheFillRequest{Kind: "insert", Epoch: "v1", Request: reqJSON, Result: raw}
-	if resp, body := postJSON(t, ts.URL+"/v1/cache/fill", fill); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("stale-epoch fill: status %d, want 409: %s", resp.StatusCode, body)
-	}
-
-	// Matching epoch: stored under the instance's own fingerprint.
-	fill.Epoch = "v2"
-	respOK, body := postJSON(t, ts.URL+"/v1/cache/fill", fill)
-	if respOK.StatusCode != http.StatusOK {
-		t.Fatalf("matching-epoch fill: status %d: %s", respOK.StatusCode, body)
-	}
-	var out CacheFillResult
-	if err := json.Unmarshal(body, &out); err != nil || !out.Stored {
-		t.Fatalf("fill not stored: %s", body)
-	}
-	var norm InsertRequest
-	if err := json.Unmarshal(reqJSON, &norm); err != nil {
-		t.Fatal(err)
-	}
-	if err := norm.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if want := norm.Fingerprint("v2"); out.Fingerprint != want {
-		t.Errorf("fill stored under %q, want the instance's own fingerprint %q", out.Fingerprint, want)
-	}
-
-	// Unknown kind is rejected before touching the cache.
-	bad := CacheFillRequest{Kind: "mystery", Epoch: "v2", Request: reqJSON, Result: raw}
-	if resp, body := postJSON(t, ts.URL+"/v1/cache/fill", bad); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown-kind fill: status %d, want 400: %s", resp.StatusCode, body)
-	}
-
-	var met map[string]any
-	getJSON(t, ts.URL+"/metrics", &met)
-	pf := met["peer_fills"].(map[string]any)
-	if acc := pf["accepted"].(float64); acc != 1 {
-		t.Errorf("peer_fills.accepted = %g, want 1", acc)
-	}
-	if rej := pf["rejected"].(float64); rej < 2 {
-		t.Errorf("peer_fills.rejected = %g, want >= 2", rej)
 	}
 }

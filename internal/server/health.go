@@ -66,7 +66,7 @@ func (s *Server) readyz(*http.Request) (int, any) {
 		"status":         state,
 		"uptime_seconds": time.Since(s.met.start).Seconds(),
 		// instance and epoch let a probing router attribute this backend
-		// and tag peer cache fills without a separate /metrics call.
+		// and tag peer cache lookups without a separate /metrics call.
 		"instance": s.InstanceID(),
 		"epoch":    s.cfg.Epoch,
 	}

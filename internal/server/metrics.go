@@ -26,13 +26,6 @@ type metrics struct {
 	// endpoints count intra-batch duplicate items here too.
 	coalesced metric.Labelled
 	snap      snapshotCounters
-	// peerFills counts /v1/cache/fill admissions: accepted entries stored
-	// in the result cache, rejected ones refused (epoch mismatch or
-	// malformed fill).
-	peerFills struct {
-		Accepted metric.Counter `json:"accepted"`
-		Rejected metric.Counter `json:"rejected"`
-	}
 	// peerLookups counts /v1/cache/lookup probes: hits served a cached
 	// result to a peer router, misses cover 404s plus refused lookups
 	// (epoch mismatch or malformed request).
@@ -163,10 +156,6 @@ func (m *metrics) snapshot(pool *workerPool, trees, models, results *lruCache,
 		// snapshot tracks cache persistence: restore/skip counts from
 		// warm restarts plus save attempts and failures.
 		"snapshot": &m.snap,
-		// peer_fills tracks /v1/cache/fill: results replayed by a router
-		// after serving a failover miss, accepted into the result cache
-		// or refused (epoch mismatch / malformed).
-		"peer_fills": &m.peerFills,
 		// peer_lookups tracks /v1/cache/lookup: synchronous cache probes
 		// from a router rescuing a moved key's result, hits vs misses.
 		"peer_lookups": &m.peerLookups,

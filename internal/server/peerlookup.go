@@ -1,22 +1,20 @@
 package server
 
-// POST /v1/cache/lookup — the synchronous peer-cache read endpoint.
-// Where /v1/cache/fill lets a router *push* a result into a recovered
-// owner's cache, this endpoint lets a router *pull* one out: when a ring
-// rebuild or a failover moves a key to a backend that has never seen
-// it, the router first asks the key's previous owner whether its result
-// cache still holds the answer. A hit means the client is served the
-// cached body immediately and the new owner is warmed through the
-// normal async fill; a miss is a plain 404 and costs one LRU probe.
+// POST /v1/cache/lookup — the synchronous peer-cache read endpoint, the
+// fleet's only cross-instance cache path. When a ring rebuild or a
+// failover moves a key to a backend that has never seen it, the router
+// first asks the key's previous owner whether its result cache still
+// holds the answer. A hit means the client is served the cached body
+// immediately; a miss is a plain 404 and costs one LRU probe.
 //
-// Like the fill, the lookup carries the *request* (this instance
-// normalizes it and computes its own fingerprint — peer-supplied cache
-// keys are never trusted) plus the epoch the answer must belong to. An
-// epoch mismatch is refused with 409: a result from another library
-// generation must never be served as current. Unlike the fill, the
-// lookup is allowed while draining — it is read-only and racing the
-// final snapshot write is harmless — which is exactly what lets a
-// router rescue a draining instance's cache before it goes away.
+// The lookup carries the *request* (this instance normalizes it and
+// computes its own fingerprint — peer-supplied cache keys are never
+// trusted) plus the epoch the answer must belong to. An epoch mismatch
+// is refused with 409: a result from another library generation must
+// never be served as current. The lookup is allowed while draining — it
+// is read-only and racing the final snapshot write is harmless — which
+// is exactly what lets a router rescue a draining instance's cache
+// before it goes away.
 
 import (
 	"encoding/json"

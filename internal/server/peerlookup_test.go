@@ -58,7 +58,7 @@ func TestCacheLookupServesCachedResult(t *testing.T) {
 }
 
 // TestCacheLookupEpochGuard: a lookup carrying another epoch is refused
-// with 409 (like /v1/cache/fill), and an unknown kind with 400.
+// with 409, and an unknown kind with 400.
 func TestCacheLookupEpochGuard(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, Epoch: "v2"})
 	req := InsertRequest{Tree: smallTreeText(t), Algo: "nom"}
@@ -80,9 +80,9 @@ func TestCacheLookupEpochGuard(t *testing.T) {
 	}
 }
 
-// TestCacheLookupAllowedWhileDraining: unlike the fill (a write), the
-// read-only lookup keeps answering during drain — that is what lets a
-// router rescue a draining instance's cache before it goes away.
+// TestCacheLookupAllowedWhileDraining: the read-only lookup keeps
+// answering during drain — that is what lets a router rescue a draining
+// instance's cache before it goes away.
 func TestCacheLookupAllowedWhileDraining(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	req := InsertRequest{Tree: smallTreeText(t), Algo: "nom"}
@@ -103,10 +103,5 @@ func TestCacheLookupAllowedWhileDraining(t *testing.T) {
 	}
 	if string(lraw) != string(raw) {
 		t.Error("draining lookup body differs from the original response")
-	}
-	// The fill stays refused while draining (control).
-	fill := CacheFillRequest{Kind: "insert", Request: reqJSON, Result: raw}
-	if fresp, fraw := postJSON(t, ts.URL+"/v1/cache/fill", fill); fresp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("draining fill: status %d, want 503: %s", fresp.StatusCode, fraw)
 	}
 }

@@ -191,7 +191,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/yield", s.instrument("/v1/yield", s.yield))
 	s.mux.HandleFunc("POST /v1/yield:stream", s.yieldStream)
 	s.mux.HandleFunc("POST /v1/yield:batch", s.instrument("/v1/yield:batch", s.yieldBatch))
-	s.mux.HandleFunc("POST /v1/cache/fill", s.instrument("/v1/cache/fill", s.cacheFill))
 	s.mux.HandleFunc("POST /v1/cache/lookup", s.instrument("/v1/cache/lookup", s.cacheLookup))
 	s.mux.HandleFunc("GET /v1/benchmarks", s.instrument("/v1/benchmarks", s.benchmarks))
 	s.mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.healthz))
@@ -889,9 +888,9 @@ func (s *Server) metricsHandler(*http.Request) (int, any) {
 }
 
 // identityHeaders stamps the per-backend attribution headers on a
-// response: the vabufr router reads Vabuf-Epoch off proxied responses to
-// tag peer cache fills, and Vabuf-Instance makes failover logs and
-// client traces attributable without a /metrics round trip.
+// response: Vabuf-Epoch tells clients which library generation answered,
+// and Vabuf-Instance makes failover logs and client traces attributable
+// without a /metrics round trip.
 func (s *Server) identityHeaders(w http.ResponseWriter) {
 	if id := s.InstanceID(); id != "" {
 		w.Header().Set("Vabuf-Instance", id)

@@ -29,7 +29,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // smallTreeText serializes a small random routing tree in the rctree
 // text format — fast enough for race-enabled concurrency tests.
-func smallTreeText(t *testing.T) string {
+func smallTreeText(t testing.TB) string {
 	t.Helper()
 	tree, err := vabuf.GenerateTree(vabuf.BenchmarkSpec{Name: "t8", Sinks: 8, Seed: 7})
 	if err != nil {

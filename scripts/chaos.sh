@@ -77,7 +77,7 @@ BACKENDS=${BACKENDS#,}
 # header).
 "$TMP/vabufr" -addr 127.0.0.1:0 -backends "$BACKENDS" \
   -probe-every 200ms -fail-after 1 -recover-after 1 \
-  -hedge-after 250ms -fill-queue -1 -lookup-timeout -1s >"$TMP/r.log" 2>&1 &
+  -hedge-after 250ms -lookup-timeout -1s >"$TMP/r.log" 2>&1 &
 PIDS="$PIDS $!"
 ROUTER=""
 for _ in $(seq 1 100); do
