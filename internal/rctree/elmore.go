@@ -32,9 +32,10 @@ type Evaluation struct {
 //     L → L + c·l,  T → T − r·l·L − ½·r·c·l²
 //   - merge:  L = ΣL_i, T = min T_i
 //
-// It is the independent re-evaluation oracle used to verify DP results and
-// the per-sample kernel of the Monte-Carlo yield analysis. See
-// EvaluateSized for the wire-sizing variant this delegates to.
+// It is the independent re-evaluation oracle used to verify DP results,
+// and the reference the compiled Monte-Carlo evaluator (Program) is
+// tested against bit for bit. See EvaluateSized for the wire-sizing
+// variant this delegates to.
 func Evaluate(t *Tree, buffers Assignment) (Evaluation, error) {
 	return EvaluateSized(t, buffers, nil)
 }

@@ -1,14 +1,13 @@
 package skew
 
 import (
-	"cmp"
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"vabuf/internal/device"
 	"vabuf/internal/rctree"
 	"vabuf/internal/variation"
+	"vabuf/internal/yield"
 )
 
 func sortSlice(list []*cand, less func(a, b *cand) bool) {
@@ -100,86 +99,66 @@ func Propagate(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]i
 }
 
 // MonteCarlo samples the model and computes the exact per-sample skew
-// (max minus min source-to-sink Elmore delay) of the buffered tree.
+// (max minus min source-to-sink Elmore delay) of the buffered tree. The
+// tree and assignment are validated and compiled once, through the same
+// step as the yield Monte Carlo.
 func MonteCarlo(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	model *variation.Model, n int, seed int64) ([]float64, error) {
-	if model == nil {
-		return nil, fmt.Errorf("skew: MonteCarlo requires a variation model")
-	}
 	if n <= 0 {
 		return nil, fmt.Errorf("skew: sample count %d must be positive", n)
 	}
-	type inst struct {
-		id  rctree.NodeID
-		b   device.BufferType
-		dev variation.Form
+	prog, err := yield.CompileMC(tree, lib, assign, nil, model)
+	if err != nil {
+		return nil, fmt.Errorf("skew: %w", err)
 	}
-	insts := make([]inst, 0, len(assign))
-	for id, bi := range assign {
-		if bi < 0 || bi >= len(lib) || id < 0 || int(id) >= tree.Len() {
-			return nil, fmt.Errorf("skew: bad assignment entry %d -> %d", id, bi)
-		}
-		insts = append(insts, inst{id: id, b: lib[bi], dev: model.Deviation(int(id), tree.Node(id).Loc)})
-	}
-	slices.SortFunc(insts, func(a, b inst) int { return cmp.Compare(a.id, b.id) })
-	rng := rand.New(rand.NewSource(seed))
-	order := tree.PostOrder()
-	type dstate struct{ L, dmax, dmin float64 }
-	vals := make([]dstate, tree.Len())
-	bv := make(map[rctree.NodeID]rctree.BufferValues, len(insts))
-	out := make([]float64, 0, n)
-	var buf []float64
-	r := tree.Wire.R
-	c := tree.Wire.C
-	for s := 0; s < n; s++ {
-		buf = model.Space.Sample(rng, buf)
-		for _, in := range insts {
-			d := in.dev.Eval(buf)
-			bv[in.id] = rctree.BufferValues{
-				C: in.b.Cb0 * (1 + d),
-				T: in.b.Tb0 * (1 + d),
-				R: in.b.Rb,
-			}
-		}
-		for _, id := range order {
-			nn := tree.Node(id)
-			var cur dstate
-			switch nn.Kind {
-			case rctree.KindSink:
-				cur = dstate{L: nn.CapLoad}
-			default:
-				first := true
-				for _, cid := range nn.Children {
-					cn := tree.Node(cid)
-					child := vals[cid]
-					if l := cn.WireLen; l > 0 {
-						d := r*l*child.L + 0.5*r*c*l*l
-						child.dmax += d
-						child.dmin += d
-						child.L += c * l
-					}
-					if first {
-						cur = child
-						first = false
-					} else {
-						cur.L += child.L
-						if child.dmax > cur.dmax {
-							cur.dmax = child.dmax
-						}
-						if child.dmin < cur.dmin {
-							cur.dmin = child.dmin
-						}
-					}
-				}
-			}
-			if v, ok := bv[id]; ok {
-				d := v.T + v.R*cur.L
-				cur = dstate{L: v.C, dmax: cur.dmax + d, dmin: cur.dmin + d}
-			}
-			vals[id] = cur
-		}
-		root := vals[tree.Root]
-		out = append(out, root.dmax-root.dmin)
+	s := prog.Sampler(seed)
+	vals := make([]dstate, prog.Tree.Len())
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = sampleSkew(prog.Tree, s.Next(), vals)
 	}
 	return out, nil
+}
+
+// dstate is a position's (downstream load, max delay, min delay) in the
+// bottom-up skew walk.
+type dstate struct{ L, dmax, dmin float64 }
+
+// sampleSkew walks a compiled tree once for one realization of the
+// buffers and returns its skew. vals is scratch of length p.Len().
+func sampleSkew(p *rctree.Program, bufs []rctree.BufferValues, vals []dstate) float64 {
+	for i := range p.Node {
+		cur := dstate{L: p.Leaf[i].L}
+		ks, ke := p.KidStart[i], p.KidStart[i+1]
+		for j := ks; j < ke; j++ {
+			k := p.Kids[j]
+			e := &p.Edge[k]
+			child := vals[k]
+			if e.Len > 0 {
+				d := e.RL*child.L + e.Half
+				child.dmax += d
+				child.dmin += d
+				child.L += e.CL
+			}
+			if j == ks {
+				cur = child
+			} else {
+				cur.L += child.L
+				if child.dmax > cur.dmax {
+					cur.dmax = child.dmax
+				}
+				if child.dmin < cur.dmin {
+					cur.dmin = child.dmin
+				}
+			}
+		}
+		if s := p.Slot[i]; s >= 0 {
+			v := &bufs[s]
+			d := v.T + v.R*cur.L
+			cur = dstate{L: v.C, dmax: cur.dmax + d, dmin: cur.dmin + d}
+		}
+		vals[i] = cur
+	}
+	root := vals[len(p.Node)-1]
+	return root.dmax - root.dmin
 }

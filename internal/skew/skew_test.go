@@ -285,6 +285,20 @@ func TestMonteCarloValidation(t *testing.T) {
 	if _, err := MonteCarlo(tr, lib, map[rctree.NodeID]int{1: 99}, model, 10, 1); err == nil {
 		t.Error("bad assignment accepted")
 	}
+	// The root driver is not a legal buffer position: Propagate rejects
+	// it, and so must the sampler.
+	root := map[rctree.NodeID]int{tr.Root: 0}
+	if _, _, err := Propagate(tr, lib, root, model); err == nil {
+		t.Error("Propagate accepted a buffer on the root driver")
+	}
+	if _, err := MonteCarlo(tr, lib, root, model, 10, 1); err == nil {
+		t.Error("MonteCarlo accepted a buffer on the root driver")
+	}
+	bad := unbalancedTree()
+	bad.Nodes[1].WireLen = -1
+	if _, err := MonteCarlo(bad, lib, nil, model, 10, 1); err == nil {
+		t.Error("MonteCarlo accepted an invalid tree")
+	}
 	a, err := MonteCarlo(tr, lib, map[rctree.NodeID]int{1: 0}, model, 20, 9)
 	if err != nil {
 		t.Fatal(err)

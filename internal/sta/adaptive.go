@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 
 	"vabuf/internal/stats"
 	"vabuf/internal/variation"
@@ -146,6 +145,12 @@ func MonteCarloAdaptive(g *Graph, inputs map[PinID]variation.Form, space *variat
 		return trimmed
 	}
 
+	// sorted[oi] is output oi's committed prefix in ascending order; each
+	// shard's column range is sorted on its own and merged in.
+	sorted := make([][]float64, len(res))
+	for oi := range sorted {
+		sorted[oi] = make([]float64, 0, opts.MaxSamples)
+	}
 	n := 0
 	var est Estimate
 	for i, sh := range plan {
@@ -157,9 +162,8 @@ func MonteCarloAdaptive(g *Graph, inputs map[PinID]variation.Form, space *variat
 		worst := Estimate{Samples: n, Converged: true}
 		worstRel := -1.0
 		for oi := range res {
-			sorted := slices.Clone(res[oi][:n])
-			slices.Sort(sorted)
-			q, hw, qerr := stats.QuantileEstimate(sorted, opts.Quantile, opts.Confidence)
+			sorted[oi] = stats.MergeSorted(sorted[oi], res[oi][sh.from:n])
+			q, hw, qerr := stats.QuantileEstimate(sorted[oi], opts.Quantile, opts.Confidence)
 			if qerr != nil {
 				drain(i + 1)
 				return nil, Estimate{}, qerr

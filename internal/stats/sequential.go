@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Sequential-stopping helpers for adaptive Monte Carlo: a streaming
@@ -108,4 +110,27 @@ func QuantileEstimate(sorted []float64, q, confidence float64) (est, halfWidth f
 		return 0, 0, err
 	}
 	return percentileSorted(sorted, q), (hi - lo) / 2, nil
+}
+
+// MergeSorted returns sorted (ascending) with the values of batch merged
+// in, still ascending, reusing sorted's spare capacity. batch is left
+// unchanged. Sorting only the batch and merging costs O(len(sorted)) per
+// call where re-sorting the whole prefix would cost O(n log n). The
+// result equals slices.Sort of the concatenation, up to the order of
+// values that compare equal with different bits (-0 and +0, NaNs).
+func MergeSorted(sorted, batch []float64) []float64 {
+	b := slices.Clone(batch)
+	slices.Sort(b)
+	i, j := len(sorted)-1, len(b)-1
+	out := slices.Grow(sorted, len(b))[:len(sorted)+len(b)]
+	for k := len(out) - 1; j >= 0; k-- {
+		if i >= 0 && cmp.Less(b[j], out[i]) {
+			out[k] = out[i]
+			i--
+		} else {
+			out[k] = b[j]
+			j--
+		}
+	}
+	return out
 }

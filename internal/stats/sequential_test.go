@@ -107,3 +107,28 @@ func TestQuantileEstimate(t *testing.T) {
 		t.Error("confidence=1: want error")
 	}
 }
+
+// TestMergeSortedMatchesFullSort: merging shard after shard yields the
+// same slice as re-sorting the whole prefix, duplicates included, and
+// leaves each batch untouched.
+func TestMergeSortedMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var all, sorted []float64
+	for shard := 0; shard < 20; shard++ {
+		batch := make([]float64, rng.Intn(40))
+		for i := range batch {
+			batch[i] = float64(rng.Intn(50)) + rng.NormFloat64()*float64(shard%2)
+		}
+		orig := slices.Clone(batch)
+		all = append(all, batch...)
+		sorted = MergeSorted(sorted, batch)
+		if !slices.Equal(batch, orig) {
+			t.Fatal("MergeSorted reordered its batch")
+		}
+		want := slices.Clone(all)
+		slices.Sort(want)
+		if !slices.Equal(sorted, want) {
+			t.Fatalf("shard %d: merged prefix %v, want %v", shard, sorted, want)
+		}
+	}
+}

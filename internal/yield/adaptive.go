@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 
 	"vabuf/internal/device"
 	"vabuf/internal/rctree"
@@ -141,28 +140,15 @@ func (o AdaptiveOptions) converged(est, halfWidth float64) bool {
 // prefix of the MonteCarloParallel(MaxSamples, Seed) stream.
 func MonteCarloAdaptive(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	wires rctree.WireAssignment, model *variation.Model, opts AdaptiveOptions) ([]float64, Estimate, error) {
-	if model == nil {
-		return nil, Estimate{}, fmt.Errorf("yield: MonteCarlo requires a variation model")
-	}
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, Estimate{}, err
 	}
-	// Force the lazy per-site source allocation once, serially, before
-	// any concurrency touches the model (same dance as MonteCarloParallel).
-	for id := range assign {
-		model.Deviation(int(id), tree.Node(id).Loc)
+	prog, err := CompileMC(tree, lib, assign, wires, model)
+	if err != nil {
+		return nil, Estimate{}, err
 	}
-	eval := func(sh mcShard) ([]float64, error) {
-		return MonteCarloSized(tree, lib, assign, wires, model, sh.count, sh.seed)
-	}
-	return runAdaptive(opts, mcPlan(opts.MaxSamples, opts.Seed), eval)
-}
-
-// shardOutcome is the completion of one speculatively launched shard.
-type shardOutcome struct {
-	samples []float64
-	err     error
+	return runAdaptive(opts, mcPlan(opts.MaxSamples, opts.Seed), prog.sample)
 }
 
 // runAdaptive drives the sequential stopping loop over a shard plan:
@@ -170,53 +156,54 @@ type shardOutcome struct {
 // strictly in shard order, so the stopping point — and therefore the
 // returned sample vector — depends only on (plan, seed), never on timing
 // or worker count. Speculative shards past the stopping point are
-// discarded (their cost is bounded by the lookahead window).
+// discarded (their cost is bounded by the lookahead window). eval fills
+// dst with the shard's samples drawn from seed.
 func runAdaptive(opts AdaptiveOptions, plan []mcShard,
-	eval func(mcShard) ([]float64, error)) ([]float64, Estimate, error) {
-	futures := make([]chan shardOutcome, len(plan))
+	eval func(dst []float64, seed int64)) ([]float64, Estimate, error) {
+	// Shards write disjoint ranges of samples, so speculative evaluation
+	// past the committed prefix is safe.
+	samples := make([]float64, opts.MaxSamples)
+	futures := make([]chan struct{}, len(plan))
 	launched := 0
 	launchThrough := func(limit int) {
 		for ; launched < limit && launched < len(plan); launched++ {
-			ch := make(chan shardOutcome, 1)
+			ch := make(chan struct{})
 			futures[launched] = ch
 			sh := plan[launched]
 			go func() {
-				samples, err := eval(sh)
-				ch <- shardOutcome{samples: samples, err: err}
+				eval(samples[sh.from:sh.from+sh.count], sh.seed)
+				close(ch)
 			}()
 		}
 	}
 	// drain waits out any speculative shards still in flight so no
-	// goroutine outlives the call (the model is only guarded by the
-	// caller for the duration of the run).
+	// goroutine writes into samples after the caller regains it.
 	drain := func(from int) {
 		for i := from; i < launched; i++ {
 			<-futures[i]
 		}
 	}
 
-	samples := make([]float64, 0, opts.MaxSamples)
+	// sorted is the committed prefix in ascending order; each shard is
+	// sorted on its own and merged in, linear in the prefix per shard.
+	sorted := make([]float64, 0, opts.MaxSamples)
 	var run stats.Running
 	var est Estimate
-	for i := range plan {
+	for i, sh := range plan {
 		launchThrough(i + opts.Workers)
-		out := <-futures[i]
-		if out.err != nil {
-			drain(i + 1)
-			return nil, Estimate{}, out.err
-		}
-		samples = append(samples, out.samples...)
-		run.AddAll(out.samples)
+		<-futures[i]
+		n := sh.from + sh.count
+		part := samples[sh.from:n]
+		run.AddAll(part)
+		sorted = stats.MergeSorted(sorted, part)
 
-		sorted := slices.Clone(samples)
-		slices.Sort(sorted)
 		q, hw, err := stats.QuantileEstimate(sorted, opts.Quantile, opts.Confidence)
 		if err != nil {
 			drain(i + 1)
 			return nil, Estimate{}, err
 		}
 		est = Estimate{
-			Samples:   len(samples),
+			Samples:   n,
 			Mean:      run.Mean(),
 			Sigma:     run.Sigma(),
 			Quantile:  q,
@@ -229,7 +216,7 @@ func runAdaptive(opts AdaptiveOptions, plan []mcShard,
 		}
 		if est.Converged || !keepGoing {
 			drain(i + 1)
-			return samples, est, nil
+			return samples[:n:n], est, nil
 		}
 	}
 	return samples, est, nil

@@ -7,11 +7,9 @@
 package yield
 
 import (
-	"cmp"
 	"fmt"
-	"math/rand"
 	"runtime"
-	"slices"
+	"sync"
 
 	"vabuf/internal/device"
 	"vabuf/internal/rctree"
@@ -120,61 +118,15 @@ func MonteCarlo(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]
 // MonteCarloSized is MonteCarlo with per-edge wire overrides.
 func MonteCarloSized(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	wires rctree.WireAssignment, model *variation.Model, n int, seed int64) ([]float64, error) {
-	if model == nil {
-		return nil, fmt.Errorf("yield: MonteCarlo requires a variation model")
-	}
 	if n <= 0 {
 		return nil, fmt.Errorf("yield: sample count %d must be positive", n)
 	}
-	// Pre-resolve per-buffer deviation forms once; evaluating a form per
-	// sample is cheap.
-	type inst struct {
-		id  rctree.NodeID
-		b   device.BufferType
-		dev variation.Form
-	}
-	insts := make([]inst, 0, len(assign))
-	for id, bi := range assign {
-		if bi < 0 || bi >= len(lib) {
-			return nil, fmt.Errorf("yield: buffer index %d out of library range", bi)
-		}
-		if id < 0 || int(id) >= tree.Len() {
-			return nil, fmt.Errorf("yield: assignment node %d out of range", id)
-		}
-		insts = append(insts, inst{
-			id:  id,
-			b:   lib[bi],
-			dev: model.Deviation(int(id), tree.Node(id).Loc),
-		})
-	}
-	// Deterministic iteration order for reproducibility.
-	slices.SortFunc(insts, func(a, b inst) int { return cmp.Compare(a.id, b.id) })
-	run := func(count int, shardSeed int64, dst []float64) error {
-		rng := rand.New(rand.NewSource(shardSeed))
-		var buf []float64
-		bv := make(rctree.Assignment, len(insts))
-		for s := 0; s < count; s++ {
-			buf = model.Space.Sample(rng, buf)
-			for _, in := range insts {
-				d := in.dev.Eval(buf)
-				bv[in.id] = rctree.BufferValues{
-					C: in.b.Cb0 * (1 + d),
-					T: in.b.Tb0 * (1 + d),
-					R: in.b.Rb,
-				}
-			}
-			ev, err := rctree.EvaluateSized(tree, bv, wires)
-			if err != nil {
-				return err
-			}
-			dst[s] = ev.RootRAT
-		}
-		return nil
-	}
-	out := make([]float64, n)
-	if err := run(n, seed, out); err != nil {
+	prog, err := CompileMC(tree, lib, assign, wires, model)
+	if err != nil {
 		return nil, err
 	}
+	out := make([]float64, n)
+	prog.sample(out, seed)
 	return out, nil
 }
 
@@ -184,42 +136,30 @@ func MonteCarloSized(tree *rctree.Tree, lib device.Library, assign map[rctree.No
 // including 1, but is NOT the same stream as MonteCarloSized(seed).
 func MonteCarloParallel(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	wires rctree.WireAssignment, model *variation.Model, n int, seed int64, workers int) ([]float64, error) {
-	if model == nil {
-		return nil, fmt.Errorf("yield: MonteCarlo requires a variation model")
-	}
 	if n <= 0 {
 		return nil, fmt.Errorf("yield: sample count %d must be positive", n)
+	}
+	prog, err := CompileMC(tree, lib, assign, wires, model)
+	if err != nil {
+		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Fixed shard layout independent of the worker count.
-	plan := mcPlan(n, seed)
-	// Force the lazy per-site source allocation to happen once, serially,
-	// before any concurrency touches the model.
-	for id := range assign {
-		model.Deviation(int(id), tree.Node(id).Loc)
-	}
+	// Fixed shard layout independent of the worker count. Shards share
+	// the read-only program and write disjoint ranges of out.
 	out := make([]float64, n)
-	errc := make(chan error, len(plan))
 	sem := make(chan struct{}, workers)
-	for _, sh := range plan {
-		sh := sh
+	var wg sync.WaitGroup
+	for _, sh := range mcPlan(n, seed) {
 		sem <- struct{}{}
+		wg.Add(1)
 		go func() {
-			defer func() { <-sem }()
-			part, err := MonteCarloSized(tree, lib, assign, wires, model, sh.count, sh.seed)
-			if err == nil {
-				copy(out[sh.from:sh.from+sh.count], part)
-			}
-			errc <- err
+			defer func() { <-sem; wg.Done() }()
+			prog.sample(out[sh.from:sh.from+sh.count], sh.seed)
 		}()
 	}
-	for range plan {
-		if err := <-errc; err != nil {
-			return nil, err
-		}
-	}
+	wg.Wait()
 	return out, nil
 }
 
