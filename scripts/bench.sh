@@ -27,8 +27,10 @@
 #                               untouched subtree frontier)
 #   * serve-path memoization   (internal/server: ServeInsertCold vs
 #                               ServeInsertWarm, the result-cache win)
-#   * adaptive Monte Carlo     (root: MCR3Adaptive vs MCR3Fixed; the
-#                               "samples" metric is the early-stop signal)
+#   * Monte Carlo              (root: MCR3Adaptive vs MCR3Fixed, the
+#                               "samples" metric being the early-stop
+#                               signal; MonteCarloParallel, 2000 sharded
+#                               r1 samples)
 set -eu
 
 COUNT=5
@@ -56,7 +58,7 @@ run() { # run <pkg> <bench-regex>
 run ./internal/variation/ 'AXPY|Min|SigmaDiff'
 run ./internal/core/ 'Prune|Insert'
 run ./internal/server/ 'ServeInsert'
-run . 'InsertWIDr[35](Serial|Par4)$|MCR3'
+run . 'InsertWIDr[35](Serial|Par4)$|MCR3|MonteCarloParallel$'
 
 # Fold the `go test -bench` lines into a JSON array, one object per
 # benchmark with the median of each metric across the COUNT repetitions.
@@ -68,6 +70,7 @@ run . 'InsertWIDr[35](Serial|Par4)$|MCR3'
   printf '  "generated": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
   printf '  "go": "%s",\n' "$(go env GOVERSION)"
   printf '  "cpus_online": %s,\n' "$(getconf _NPROCESSORS_ONLN)"
+  printf '  "gomaxprocs": %s,\n' "${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN)}"
   printf '  "benchtime": "%s",\n' "$BENCHTIME"
   printf '  "count": %s,\n' "$COUNT"
   printf '  "note": "InsertLib32NOMr3 Serial vs SerialExact is the convex-hull buffering kernel speedup on a 32-cell library (~5.7x at the 2026-08 snapshot)",\n'
