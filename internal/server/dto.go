@@ -255,7 +255,7 @@ func (r *InsertRequest) Normalize() error {
 	if r.Budget == 0 {
 		r.Budget = 0.15
 	}
-	if r.Budget < 0 || r.Budget > 1 {
+	if !(r.Budget >= 0 && r.Budget <= 1) {
 		return fmt.Errorf("budget must be inside [0, 1], got %g", r.Budget)
 	}
 	if r.Quantile == 0 {
@@ -292,7 +292,7 @@ func (r *YieldRequest) Normalize() error {
 	if r.Seed == 0 {
 		r.Seed = 1
 	}
-	if r.MCTol < 0 || r.MCTol >= 1 {
+	if !(r.MCTol >= 0 && r.MCTol < 1) {
 		return fmt.Errorf("mc_tol must be in [0, 1), got %g", r.MCTol)
 	}
 	if r.MCTol > 0 && r.MonteCarlo == 0 {

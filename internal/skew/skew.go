@@ -111,7 +111,7 @@ func Minimize(tree *rctree.Tree, opts Options) (*Result, error) {
 	if opts.SkewQuantile == 0 {
 		opts.SkewQuantile = 0.95
 	}
-	if opts.SkewQuantile <= 0 || opts.SkewQuantile >= 1 {
+	if !(opts.SkewQuantile > 0 && opts.SkewQuantile < 1) {
 		return nil, fmt.Errorf("skew: quantile %g outside (0, 1)", opts.SkewQuantile)
 	}
 	if opts.LatencyWeight < 0 {

@@ -256,6 +256,9 @@ func TestMinimizeValidation(t *testing.T) {
 	if _, err := Minimize(tr, Options{Library: lib, SkewQuantile: 1.5}); err == nil {
 		t.Error("bad quantile accepted")
 	}
+	if _, err := Minimize(tr, Options{Library: lib, SkewQuantile: math.NaN()}); err == nil {
+		t.Error("NaN quantile accepted")
+	}
 	if _, err := Minimize(tr, Options{Library: lib, LatencyWeight: -1}); err == nil {
 		t.Error("negative latency weight accepted")
 	}

@@ -1,16 +1,16 @@
 package sta
 
-// Early-stopping Monte Carlo for timing graphs: the same deterministic
-// 16-shard layout as MonteCarloParallel, committed strictly in shard
-// order, with a distribution-free confidence interval per output pin.
-// The run stops at the first shard boundary where EVERY output's
-// q-quantile CI half-width is inside the requested relative tolerance,
-// so multi-output graphs converge on their slowest-converging pin.
+// Early-stopping Monte Carlo for timing graphs: the shards of
+// stats.ShardPlan — the layout MonteCarloParallel runs — committed
+// strictly in plan order through stats.RunShards, with a
+// distribution-free confidence interval per output pin. The run stops at
+// the first shard boundary where EVERY output's q-quantile CI half-width
+// is inside the requested relative tolerance, so multi-output graphs
+// converge on their slowest-converging pin.
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"vabuf/internal/stats"
 	"vabuf/internal/variation"
@@ -54,141 +54,67 @@ type Estimate struct {
 
 // MonteCarloAdaptive is MonteCarloParallel with a sequential stopping
 // rule: shards are committed in order and the run ends once every
-// output's quantile CI half-width falls within Tol·|estimate| (or the
-// budget is exhausted). Returns the per-output sample prefixes — exactly
-// the first Samples columns of the MonteCarloParallel result.
+// output's relative quantile CI half-width, halfWidth/|estimate| (the
+// bare half-width when the estimate is 0), is at most Tol, or the budget
+// is exhausted. Up to opts.Workers shards are evaluated ahead of
+// the commit frontier; those past the stopping point are discarded.
+// Returns the per-output sample prefixes — exactly the first Samples
+// columns of the MonteCarloParallel result.
 func MonteCarloAdaptive(g *Graph, inputs map[PinID]variation.Form, space *variation.Space,
 	opts AdaptiveOptions) ([][]float64, Estimate, error) {
-	if opts.MaxSamples <= 0 {
-		return nil, Estimate{}, fmt.Errorf("sta: adaptive MC sample cap %d must be positive", opts.MaxSamples)
+	conf, err := stats.CheckAdaptive(opts.MaxSamples, opts.Quantile, opts.Confidence)
+	if err != nil {
+		return nil, Estimate{}, fmt.Errorf("sta: %w", err)
 	}
-	if opts.Quantile <= 0 || opts.Quantile >= 1 {
-		return nil, Estimate{}, fmt.Errorf("sta: adaptive MC quantile %g outside (0, 1)", opts.Quantile)
-	}
-	if opts.Confidence == 0 {
-		opts.Confidence = 0.95
-	}
-	if opts.Confidence <= 0 || opts.Confidence >= 1 {
-		return nil, Estimate{}, fmt.Errorf("sta: adaptive MC confidence %g outside (0, 1)", opts.Confidence)
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	order, err := g.TopoOrder()
+	m, err := prepareMC(g, inputs, space, opts.MaxSamples)
 	if err != nil {
 		return nil, Estimate{}, err
 	}
-	outs := g.Outputs()
-	if len(outs) == 0 {
+	if len(m.outs) == 0 {
 		return nil, Estimate{}, fmt.Errorf("sta: adaptive MC on a graph with no outputs")
-	}
-	res := make([][]float64, len(outs))
-	for i := range res {
-		res[i] = make([]float64, opts.MaxSamples)
-	}
-	outIdx := make(map[PinID]int, len(outs))
-	for i, id := range outs {
-		outIdx[id] = i
-	}
-
-	// Fixed shard layout independent of the worker count (identical to
-	// MonteCarloParallel).
-	const shards = 16
-	type shard struct {
-		from, count int
-		seed        int64
-	}
-	per := opts.MaxSamples / shards
-	rem := opts.MaxSamples % shards
-	plan := make([]shard, 0, shards)
-	from := 0
-	for i := 0; i < shards; i++ {
-		count := per
-		if i < rem {
-			count++
-		}
-		if count == 0 {
-			continue
-		}
-		plan = append(plan, shard{from: from, count: count, seed: opts.Seed + int64(i)})
-		from += count
-	}
-
-	// Shards write disjoint column ranges of res, so speculative
-	// evaluation up to `Workers` shards ahead of the committed frontier
-	// is safe; in-flight shards are drained before returning so no
-	// goroutine writes into res after the caller regains ownership.
-	futures := make([]chan struct{}, len(plan))
-	launched := 0
-	launchThrough := func(limit int) {
-		for ; launched < limit && launched < len(plan); launched++ {
-			ch := make(chan struct{})
-			futures[launched] = ch
-			sh := plan[launched]
-			go func() {
-				sampleRange(g, inputs, space, order, outs, outIdx, res, sh.from, sh.count, sh.seed)
-				close(ch)
-			}()
-		}
-	}
-	drain := func(from int) {
-		for i := from; i < launched; i++ {
-			<-futures[i]
-		}
-	}
-
-	finish := func(n int, est Estimate) [][]float64 {
-		trimmed := make([][]float64, len(res))
-		for i := range res {
-			trimmed[i] = res[i][:n:n]
-		}
-		return trimmed
 	}
 
 	// sorted[oi] is output oi's committed prefix in ascending order; each
 	// shard's column range is sorted on its own and merged in.
-	sorted := make([][]float64, len(res))
+	sorted := make([][]float64, len(m.res))
 	for oi := range sorted {
 		sorted[oi] = make([]float64, 0, opts.MaxSamples)
 	}
-	n := 0
 	var est Estimate
-	for i, sh := range plan {
-		launchThrough(i + opts.Workers)
-		<-futures[i]
-		n = sh.from + sh.count
-
-		// Evaluate every output; the run converges only when all do.
-		worst := Estimate{Samples: n, Converged: true}
-		worstRel := -1.0
-		for oi := range res {
-			sorted[oi] = stats.MergeSorted(sorted[oi], res[oi][sh.from:n])
-			q, hw, qerr := stats.QuantileEstimate(sorted[oi], opts.Quantile, opts.Confidence)
-			if qerr != nil {
-				drain(i + 1)
-				return nil, Estimate{}, qerr
+	err = stats.RunShards(stats.ShardPlan(opts.MaxSamples, opts.Seed), opts.Workers, m.sample,
+		func(sh stats.Shard) (bool, error) {
+			// Evaluate every output; the run converges only when all do.
+			worst := Estimate{Samples: sh.End(), Converged: true}
+			worstRel := -1.0
+			for oi, col := range m.res {
+				sorted[oi] = stats.MergeSorted(sorted[oi], col[sh.From:sh.End()])
+				q, hw, err := stats.QuantileEstimate(sorted[oi], opts.Quantile, conf)
+				if err != nil {
+					return true, err
+				}
+				rel := hw
+				if scale := math.Abs(q); scale > 0 {
+					rel = hw / scale
+				}
+				if !(opts.Tol > 0 && rel <= opts.Tol) {
+					worst.Converged = false
+				}
+				if rel > worstRel {
+					worstRel = rel
+					worst.Output = oi
+					worst.Quantile = q
+					worst.HalfWidth = hw
+				}
 			}
-			scale := math.Abs(q)
-			rel := hw
-			if scale > 0 {
-				rel = hw / scale
-			}
-			ok := opts.Tol > 0 && rel <= opts.Tol
-			if !ok {
-				worst.Converged = false
-			}
-			if rel > worstRel {
-				worstRel = rel
-				worst.Output = oi
-				worst.Quantile = q
-				worst.HalfWidth = hw
-			}
-		}
-		est = worst
-		if est.Converged {
-			drain(i + 1)
-			return finish(n, est), est, nil
-		}
+			est = worst
+			return est.Converged, nil
+		})
+	if err != nil {
+		return nil, Estimate{}, err
 	}
-	return finish(n, est), est, nil
+	trimmed := make([][]float64, len(m.res))
+	for i, col := range m.res {
+		trimmed[i] = col[:est.Samples:est.Samples]
+	}
+	return trimmed, est, nil
 }

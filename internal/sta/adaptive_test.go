@@ -1,6 +1,9 @@
 package sta
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestAdaptiveFullBudgetMatchesParallel: with Tol <= 0 the adaptive run
 // commits the full budget and every output's sample vector is
@@ -80,6 +83,8 @@ func TestAdaptiveValidation(t *testing.T) {
 		{MaxSamples: 0, Quantile: 0.05},
 		{MaxSamples: 100, Quantile: 0},
 		{MaxSamples: 100, Quantile: 0.05, Confidence: 2},
+		{MaxSamples: 100, Quantile: math.NaN()},
+		{MaxSamples: 100, Quantile: 0.05, Confidence: math.NaN()},
 	}
 	for i, opts := range cases {
 		if _, _, err := MonteCarloAdaptive(g, nil, space, opts); err == nil {

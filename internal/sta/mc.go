@@ -3,17 +3,29 @@ package sta
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
+	"vabuf/internal/stats"
 	"vabuf/internal/variation"
 )
 
-// MonteCarlo samples the variation space n times and evaluates the graph
-// deterministically per sample, returning per-sample arrival times at
-// every output pin (indexed as out[outputIdx][sample]) in the order of
-// g.Outputs(). It is the exact oracle the canonical MAX approximates.
-func MonteCarlo(g *Graph, inputs map[PinID]variation.Form, space *variation.Space,
-	n int, seed int64) ([][]float64, error) {
+// mcGraph is a timing graph prepared once for an n-sample Monte-Carlo
+// run — the sta counterpart of yield.CompileMC: the topological order,
+// the output pins and the result matrix every sampler fills. The graph
+// and inputs are read-only afterwards, so shards may fill disjoint
+// column ranges of res concurrently.
+type mcGraph struct {
+	g      *Graph
+	inputs map[PinID]variation.Form
+	space  *variation.Space
+	order  []PinID
+	outs   []PinID
+	// res[i][s] is the arrival time at outs[i] in sample s.
+	res [][]float64
+}
+
+// prepareMC validates the sample count and the graph and allocates the
+// n-column result matrix.
+func prepareMC(g *Graph, inputs map[PinID]variation.Form, space *variation.Space, n int) (*mcGraph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sta: sample count %d must be positive", n)
 	}
@@ -26,36 +38,44 @@ func MonteCarlo(g *Graph, inputs map[PinID]variation.Form, space *variation.Spac
 	for i := range res {
 		res[i] = make([]float64, n)
 	}
-	outIdx := make(map[PinID]int, len(outs))
-	for i, id := range outs {
-		outIdx[id] = i
-	}
-	sampleRange(g, inputs, space, order, outs, outIdx, res, 0, n, seed)
-	return res, nil
+	return &mcGraph{g: g, inputs: inputs, space: space, order: order, outs: outs, res: res}, nil
 }
 
-// sampleRange evaluates samples [from, from+count) of the result matrix
-// with an RNG stream seeded by seed. All inputs are read-only; distinct
-// ranges may be filled concurrently.
-func sampleRange(g *Graph, inputs map[PinID]variation.Form, space *variation.Space,
-	order, outs []PinID, outIdx map[PinID]int, res [][]float64, from, count int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
+// MonteCarlo samples the variation space n times and evaluates the graph
+// deterministically per sample, returning per-sample arrival times at
+// every output pin (indexed as out[outputIdx][sample]) in the order of
+// g.Outputs(). It is the exact oracle the canonical MAX approximates.
+func MonteCarlo(g *Graph, inputs map[PinID]variation.Form, space *variation.Space,
+	n int, seed int64) ([][]float64, error) {
+	m, err := prepareMC(g, inputs, space, n)
+	if err != nil {
+		return nil, err
+	}
+	m.sample(stats.Shard{Count: n, Seed: seed})
+	return m.res, nil
+}
+
+// sample evaluates samples [sh.From, sh.End()) of the result matrix with
+// an RNG stream seeded sh.Seed.
+func (m *mcGraph) sample(sh stats.Shard) {
+	g := m.g
+	rng := rand.New(rand.NewSource(sh.Seed))
 	arr := make([]float64, g.NumPins())
 	seen := make([]bool, g.NumPins())
 	var buf []float64
-	for s := from; s < from+count; s++ {
-		buf = space.Sample(rng, buf)
+	for s := sh.From; s < sh.End(); s++ {
+		buf = m.space.Sample(rng, buf)
 		for i := range seen {
 			seen[i] = false
 			arr[i] = 0
 		}
 		for _, id := range g.Inputs() {
-			if f, ok := inputs[id]; ok {
+			if f, ok := m.inputs[id]; ok {
 				arr[id] = f.Eval(buf)
 			}
 			seen[id] = true
 		}
-		for _, id := range order {
+		for _, id := range m.order {
 			for _, a := range g.out[id] {
 				cand := arr[id] + a.Delay.Eval(buf)
 				if !seen[a.To] || cand > arr[a.To] {
@@ -64,73 +84,24 @@ func sampleRange(g *Graph, inputs map[PinID]variation.Form, space *variation.Spa
 				}
 			}
 		}
-		for _, id := range outs {
-			res[outIdx[id]][s] = arr[id]
+		for i, id := range m.outs {
+			m.res[i][s] = arr[id]
 		}
 	}
 }
 
 // MonteCarloParallel is MonteCarlo fanned out over worker goroutines.
-// Sampling is sharded deterministically — shard i draws its samples from
-// seed+i — so the result is identical for any worker count, including 1,
-// but is NOT the same stream as MonteCarlo(seed). workers <= 0 selects
-// GOMAXPROCS.
+// Sampling is sharded deterministically by stats.ShardPlan — shard i
+// draws its samples from seed+i — so the result is identical for any
+// worker count, including 1, but is NOT the same stream as
+// MonteCarlo(seed). workers <= 0 selects GOMAXPROCS.
 func MonteCarloParallel(g *Graph, inputs map[PinID]variation.Form, space *variation.Space,
 	n int, seed int64, workers int) ([][]float64, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sta: sample count %d must be positive", n)
-	}
-	order, err := g.TopoOrder()
+	m, err := prepareMC(g, inputs, space, n)
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	outs := g.Outputs()
-	res := make([][]float64, len(outs))
-	for i := range res {
-		res[i] = make([]float64, n)
-	}
-	outIdx := make(map[PinID]int, len(outs))
-	for i, id := range outs {
-		outIdx[id] = i
-	}
-	// Fixed shard layout independent of the worker count, so the result
-	// depends only on (n, seed).
-	const shards = 16
-	type shard struct {
-		from, count int
-		seed        int64
-	}
-	per := n / shards
-	rem := n % shards
-	plan := make([]shard, 0, shards)
-	from := 0
-	for i := 0; i < shards; i++ {
-		count := per
-		if i < rem {
-			count++
-		}
-		if count == 0 {
-			continue
-		}
-		plan = append(plan, shard{from: from, count: count, seed: seed + int64(i)})
-		from += count
-	}
-	sem := make(chan struct{}, workers)
-	done := make(chan struct{}, len(plan))
-	for _, sh := range plan {
-		sh := sh
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem }()
-			sampleRange(g, inputs, space, order, outs, outIdx, res, sh.from, sh.count, sh.seed)
-			done <- struct{}{}
-		}()
-	}
-	for range plan {
-		<-done
-	}
-	return res, nil
+	// With no commit callback RunShards has no error to return.
+	_ = stats.RunShards(stats.ShardPlan(n, seed), workers, m.sample, nil)
+	return m.res, nil
 }

@@ -46,7 +46,7 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, fmt.Errorf("stats: percentile of empty sample")
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return 0, fmt.Errorf("stats: percentile p=%g outside [0,1]", p)
 	}
 	sorted := make([]float64, len(xs))

@@ -83,6 +83,9 @@ func TestPercentile(t *testing.T) {
 	if _, err := Percentile(xs, 1.5); err == nil {
 		t.Error("out-of-range p should error")
 	}
+	if _, err := Percentile(xs, math.NaN()); err == nil {
+		t.Error("NaN p should error")
+	}
 	got, err := Percentile([]float64{7}, 0.99)
 	if err != nil || got != 7 {
 		t.Errorf("single-element percentile = %g, %v", got, err)

@@ -10,10 +10,10 @@ import (
 // Sequential-stopping helpers for adaptive Monte Carlo: a streaming
 // moment accumulator plus confidence intervals for the mean and for
 // empirical quantiles. The adaptive samplers in internal/yield and
-// internal/sta run in shard-sized chunks and stop as soon as the CI
-// half-width of the estimate they care about reaches a requested
-// tolerance — the sequential analogue of the fixed-budget estimators in
-// descriptive.go.
+// internal/sta commit the shards of ShardPlan in order through RunShards
+// (shard.go) and stop as soon as the CI half-width of the estimate they
+// care about reaches a requested tolerance — the sequential analogue of
+// the fixed-budget estimators in descriptive.go.
 
 // Running accumulates a sample stream one value at a time (Welford's
 // algorithm, the streaming twin of MeanVar). The zero value is ready to
@@ -67,6 +67,26 @@ func (r *Running) MeanCIHalfWidth(confidence float64) float64 {
 	return z * r.Sigma() / math.Sqrt(float64(r.n))
 }
 
+// CheckAdaptive validates the options every adaptive Monte-Carlo sampler
+// shares — a positive sample cap, and a stopping quantile and two-sided
+// confidence inside (0, 1) — and returns the confidence with 0 replaced
+// by the 0.95 default. NaN fails every range check.
+func CheckAdaptive(maxSamples int, quantile, confidence float64) (float64, error) {
+	if maxSamples <= 0 {
+		return 0, fmt.Errorf("adaptive MC sample cap %d must be positive", maxSamples)
+	}
+	if !(quantile > 0 && quantile < 1) {
+		return 0, fmt.Errorf("adaptive MC quantile %g outside (0, 1)", quantile)
+	}
+	if confidence == 0 {
+		confidence = 0.95
+	}
+	if !(confidence > 0 && confidence < 1) {
+		return 0, fmt.Errorf("adaptive MC confidence %g outside (0, 1)", confidence)
+	}
+	return confidence, nil
+}
+
 // QuantileCI returns a distribution-free confidence interval for the
 // q-quantile of the population from a sorted sample, via the normal
 // approximation to the binomial order-statistic bracket: the interval
@@ -78,10 +98,10 @@ func QuantileCI(sorted []float64, q, confidence float64) (lo, hi float64, err er
 	if n == 0 {
 		return 0, 0, fmt.Errorf("stats: quantile CI of empty sample")
 	}
-	if q <= 0 || q >= 1 {
+	if !(q > 0 && q < 1) {
 		return 0, 0, fmt.Errorf("stats: quantile q=%g outside (0,1)", q)
 	}
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) {
 		return 0, 0, fmt.Errorf("stats: confidence %g outside (0,1)", confidence)
 	}
 	z := Quantile(0.5 + confidence/2)

@@ -100,11 +100,34 @@ func TestQuantileEstimate(t *testing.T) {
 	if _, _, err := QuantileEstimate(nil, 0.5, 0.95); err == nil {
 		t.Error("empty sample: want error")
 	}
-	if _, _, err := QuantileCI(xs, 0, 0.95); err == nil {
-		t.Error("q=0: want error")
+	for _, c := range []struct{ q, confidence float64 }{
+		{0, 0.95}, {1, 0.95}, {math.NaN(), 0.95},
+		{0.5, 0}, {0.5, 1}, {0.5, math.NaN()},
+	} {
+		if _, _, err := QuantileCI(xs, c.q, c.confidence); err == nil {
+			t.Errorf("q=%g confidence=%g: want error", c.q, c.confidence)
+		}
 	}
-	if _, _, err := QuantileCI(xs, 0.5, 1); err == nil {
-		t.Error("confidence=1: want error")
+}
+
+func TestCheckAdaptive(t *testing.T) {
+	if conf, err := CheckAdaptive(100, 0.05, 0); err != nil || conf != 0.95 {
+		t.Errorf("default confidence: got %g, %v; want 0.95", conf, err)
+	}
+	if conf, err := CheckAdaptive(1, 0.5, 0.99); err != nil || conf != 0.99 {
+		t.Errorf("explicit confidence: got %g, %v; want 0.99", conf, err)
+	}
+	for _, c := range []struct {
+		n             int
+		q, confidence float64
+	}{
+		{0, 0.05, 0}, {-1, 0.05, 0},
+		{100, 0, 0}, {100, 1, 0}, {100, math.NaN(), 0},
+		{100, 0.05, 1}, {100, 0.05, -0.5}, {100, 0.05, math.NaN()},
+	} {
+		if _, err := CheckAdaptive(c.n, c.q, c.confidence); err == nil {
+			t.Errorf("n=%d q=%g confidence=%g: want error", c.n, c.q, c.confidence)
+		}
 	}
 }
 

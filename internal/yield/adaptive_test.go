@@ -1,7 +1,11 @@
 package yield
 
 import (
+	"math"
+	"slices"
 	"testing"
+
+	"vabuf/internal/stats"
 )
 
 // TestAdaptiveFullBudgetMatchesParallel: with Tol <= 0 the adaptive run
@@ -59,7 +63,7 @@ func TestAdaptiveStopsEarly(t *testing.T) {
 	if est.Samples >= cap {
 		t.Errorf("converged run used the full budget (%d samples)", est.Samples)
 	}
-	if est.Samples%(cap/mcShards) != 0 {
+	if !slices.ContainsFunc(stats.ShardPlan(cap, 7), func(sh stats.Shard) bool { return sh.End() == est.Samples }) {
 		t.Errorf("stop at %d samples is not shard-aligned", est.Samples)
 	}
 	ref, err := MonteCarloParallel(tr, lib, assign, nil, model, cap, 7, 4)
@@ -144,6 +148,8 @@ func TestAdaptiveValidation(t *testing.T) {
 		{MaxSamples: 100, Quantile: 0},
 		{MaxSamples: 100, Quantile: 1},
 		{MaxSamples: 100, Quantile: 0.05, Confidence: 1},
+		{MaxSamples: 100, Quantile: math.NaN()},
+		{MaxSamples: 100, Quantile: 0.05, Confidence: math.NaN()},
 	}
 	for i, opts := range cases {
 		if _, _, err := MonteCarloAdaptive(tr, lib, assign, nil, model, opts); err == nil {

@@ -6,6 +6,7 @@ import (
 
 	"vabuf/internal/device"
 	"vabuf/internal/rctree"
+	"vabuf/internal/stats"
 	"vabuf/internal/variation"
 )
 
@@ -92,12 +93,13 @@ func (s *Sampler) Next() []rctree.BufferValues {
 	return s.bufs
 }
 
-// sample fills dst with root RATs of consecutive draws from the stream
-// seeded by seed.
-func (p *MCProgram) sample(dst []float64, seed int64) {
-	s := p.Sampler(seed)
+// sample fills dst[sh.From:sh.End()] with root RATs of consecutive draws
+// from the stream seeded sh.Seed. Distinct shards may fill one dst
+// concurrently.
+func (p *MCProgram) sample(dst []float64, sh stats.Shard) {
+	s := p.Sampler(sh.Seed)
 	vals := make([]rctree.LT, p.Tree.Len())
-	for i := range dst {
+	for i := sh.From; i < sh.End(); i++ {
 		dst[i] = p.Tree.RootRAT(s.Next(), vals)
 	}
 }

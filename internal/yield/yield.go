@@ -8,8 +8,6 @@ package yield
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"vabuf/internal/device"
 	"vabuf/internal/rctree"
@@ -126,14 +124,15 @@ func MonteCarloSized(tree *rctree.Tree, lib device.Library, assign map[rctree.No
 		return nil, err
 	}
 	out := make([]float64, n)
-	prog.sample(out, seed)
+	prog.sample(out, stats.Shard{Count: n, Seed: seed})
 	return out, nil
 }
 
 // MonteCarloParallel is MonteCarloSized fanned out over worker
-// goroutines. Sampling is sharded deterministically — shard i draws its
-// samples from seed+i — so the result is identical for any worker count,
-// including 1, but is NOT the same stream as MonteCarloSized(seed).
+// goroutines. Sampling is sharded deterministically by stats.ShardPlan —
+// shard i draws its samples from seed+i — so the result is identical for
+// any worker count, including 1, but is NOT the same stream as
+// MonteCarloSized(seed). workers <= 0 selects GOMAXPROCS.
 func MonteCarloParallel(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	wires rctree.WireAssignment, model *variation.Model, n int, seed int64, workers int) ([]float64, error) {
 	if n <= 0 {
@@ -143,23 +142,11 @@ func MonteCarloParallel(tree *rctree.Tree, lib device.Library, assign map[rctree
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Fixed shard layout independent of the worker count. Shards share
-	// the read-only program and write disjoint ranges of out.
+	// Shards share the read-only program and write disjoint ranges of out.
+	// With no commit callback RunShards has no error to return.
 	out := make([]float64, n)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, sh := range mcPlan(n, seed) {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			prog.sample(out[sh.from:sh.from+sh.count], sh.seed)
-		}()
-	}
-	wg.Wait()
+	_ = stats.RunShards(stats.ShardPlan(n, seed), workers,
+		func(sh stats.Shard) { prog.sample(out, sh) }, nil)
 	return out, nil
 }
 
@@ -206,7 +193,7 @@ type Report struct {
 // canonical propagation. q is the yield quantile (0.05 for 95% yield).
 func Evaluate(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	model *variation.Model, q float64) (Report, error) {
-	if q <= 0 || q >= 1 {
+	if !(q > 0 && q < 1) {
 		return Report{}, fmt.Errorf("yield: quantile %g outside (0, 1)", q)
 	}
 	rat, err := Propagate(tree, lib, assign, model)

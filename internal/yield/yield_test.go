@@ -256,6 +256,9 @@ func TestEvaluateReport(t *testing.T) {
 	if _, err := Evaluate(tr, lib, assign, model, 1); err == nil {
 		t.Error("quantile 1 accepted")
 	}
+	if _, err := Evaluate(tr, lib, assign, model, math.NaN()); err == nil {
+		t.Error("quantile NaN accepted")
+	}
 }
 
 // TestD2DAssignmentEvaluatedUnderWIDModel mirrors the Tables 3–4 flow:
