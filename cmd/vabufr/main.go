@@ -9,24 +9,24 @@
 //	POST /v1/yield:stream  proxied streaming; failover up to first byte
 //	POST /v1/insert:batch  split per owner, scatter-gathered in order
 //	POST /v1/yield:batch
-//	GET  /v1/benchmarks    proxied to any healthy backend
+//	GET  /v1/benchmarks    proxied to any usable backend
 //	GET  /healthz          liveness (200 while the router is up)
 //	GET  /readyz           503 until at least one backend probes healthy
 //	GET  /metrics          per-backend counters, failovers, probe state,
 //	                       scatter fan-out histogram, peer lookups
 //	GET/POST /admin/backends  (with -admin) inspect/replace membership
 //
-// A background poller probes each backend's /readyz on a jittered
-// interval with hysteresis; a failed proxy attempt marks the backend
-// down immediately. A key whose owner changed (a ring rebuild moved it,
-// or its owner is down) is first looked up synchronously at the backend
-// whose cache should hold it (POST /v1/cache/lookup) before being
-// recomputed cold.
+// One state machine per backend decides whether it takes traffic:
+// jittered /readyz probes with hysteresis, an immediate down on a failed
+// proxy attempt, and a breaker after consecutive failed requests. A key
+// whose owner changed (a ring rebuild moved it, or its owner is down) is
+// first looked up synchronously at the backend whose cache should hold
+// it (POST /v1/cache/lookup) before being recomputed cold.
 //
 // Membership is dynamic: with -backends-file, SIGHUP re-reads the file
 // and rebuilds the ring in place — in-flight requests finish against
 // the old view, new backends take traffic once their probes pass, and
-// removed backends' probers are retired.
+// removed backends are forgotten.
 package main
 
 import (
@@ -110,7 +110,7 @@ func main() {
 		hedgeAfter = flag.Duration("hedge-after", 0,
 			"hedge idempotent single requests after max(this, observed p95) with a budgeted duplicate to the next backend (0 disables)")
 		breakerFailures = flag.Int("breaker-failures", 0,
-			"consecutive request failures that open a backend's circuit breaker (0 = 5, negative disables)")
+			"consecutive request failures that open a backend's circuit breaker (<=0 = 5)")
 		breakerCooldown = flag.Duration("breaker-cooldown", 0,
 			"open-breaker duration between half-open probe requests (0 = 5s)")
 		chaosSpec = flag.String("chaos", "",
@@ -214,7 +214,7 @@ func main() {
 
 	select {
 	case err := <-errc:
-		// Not log.Fatalf: the probers must stop before exit.
+		// Not log.Fatalf: the probe loops must stop before exit.
 		log.Printf("vabufr: serve: %v", err)
 		rt.Close()
 		os.Exit(1)

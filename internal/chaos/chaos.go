@@ -101,7 +101,7 @@ func parseProbDur(val string, wantDur bool) (float64, time.Duration, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("bad probability %q", probStr)
 	}
-	if p < 0 || p > 1 {
+	if !(0 <= p && p <= 1) { // NaN fails every comparison
 		return 0, 0, fmt.Errorf("probability %v outside [0,1]", p)
 	}
 	if !hasDur {

@@ -35,6 +35,8 @@ func TestParse(t *testing.T) {
 		"error=1.5",          // probability out of range
 		"error=-0.1",         // probability out of range
 		"error=x",            // not a number
+		"error=NaN",          // not a probability
+		"latency=nan:50ms",   // not a probability
 		"latency=0.05:-1s",   // non-positive duration
 		"latency=0.05:bogus", // unparsable duration
 		"explode=0.5",        // unknown fault

@@ -555,11 +555,14 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	lib := smallLib()
 	cases := []Options{
-		{},                                  // empty library
-		{Library: lib, PbarL: 0.4},          // pbar below 0.5
-		{Library: lib, PbarT: 1.0},          // pbar at 1
-		{Library: lib, SelectQuantile: 1.5}, // bad quantile
-		{Library: lib, MaxCandidates: -1},   // negative cap
+		{},                                         // empty library
+		{Library: lib, PbarL: 0.4},                 // pbar below 0.5
+		{Library: lib, PbarT: 1.0},                 // pbar at 1
+		{Library: lib, SelectQuantile: 1.5},        // bad quantile
+		{Library: lib, PbarL: math.NaN()},          // NaN pbar
+		{Library: lib, PbarT: math.NaN()},          // NaN pbar
+		{Library: lib, SelectQuantile: math.NaN()}, // NaN quantile
+		{Library: lib, MaxCandidates: -1},          // negative cap
 		{Library: lib, FourP: FourPParams{AlphaL: 0.9, AlphaU: 0.1, BetaL: 0.1, BetaU: 0.9}},
 	}
 	for i, o := range cases {

@@ -205,7 +205,9 @@ func (o *Options) withDefaults() (Options, error) {
 	if opts.PbarT == 0 {
 		opts.PbarT = 0.5
 	}
-	if opts.PbarL < 0.5 || opts.PbarL >= 1 || opts.PbarT < 0.5 || opts.PbarT >= 1 {
+	// Written as !(in range) so a NaN, which fails every comparison, is
+	// rejected too.
+	if !(0.5 <= opts.PbarL && opts.PbarL < 1) || !(0.5 <= opts.PbarT && opts.PbarT < 1) {
 		return opts, fmt.Errorf("core: pbar (%g, %g) outside [0.5, 1)", opts.PbarL, opts.PbarT)
 	}
 	if opts.FourP == (FourPParams{}) {
@@ -217,7 +219,7 @@ func (o *Options) withDefaults() (Options, error) {
 	if opts.SelectQuantile == 0 {
 		opts.SelectQuantile = 0.05
 	}
-	if opts.SelectQuantile < 0 || opts.SelectQuantile > 1 {
+	if !(0 <= opts.SelectQuantile && opts.SelectQuantile <= 1) {
 		return opts, fmt.Errorf("core: SelectQuantile %g outside [0, 1]", opts.SelectQuantile)
 	}
 	if opts.MaxCandidates < 0 {

@@ -46,7 +46,7 @@ func TestFleetUnderChaos(t *testing.T) {
 	})
 	waitFor(t, "all chaos-wrapped backends healthy", func() bool {
 		for _, u := range urls {
-			if !rt.prober.healthy(u) {
+			if !rt.state.healthy(u) {
 				return false
 			}
 		}

@@ -94,7 +94,7 @@ func TestResizeServesMovedKeyFromOldOwner(t *testing.T) {
 		// not under test here.
 		c.RetryBurst = 100
 	})
-	waitFor(t, "router ready", func() bool { return rt.prober.anyHealthy() })
+	waitFor(t, "router ready", func() bool { return rt.state.anyHealthy() })
 
 	// Warm a spread of keys through the 2-backend ring and remember
 	// each one's answer. The first half is re-requested while the ring
@@ -149,7 +149,7 @@ func TestResizeServesMovedKeyFromOldOwner(t *testing.T) {
 	if n := rt.met.ringRebuilds.Load(); n != 2 {
 		t.Errorf("ring_rebuilds = %d after one reload, want 2 (boot + reload)", n)
 	}
-	waitFor(t, "new backend healthy", func() bool { return rt.prober.healthy(fleet[2].ts.URL) })
+	waitFor(t, "new backend healthy", func() bool { return rt.state.healthy(fleet[2].ts.URL) })
 
 	// Find an untouched key the rebuild moved to the new backend.
 	moved := -1
@@ -233,14 +233,7 @@ func TestReloadManagesProbers(t *testing.T) {
 	rt, _ := newTestRouter(t, fleet[:2])
 	urls := fleetURLs(fleet)
 
-	has := func(url string) bool {
-		for _, u := range rt.prober.urls() {
-			if u == url {
-				return true
-			}
-		}
-		return false
-	}
+	has := func(url string) bool { return rt.state.get(url) != nil }
 	if has(urls[2]) {
 		t.Fatal("prober watching a backend that is not a member yet")
 	}
@@ -265,7 +258,7 @@ func TestReloadManagesProbers(t *testing.T) {
 	if has(urls[0]) {
 		t.Error("reload did not stop the removed backend's prober")
 	}
-	if rt.prober.healthy(urls[0]) {
+	if rt.state.healthy(urls[0]) {
 		t.Error("removed backend still reports healthy")
 	}
 	// An empty reload is rejected and changes nothing.
@@ -322,7 +315,7 @@ func TestAnyBackendColdStart(t *testing.T) {
 		c.ProbeInterval = time.Hour // only the boot probe ever runs
 		c.RecoverAfter = 3          // which can never reach healthy
 	})
-	if rt.prober.anyHealthy() {
+	if rt.state.anyHealthy() {
 		t.Fatal("test premise broken: a backend probed healthy")
 	}
 	resp, raw := postJSON(t, ts.URL+"/v1/insert",
@@ -432,7 +425,7 @@ func TestRouterCloseMidStream(t *testing.T) {
 	}
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
-	waitFor(t, "backend healthy", func() bool { return rt.prober.healthy(backend.URL) })
+	waitFor(t, "backend healthy", func() bool { return rt.state.healthy(backend.URL) })
 
 	body, err := json.Marshal(server.YieldRequest{
 		InsertRequest: server.InsertRequest{Tree: treeText(t, 60), Algo: "nom"},

@@ -200,6 +200,16 @@ func ownerOf(t *testing.T, rt *Router, fleet []*fleetBackend, req server.InsertR
 func TestRouterRepeatHitsSameOwner(t *testing.T) {
 	fleet := newFleet(t, 3, "")
 	rt, ts := newTestRouter(t, fleet)
+	// The router is ready once any backend is; the owner must be too, or
+	// the first insert fails over to its successor.
+	waitFor(t, "all backends healthy", func() bool {
+		for _, u := range fleetURLs(fleet) {
+			if !rt.state.healthy(u) {
+				return false
+			}
+		}
+		return true
+	})
 	req := server.InsertRequest{Tree: treeText(t, 1), Algo: "wid"}
 
 	resp1, raw1 := postJSON(t, ts.URL+"/v1/insert", req)
@@ -318,7 +328,7 @@ func TestFailoverOnBackendKill(t *testing.T) {
 	owner := ownerOf(t, rt, fleet, req)
 
 	fleet[owner].down.Store(true)
-	waitFor(t, "prober to mark owner down", func() bool { return !rt.prober.healthy(fleet[owner].ts.URL) })
+	waitFor(t, "prober to mark owner down", func() bool { return !rt.state.healthy(fleet[owner].ts.URL) })
 
 	resp, raw := postJSON(t, ts.URL+"/v1/insert", req)
 	if resp.StatusCode != http.StatusOK {
@@ -333,7 +343,7 @@ func TestFailoverOnBackendKill(t *testing.T) {
 
 	// Recovery: ownership returns to the ring owner.
 	fleet[owner].down.Store(false)
-	waitFor(t, "prober to mark owner healthy", func() bool { return rt.prober.healthy(fleet[owner].ts.URL) })
+	waitFor(t, "prober to mark owner healthy", func() bool { return rt.state.healthy(fleet[owner].ts.URL) })
 	resp2, raw2 := postJSON(t, ts.URL+"/v1/insert", req)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-recovery insert: status %d: %s", resp2.StatusCode, raw2)
@@ -351,7 +361,7 @@ func TestRouterAllDown(t *testing.T) {
 	for _, b := range fleet {
 		b.down.Store(true)
 	}
-	waitFor(t, "all backends down", func() bool { return !rt.prober.anyHealthy() })
+	waitFor(t, "all backends down", func() bool { return !rt.state.anyHealthy() })
 
 	resp, _ := postJSON(t, ts.URL+"/v1/insert",
 		server.InsertRequest{Tree: treeText(t, 3), Algo: "nom"})

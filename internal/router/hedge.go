@@ -100,13 +100,13 @@ type armResult struct {
 func (rt *Router) tryHedged(ctx context.Context, order []string, path string, payload []byte) (served, sat *attempt) {
 	var cands []string
 	for _, b := range order {
-		if rt.prober.healthy(b) && !rt.breaker.isOpen(b) {
+		if rt.state.usable(b) {
 			cands = append(cands, b)
 		}
 	}
 	if len(cands) < 2 {
 		// Nothing to hedge against; the plain walk handles the
-		// none-healthy fallback too.
+		// none-usable fallback too.
 		return rt.tryBackends(ctx, order, path, payload)
 	}
 	primary, secondary := cands[0], cands[1]
@@ -122,24 +122,13 @@ func (rt *Router) tryHedged(ctx context.Context, order []string, path string, pa
 	arm := func(actx context.Context, b string, sec bool) {
 		rt.met.attempts.Inc(b)
 		t0 := time.Now()
-		att, err := rt.post(actx, b, path, payload)
-		if err != nil {
-			// A canceled arm (winner landed, or the client went away) is
-			// not backend evidence — only genuine faults mark it down.
-			if actx.Err() == nil && ctx.Err() == nil {
-				rt.prober.noteProxyError(b, err)
-				rt.breaker.failure(b)
-			}
-			results <- armResult{backend: b, secondary: sec}
-			return
+		att, err := rt.fetch(actx, http.MethodPost, b, path, payload)
+		// A canceled arm (winner landed, or the client went away) is not
+		// backend evidence — only genuine faults count against it.
+		if err == nil || !clientFault(actx, err) {
+			rt.state.observe(b, att, err)
 		}
-		switch {
-		case saturated(att.status):
-			// Saturation is back-pressure, not failure.
-		case retryable5xx(att.status):
-			rt.breaker.failure(b)
-		default:
-			rt.breaker.success(b)
+		if err == nil && conclusive(att.status) {
 			rt.lat.observe(time.Since(t0))
 		}
 		results <- armResult{att: att, backend: b, secondary: sec}

@@ -52,14 +52,15 @@ func lookupCandidate(mem *membership, fp, target string) string {
 // peerLookup asks the candidate backend for fp's cached result and
 // returns the proxied answer on a hit, nil otherwise. The candidate
 // must be reachable (healthy, or refusing /readyz at the HTTP level —
-// e.g. draining — which still answers read-only lookups); a
-// transport-dead backend is not worth a connect timeout.
+// e.g. draining — which still answers read-only lookups, and with its
+// breaker closed); a transport-dead backend is not worth a connect
+// timeout.
 func (rt *Router) peerLookup(ctx context.Context, mem *membership, kind, fp, target string, reqBody []byte) *attempt {
 	if rt.cfg.LookupTimeout < 0 {
 		return nil
 	}
 	cand := lookupCandidate(mem, fp, target)
-	if cand == "" || cand == target || !rt.prober.reachable(cand) {
+	if cand == "" || cand == target || !rt.state.reachable(cand) {
 		return nil
 	}
 	// A peer lookup is manufactured traffic against the candidate; when
@@ -73,7 +74,7 @@ func (rt *Router) peerLookup(ctx context.Context, mem *membership, kind, fp, tar
 		// The lookup carries the *target's* epoch: the answer must be
 		// one the target itself would compute, and the candidate 409s
 		// anything from another library generation.
-		Epoch:   rt.prober.epochOf(target),
+		Epoch:   rt.state.epochOf(target),
 		Request: json.RawMessage(reqBody),
 	})
 	if err != nil {

@@ -46,13 +46,12 @@ type rmetrics struct {
 func newRMetrics() *rmetrics { return &rmetrics{start: time.Now()} }
 
 // snapshot assembles the /metrics document over the *current*
-// membership. Probe state is merged per backend so one document answers
+// membership. Backend state is merged per backend so one document answers
 // "who is down, who serves what, who rescued which lookups".
-func (m *rmetrics) snapshot(mem *membership, prober *prober,
-	ready bool, breakerOpen int, breakerOpens int64) map[string]any {
+func (m *rmetrics) snapshot(mem *membership, state *backendStates) map[string]any {
 	bs := make([]map[string]any, len(mem.backends))
 	for i, url := range mem.backends {
-		doc := prober.stateSnapshot(url)
+		doc := state.snapshot(url)
 		doc["url"] = url
 		doc["proxied"] = m.proxied.Get(url)
 		doc["failovers"] = m.failovers.Get(url)
@@ -60,13 +59,14 @@ func (m *rmetrics) snapshot(mem *membership, prober *prober,
 		doc["attempts"] = m.attempts.Get(url)
 		bs[i] = doc
 	}
-	state := "ready"
-	if !ready {
-		state = "no_healthy_backends"
+	status := "ready"
+	if !state.anyHealthy() {
+		status = "no_healthy_backends"
 	}
+	breakerOpen, breakerOpens := state.breakerStats()
 	return map[string]any{
 		"uptime_seconds": time.Since(m.start).Seconds(),
-		"state":          state,
+		"state":          status,
 		"goroutines":     runtime.NumGoroutine(),
 		"requests":       &m.requests,
 		"backends":       bs,

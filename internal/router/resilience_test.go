@@ -7,6 +7,7 @@ package router
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -44,34 +45,109 @@ func TestRetryBudgetSpendAndCredit(t *testing.T) {
 	}
 }
 
-func TestBreakerTripsAndRecovers(t *testing.T) {
-	s := newBreakerSet(3, 50*time.Millisecond)
-	for i := 0; i < 2; i++ {
-		s.failure("u")
+// TestBackendStateMachine drives one backend's state machine through
+// scripted probe outcomes and request observations (see the transition
+// table in backend.go). Steps:
+//
+//	up        two passed probes (RecoverAfter)
+//	probe+    a passed /readyz probe
+//	probe-    a probe that failed at the transport level
+//	refused   a probe answered with a non-200 /readyz (draining)
+//	err       a request transport error
+//	500 ...   a request answered with that status
+//	cool      the open breaker's cooldown elapses
+//	allow     allow must grant the request slot
+//	deny      allow must refuse it
+//	readd     remove the backend, then add it again
+func TestBackendStateMachine(t *testing.T) {
+	type want struct {
+		healthy, usable, open, reachable bool
+		opens                            int64 // lifetime trips
 	}
-	if s.isOpen("u") {
-		t.Fatal("breaker open below threshold")
+	up := []string{"probe+", "probe+"}
+	with := func(pre []string, steps ...string) []string {
+		return append(append([]string(nil), pre...), steps...)
 	}
-	s.failure("u")
-	if !s.isOpen("u") {
-		t.Fatal("breaker closed at threshold")
+	trip := with(up, "500", "500", "500")
+	cases := []struct {
+		name  string
+		steps []string
+		want  want
+	}{
+		{"starts down", nil, want{}},
+		{"one passed probe moves nothing", []string{"probe+"}, want{reachable: true}},
+		{"recovers after RecoverAfter passes", up, want{true, true, false, true, 0}},
+		{"a failed probe resets the recovery streak", []string{"probe+", "probe-", "probe+"}, want{reachable: true}},
+		{"one failed probe moves nothing", with(up, "probe-"), want{true, true, false, true, 0}},
+		{"down after FailAfter failures", with(up, "probe-", "probe-"), want{}},
+		{"a refusing backend stays reachable", with(up, "refused", "refused"), want{reachable: true}},
+		{"transport error marks down at once", with(up, "err"), want{}},
+		{"below the threshold stays closed", with(up, "500", "502"), want{true, true, false, true, 0}},
+		{"trips at the threshold", with(trip, "deny"), want{healthy: true, open: true, opens: 1}},
+		{"transport errors count toward the trip", with(up, "500", "500", "err"), want{open: true, opens: 1}},
+		{"a success resets the failure streak", with(up, "500", "500", "200", "500", "500"), want{true, true, false, true, 0}},
+		{"429/503 never trip", with(up, "429", "503", "429", "503", "429", "503"), want{true, true, false, true, 0}},
+		{"429/503 leave the failure streak alone", with(up, "500", "500", "429", "503", "500"), want{healthy: true, open: true, opens: 1}},
+		{"one half-open request per cooldown", with(trip, "cool", "allow", "deny"), want{healthy: true, open: true, opens: 1}},
+		{"a half-open success closes", with(trip, "cool", "allow", "200", "allow"), want{true, true, false, true, 1}},
+		{"a failed half-open request re-arms", with(trip, "cool", "allow", "500", "deny"), want{healthy: true, open: true, opens: 1}},
+		{"probe recovery closes an open breaker", with(up, "500", "500", "err", "probe+", "probe+", "allow"), want{true, true, false, true, 1}},
+		{"remove then add is down and closed", with(trip, "readd"), want{opens: 1}},
 	}
-	if s.allow("u") {
-		t.Fatal("open breaker allowed a request inside the cooldown")
-	}
-	time.Sleep(60 * time.Millisecond)
-	if !s.allow("u") {
-		t.Fatal("breaker refused the half-open probe after cooldown")
-	}
-	if s.allow("u") {
-		t.Fatal("breaker allowed a second probe in the same half-open window")
-	}
-	s.success("u")
-	if s.isOpen("u") || !s.allow("u") {
-		t.Fatal("successful probe did not close the breaker")
-	}
-	if open, opens := s.stats(); open != 0 || opens != 1 {
-		t.Fatalf("stats = (%d open, %d opens), want (0, 1)", open, opens)
+	const u = "http://127.0.0.1:1" // nothing listens: re-added poll loops probe harmlessly
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newBackendStates(Config{
+				ProbeInterval:   time.Hour,
+				FailAfter:       2,
+				RecoverAfter:    2,
+				BreakerFailures: 3,
+				BreakerCooldown: time.Hour,
+				Logf:            func(string, ...any) {},
+			}.withDefaults())
+			defer s.close()
+			// Tracked without a poll loop, so only the script moves it.
+			s.m[u] = &backend{url: u, kick: make(chan struct{}, 1), stop: make(chan struct{})}
+			for i, step := range tc.steps {
+				b := s.get(u)
+				switch step {
+				case "probe+":
+					s.recordProbe(b, true, true, readyzBody{}, "")
+				case "probe-":
+					s.recordProbe(b, false, false, readyzBody{}, "connection refused")
+				case "refused":
+					s.recordProbe(b, false, true, readyzBody{}, "readyz: draining")
+				case "err":
+					s.observe(u, nil, errors.New("connection reset"))
+				case "cool":
+					b.mu.Lock()
+					b.openUntil = time.Now()
+					b.mu.Unlock()
+				case "allow", "deny":
+					if got := s.allow(u); got != (step == "allow") {
+						t.Fatalf("step %d: allow = %v, want %v", i, got, !got)
+					}
+				case "readd":
+					s.remove(u)
+					s.add(u)
+				default:
+					status, err := strconv.Atoi(step)
+					if err != nil {
+						t.Fatalf("unknown step %q", step)
+					}
+					s.observe(u, &attempt{status: status}, nil)
+				}
+			}
+			b := s.get(u)
+			b.mu.Lock()
+			open := b.open
+			b.mu.Unlock()
+			_, opens := s.breakerStats()
+			got := want{s.healthy(u), s.usable(u), open, s.reachable(u), opens}
+			if got != tc.want {
+				t.Errorf("after %v: got %+v, want %+v", tc.steps, got, tc.want)
+			}
+		})
 	}
 }
 
@@ -127,7 +203,7 @@ func TestBreakerBenchesErroringBackend(t *testing.T) {
 		cfg.LookupTimeout = -1            // lookups would muddy the hit counts
 	})
 	waitFor(t, "both backends healthy", func() bool {
-		return rt.prober.healthy(badTS.URL) && rt.prober.healthy(fleet[0].ts.URL)
+		return rt.state.healthy(badTS.URL) && rt.state.healthy(fleet[0].ts.URL)
 	})
 
 	var tail500 int
@@ -143,7 +219,7 @@ func TestBreakerBenchesErroringBackend(t *testing.T) {
 	if tail500 != 0 {
 		t.Errorf("%d requests failed despite a healthy sibling", tail500)
 	}
-	if open, _ := rt.breaker.stats(); open != 1 {
+	if open, _ := rt.state.breakerStats(); open != 1 {
 		t.Errorf("open breakers = %d, want 1 (the erroring backend)", open)
 	}
 	// Once open, the bad backend stops seeing traffic: its hit count
@@ -174,7 +250,7 @@ func TestStreamFailsOverOnBackend5xx(t *testing.T) {
 		cfg.LookupTimeout = -1
 	})
 	waitFor(t, "both backends healthy", func() bool {
-		return rt.prober.healthy(badTS.URL) && rt.prober.healthy(fleet[0].ts.URL)
+		return rt.state.healthy(badTS.URL) && rt.state.healthy(fleet[0].ts.URL)
 	})
 
 	for i := 0; i < 20; i++ {
@@ -186,8 +262,49 @@ func TestStreamFailsOverOnBackend5xx(t *testing.T) {
 			t.Errorf("stream %d: status %d despite a healthy sibling: %s", i, resp.StatusCode, raw)
 		}
 	}
-	if open, _ := rt.breaker.stats(); open != 1 {
+	if open, _ := rt.state.breakerStats(); open != 1 {
 		t.Errorf("open breakers = %d, want 1 (the erroring backend)", open)
+	}
+}
+
+// TestBenchmarksRouteAroundOpenBreaker: GET /v1/benchmarks walks the
+// membership like every other endpoint. Once the first backend's breaker
+// is open, the read goes to the healthy sibling instead of relaying the
+// benched backend's 500.
+func TestBenchmarksRouteAroundOpenBreaker(t *testing.T) {
+	bad := &faultyBackend{}
+	badTS := httptest.NewServer(bad)
+	defer badTS.Close()
+	fleet := newFleet(t, 1, "")
+	rt, ts := newTestRouterCfg(t, fleet, func(cfg *Config) {
+		cfg.Backends = []string{badTS.URL, fleet[0].ts.URL}
+		cfg.BreakerFailures = 3
+		cfg.BreakerCooldown = time.Minute // stays benched for the whole test
+		cfg.RetryBurst = 100              // budget is not under test here
+		cfg.LookupTimeout = -1
+	})
+	waitFor(t, "both backends healthy", func() bool {
+		return rt.state.healthy(badTS.URL) && rt.state.healthy(fleet[0].ts.URL)
+	})
+	for i := 0; i < 20; i++ {
+		if open, _ := rt.state.breakerStats(); open > 0 {
+			break
+		}
+		postJSON(t, ts.URL+"/v1/insert",
+			server.InsertRequest{Tree: treeText(t, int64(i)), Algo: "nom"})
+	}
+	if open, _ := rt.state.breakerStats(); open != 1 {
+		t.Fatalf("open breakers = %d, want 1 (the erroring backend)", open)
+	}
+	for i := 0; i < 5; i++ {
+		resp, err := http.Get(ts.URL + "/v1/benchmarks")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET /v1/benchmarks %d: status %d, want 200 from the healthy sibling", i, resp.StatusCode)
+		}
 	}
 }
 
@@ -202,13 +319,13 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 	good := fleet[0]
 	rt, ts := newTestRouterCfg(t, fleet, func(cfg *Config) {
 		cfg.Backends = []string{badTS.URL, good.ts.URL}
-		cfg.RetryBudget = 0.01 // almost no credit per first attempt
-		cfg.RetryBurst = 1     // one manufactured request, total
-		cfg.BreakerFailures = -1
-		cfg.LookupTimeout = -1 // lookups would also draw on the budget
+		cfg.RetryBudget = 0.01    // almost no credit per first attempt
+		cfg.RetryBurst = 1        // one manufactured request, total
+		cfg.BreakerFailures = 100 // above the 12 requests: breakers never open
+		cfg.LookupTimeout = -1    // lookups would also draw on the budget
 	})
 	waitFor(t, "both backends healthy", func() bool {
-		return rt.prober.healthy(badTS.URL) && rt.prober.healthy(good.ts.URL)
+		return rt.state.healthy(badTS.URL) && rt.state.healthy(good.ts.URL)
 	})
 
 	okN, failN := 0, 0
@@ -277,7 +394,7 @@ func TestHedgedRequestWinsOverSlowBackend(t *testing.T) {
 		cfg.LookupTimeout = -1
 	})
 	waitFor(t, "both backends healthy", func() bool {
-		return rt.prober.healthy(slowTS.URL) && rt.prober.healthy(fleet[1].ts.URL)
+		return rt.state.healthy(slowTS.URL) && rt.state.healthy(fleet[1].ts.URL)
 	})
 
 	// Find a tree owned by the slow backend so the hedge has something
@@ -377,7 +494,7 @@ func TestDeadlinePropagatesToBackend(t *testing.T) {
 	rt, ts := newTestRouterCfg(t, fleet, func(cfg *Config) {
 		cfg.Backends = []string{capTS.URL}
 	})
-	waitFor(t, "backend healthy", func() bool { return rt.prober.healthy(capTS.URL) })
+	waitFor(t, "backend healthy", func() bool { return rt.state.healthy(capTS.URL) })
 
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/insert",
 		bytes.NewReader([]byte(`{"bench":"p1","algo":"nom"}`)))

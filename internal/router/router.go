@@ -9,6 +9,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,8 +67,7 @@ type Config struct {
 	HedgeAfter time.Duration
 	// BreakerFailures is the consecutive-failure threshold of the
 	// per-backend circuit breaker (transport errors and retryable 5xx
-	// count; saturation does not). 0 selects 5; negative disables the
-	// breakers.
+	// count; saturation does not); <=0 selects 5.
 	BreakerFailures int
 	// BreakerCooldown is how long an open breaker routes around its
 	// backend before letting one half-open probe request through
@@ -86,6 +86,18 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.ProbeInterval <= 0 {
+		c.ProbeInterval = 2 * time.Second
+	}
+	if c.ProbeTimeout <= 0 {
+		c.ProbeTimeout = time.Second
+	}
+	if c.FailAfter <= 0 {
+		c.FailAfter = 2
+	}
+	if c.RecoverAfter <= 0 {
+		c.RecoverAfter = 2
+	}
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = 8 << 20
 	}
@@ -101,7 +113,7 @@ func (c Config) withDefaults() Config {
 	if c.RetryBurst <= 0 {
 		c.RetryBurst = 10
 	}
-	if c.BreakerFailures == 0 {
+	if c.BreakerFailures <= 0 {
 		c.BreakerFailures = 5
 	}
 	if c.BreakerCooldown <= 0 {
@@ -140,24 +152,24 @@ type membership struct {
 // synchronous peer lookup over a fleet of vabufd backends. Create with
 // New, expose via Handler, Close after the listener has shut down.
 type Router struct {
-	cfg    Config
-	mem    atomic.Pointer[membership]
-	prober *prober
-	met    *rmetrics
-	mux    *http.ServeMux
-	// budget bounds manufactured traffic (nil = disabled, unlimited);
-	// breaker benches backends failing their accepted requests (nil =
-	// disabled); lat feeds the adaptive hedge trigger.
-	budget  *retryBudget
-	breaker *breakerSet
-	lat     latencyTracker
+	cfg Config
+	mem atomic.Pointer[membership]
+	// state answers whether each backend may take traffic (probe health
+	// and circuit breaker in one machine per backend).
+	state *backendStates
+	met   *rmetrics
+	mux   *http.ServeMux
+	// budget bounds manufactured traffic (nil = disabled, unlimited); lat
+	// feeds the adaptive hedge trigger.
+	budget *retryBudget
+	lat    latencyTracker
 
 	reloadMu  sync.Mutex // serializes Reload against itself
 	closeOnce sync.Once
 }
 
-// New builds a Router over the configured backends and starts its
-// health probers.
+// New builds a Router over the configured backends and starts probing
+// them.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	backends, err := normalizeBackends(cfg.Backends)
@@ -169,34 +181,16 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	rt := &Router{
-		cfg: cfg,
-		met: newRMetrics(),
-		mux: http.NewServeMux(),
+		cfg:   cfg,
+		state: newBackendStates(cfg),
+		met:   newRMetrics(),
+		mux:   http.NewServeMux(),
 	}
 	if cfg.RetryBudget > 0 {
 		rt.budget = newRetryBudget(cfg.RetryBudget, cfg.RetryBurst)
 	}
-	if cfg.BreakerFailures > 0 {
-		rt.breaker = newBreakerSet(cfg.BreakerFailures, cfg.BreakerCooldown)
-	}
 	rt.mem.Store(&membership{backends: backends, member: memberSet(backends), ring: ring})
 	rt.met.ringRebuilds.Inc()
-	rt.prober = newProber(probeConfig{
-		interval:     cfg.ProbeInterval,
-		timeout:      cfg.ProbeTimeout,
-		failAfter:    cfg.FailAfter,
-		recoverAfter: cfg.RecoverAfter,
-	}, cfg.Client, func(backend string, healthy bool, reason string) {
-		if healthy {
-			// A recovered probe is recovery evidence for the breaker too:
-			// without this a backend could pass /readyz yet sit benched
-			// for a full cooldown after its failure streak.
-			rt.breaker.reset(backend)
-			cfg.Logf("vabufr: backend %s recovered", backend)
-		} else {
-			cfg.Logf("vabufr: backend %s marked down (%s)", backend, reason)
-		}
-	})
 
 	rt.mux.HandleFunc("POST /v1/insert", rt.single("/v1/insert", "insert"))
 	rt.mux.HandleFunc("POST /v1/yield", rt.single("/v1/yield", "yield"))
@@ -213,7 +207,7 @@ func New(cfg Config) (*Router, error) {
 	}
 
 	for _, b := range backends {
-		rt.prober.add(b)
+		rt.state.add(b)
 	}
 	return rt, nil
 }
@@ -260,9 +254,9 @@ func sameMembers(a, b []string) bool {
 
 // Reload rebuilds the ring over a new backend set and swaps it in
 // atomically. In-flight requests keep the membership view they started
-// with; new requests route on the new ring. Probers start for added
-// backends (which begin *down* and take traffic only after their first
-// healthy probes) and stop for removed ones. A reload naming the same
+// with; new requests route on the new ring. Added backends are tracked
+// from *down* (they take traffic only after their first healthy probes)
+// and removed ones are forgotten. A reload naming the same
 // member set is a no-op. The previous ring is retained so keys the
 // rebuild moved are served from their previous owner's cache via
 // synchronous peer lookup instead of being recomputed cold.
@@ -288,24 +282,23 @@ func (rt *Router) Reload(backends []string) error {
 		prev:        old.ring,
 		prevExpires: time.Now().Add(rt.cfg.LookupWindow),
 	}
-	// Start probing additions before the swap so the first request
-	// routed to a new backend finds prober state (down, not unknown).
+	// Track additions before the swap so the first request routed to a
+	// new backend finds its state (down, not unknown).
 	added, removed := 0, 0
 	for _, url := range normalized {
 		if !old.member[url] {
-			rt.prober.add(url)
+			rt.state.add(url)
 			added++
 		}
 	}
 	rt.mem.Store(next)
 	// Retire removals after the swap: requests still holding the old
-	// membership degrade gracefully (healthy() answers false for a
-	// removed backend, so they prefer surviving members).
+	// membership degrade gracefully (a removed backend is not usable, so
+	// they prefer surviving members).
 	for _, url := range old.backends {
 		if !next.member[url] {
-			rt.prober.remove(url)
+			rt.state.remove(url)
 			rt.budget.retire(url)
-			rt.breaker.retire(url)
 			removed++
 		}
 	}
@@ -337,9 +330,9 @@ func (rt *Router) Backends() []string {
 // Handler returns the root handler for an http.Server.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Close stops the probers.
+// Close stops the probe loops.
 func (rt *Router) Close() {
-	rt.closeOnce.Do(rt.prober.close)
+	rt.closeOnce.Do(rt.state.close)
 }
 
 // writeJSON emits a JSON body with the vabufd response conventions
@@ -428,24 +421,26 @@ type attempt struct {
 	stream  *http.Response
 }
 
-// send forwards payload to a backend's path and returns the unread
-// response. The remaining deadline budget of ctx (when it has one) rides
-// along in Vabuf-Deadline-Ms — stamped at send time, so queue and
-// transit time already spent is naturally subtracted at every hop.
-func (rt *Router) send(ctx context.Context, url, path string, payload []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		url+path, bytes.NewReader(payload))
+// send issues one request to a backend's path — a JSON POST of payload,
+// or a bodiless GET — and returns the unread response. The remaining
+// deadline budget of ctx (when it has one) rides along in
+// Vabuf-Deadline-Ms — stamped at send time, so queue and transit time
+// already spent is naturally subtracted at every hop.
+func (rt *Router) send(ctx context.Context, method, url, path string, payload []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url+path, bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	server.SetDeadlineHeader(req.Header, ctx)
 	return rt.cfg.Client.Do(req)
 }
 
-// post is send with the response buffered.
-func (rt *Router) post(ctx context.Context, url, path string, payload []byte) (*attempt, error) {
-	resp, err := rt.send(ctx, url, path, payload)
+// fetch is send with the response buffered.
+func (rt *Router) fetch(ctx context.Context, method, url, path string, payload []byte) (*attempt, error) {
+	resp, err := rt.send(ctx, method, url, path, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -459,14 +454,14 @@ func (rt *Router) post(ctx context.Context, url, path string, payload []byte) (*
 
 // openStream is send for a streaming endpoint: a conclusive answer comes
 // back with its body unread in stream, while the answers the walk may
-// pass over (saturation, retryable 5xx) are buffered like post's.
+// pass over (saturation, retryable 5xx) are buffered like fetch's.
 func (rt *Router) openStream(ctx context.Context, url, path string, payload []byte) (*attempt, error) {
-	resp, err := rt.send(ctx, url, path, payload)
+	resp, err := rt.send(ctx, http.MethodPost, url, path, payload)
 	if err != nil {
 		return nil, err
 	}
 	att := &attempt{backend: url, status: resp.StatusCode, header: resp.Header}
-	if !saturated(att.status) && !retryable5xx(att.status) {
+	if conclusive(att.status) {
 		att.stream = resp
 		return att, nil
 	}
@@ -551,11 +546,17 @@ func saturated(status int) bool {
 	return status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
 }
 
-// tryBackends walks the candidate backends in order: unhealthy and
-// breaker-open ones are skipped (unless every candidate is — probes may
-// simply not have run yet), transport errors mark the backend down, trip
-// its breaker, and move on, retryable 5xx answers (500/502) are retried
-// on the next backend, and 429/503 answers are remembered but passed
+// conclusive reports an answer the walk serves rather than passes over:
+// neither saturation nor a retryable 5xx.
+func conclusive(status int) bool {
+	return !saturated(status) && !retryable5xx(status)
+}
+
+// tryBackends walks the candidate backends in order: unusable ones are
+// skipped (unless every candidate is — probes may simply not have run
+// yet), every attempt's outcome is observed by the backend's state
+// machine, transport errors and retryable 5xx answers (500/502) move on
+// to the next backend, and 429/503 answers are remembered but passed
 // over. Only the first send is free: every further hop pays a
 // retry-budget token, and a dry bucket stops the walk — the router must
 // never amplify an outage into a retry storm. It returns the first
@@ -565,37 +566,28 @@ func saturated(status int) bool {
 // anyone down — retrying for a caller that hung up only burns backends.
 func (rt *Router) tryBackends(ctx context.Context, order []string, path string, payload []byte) (served, sat *attempt) {
 	return rt.walk(ctx, order, func(b string) (*attempt, error) {
-		return rt.post(ctx, b, path, payload)
+		return rt.fetch(ctx, http.MethodPost, b, path, payload)
 	})
 }
 
 // walk is tryBackends over any sender; send issues one attempt to a
 // backend.
 func (rt *Router) walk(ctx context.Context, order []string, send func(b string) (*attempt, error)) (served, sat *attempt) {
-	usable := func(b string) bool {
-		return rt.prober.healthy(b) && !rt.breaker.isOpen(b)
-	}
-	anyUsable := false
-	for _, b := range order {
-		if usable(b) {
-			anyUsable = true
-			break
-		}
-	}
+	anyUsable := slices.ContainsFunc(order, rt.state.usable)
 	sent := 0
 	var failed *attempt
 	for _, b := range order {
 		if ctx.Err() != nil {
 			return nil, sat
 		}
-		if anyUsable && !usable(b) {
+		if anyUsable && !rt.state.usable(b) {
 			continue
 		}
 		if sent > 0 && !rt.spendRetry(b) {
 			break
 		}
-		if !rt.breaker.allow(b) {
-			continue // lost the half-open probe slot to a sibling request
+		if !rt.state.allow(b) {
+			continue // lost the half-open slot to a sibling request
 		}
 		if sent == 0 {
 			rt.budget.credit(b)
@@ -603,26 +595,20 @@ func (rt *Router) walk(ctx context.Context, order []string, send func(b string) 
 		sent++
 		rt.met.attempts.Inc(b)
 		att, err := send(b)
-		if err != nil {
-			if clientFault(ctx, err) {
-				return nil, sat
-			}
-			rt.prober.noteProxyError(b, err)
-			rt.breaker.failure(b)
-			continue
+		if err != nil && clientFault(ctx, err) {
+			return nil, sat
 		}
-		if saturated(att.status) {
+		rt.state.observe(b, att, err)
+		switch {
+		case err != nil:
+		case saturated(att.status):
 			sat = att
-			continue
-		}
-		if retryable5xx(att.status) {
-			rt.breaker.failure(b)
+		case retryable5xx(att.status):
 			failed = att
-			continue
+		default:
+			rt.met.proxied.Inc(b)
+			return att, sat
 		}
-		rt.breaker.success(b)
-		rt.met.proxied.Inc(b)
-		return att, sat
 	}
 	if failed != nil {
 		return failed, sat
@@ -649,12 +635,10 @@ func (rt *Router) copyProxied(w http.ResponseWriter, endpoint string, att *attem
 var errNoBackend = errors.New("no vabufd backend could serve the request; ring is down or unreachable")
 
 // servingTarget is the backend tryBackends will actually hit first: the
-// first healthy backend of the order, or the owner when none is healthy.
+// first usable backend of the order, or the owner when none is usable.
 func (rt *Router) servingTarget(order []string) string {
-	for _, b := range order {
-		if rt.prober.healthy(b) {
-			return b
-		}
+	if i := slices.IndexFunc(order, rt.state.usable); i >= 0 {
+		return order[i]
 	}
 	return order[0]
 }
@@ -708,11 +692,12 @@ func (rt *Router) single(endpoint, kind string) http.HandlerFunc {
 
 // reply answers the client with the outcome of a walk over owner's
 // successor order: the served answer (relayed as a stream when it is
-// one), else the saturated answer, else finishUnserved's.
+// one), else the saturated answer, else finishUnserved's. An empty owner
+// (a walk over the whole membership) counts no failover.
 func (rt *Router) reply(w http.ResponseWriter, endpoint string, ctx context.Context, owner string, served, sat *attempt) {
 	switch {
 	case served != nil:
-		if served.backend != owner {
+		if owner != "" && served.backend != owner {
 			rt.met.failovers.Inc(owner)
 		}
 		if served.stream != nil {
@@ -794,12 +779,11 @@ func (rt *Router) relayStream(w http.ResponseWriter, endpoint string, resp *http
 	}
 }
 
-// anyBackend proxies a read-only GET (e.g. /v1/benchmarks) to the first
-// healthy backend — they all answer identically. When no backend has
-// probed healthy yet (cold start: probes may simply not have run, or
-// hysteresis not converged), every backend is tried anyway — the same
-// fallback tryBackends applies, so a freshly booted router doesn't
-// answer 503 for up to a probe interval while the whole fleet is live.
+// anyBackend proxies a read-only GET (e.g. /v1/benchmarks) with the
+// usual walk over the whole membership — every backend answers it
+// identically, so any usable one will do, and the walk's none-usable
+// fallback keeps a freshly booted router from answering 503 for up to a
+// probe interval while the whole fleet is live.
 func (rt *Router) anyBackend(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel, ok := rt.deadlineContext(path, w, r)
@@ -807,50 +791,10 @@ func (rt *Router) anyBackend(path string) http.HandlerFunc {
 			return
 		}
 		defer cancel()
-		mem := rt.mem.Load()
-		healthyExists := false
-		for _, b := range mem.backends {
-			if rt.prober.healthy(b) {
-				healthyExists = true
-				break
-			}
-		}
-		for _, b := range mem.backends {
-			if ctx.Err() != nil {
-				break
-			}
-			if healthyExists && !rt.prober.healthy(b) {
-				continue
-			}
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-				b+path, nil)
-			if err != nil {
-				continue
-			}
-			server.SetDeadlineHeader(req.Header, ctx)
-			rt.met.attempts.Inc(b)
-			resp, err := rt.cfg.Client.Do(req)
-			if err != nil {
-				// A vanished client is not backend evidence: marking the
-				// backend down here would let one impatient caller bench a
-				// healthy instance for the whole fleet.
-				if clientFault(ctx, err) {
-					break
-				}
-				rt.prober.noteProxyError(b, err)
-				continue
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				continue
-			}
-			rt.met.proxied.Inc(b)
-			rt.copyProxied(w, path, &attempt{
-				backend: b, status: resp.StatusCode, header: resp.Header, body: body})
-			return
-		}
-		rt.finishUnserved(w, path, ctx)
+		served, sat := rt.walk(ctx, rt.mem.Load().backends, func(b string) (*attempt, error) {
+			return rt.fetch(ctx, http.MethodGet, b, path, nil)
+		})
+		rt.reply(w, path, ctx, "", served, sat)
 	}
 }
 
@@ -861,7 +805,7 @@ func (rt *Router) healthz(w http.ResponseWriter, _ *http.Request) {
 // readyz answers 200 once at least one backend is healthy — before that
 // the router could only answer 503s, so it should not take traffic.
 func (rt *Router) readyz(w http.ResponseWriter, _ *http.Request) {
-	if rt.prober.anyHealthy() {
+	if rt.state.anyHealthy() {
 		rt.writeJSON(w, "/readyz", http.StatusOK, map[string]any{"status": "ready"})
 		return
 	}
@@ -870,10 +814,7 @@ func (rt *Router) readyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (rt *Router) metricsHandler(w http.ResponseWriter, _ *http.Request) {
-	openNow, opens := rt.breaker.stats()
-	rt.writeJSON(w, "/metrics", http.StatusOK,
-		rt.met.snapshot(rt.mem.Load(), rt.prober, rt.prober.anyHealthy(),
-			openNow, opens))
+	rt.writeJSON(w, "/metrics", http.StatusOK, rt.met.snapshot(rt.mem.Load(), rt.state))
 }
 
 // adminBackendsRequest is the body of POST /admin/backends.
@@ -1033,7 +974,7 @@ func (rt *Router) batch(endpoint, kind string) http.HandlerFunc {
 		out := rawBatchResult{Items: make([]rawBatchItem, len(breq.Items))}
 		// Split: invalid items answer their 400 locally (parity with the
 		// backend's per-item validation); valid ones group under the
-		// first *healthy* backend of their successor order so a dead
+		// first *usable* backend of their successor order so a dead
 		// owner's items fail over together instead of one by one.
 		groups := make(map[string][]preparedItem)
 		for i, raw := range breq.Items {

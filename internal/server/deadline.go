@@ -20,6 +20,7 @@ package server
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -32,6 +33,8 @@ const DeadlineHeader = "Vabuf-Deadline-Ms"
 
 // DeadlineFromHeader parses the propagated deadline. ok reports whether
 // a parseable value was present; remaining may be <= 0 (doomed work).
+// Values beyond what a time.Duration holds (~292 years) clamp to its
+// limits rather than wrap around to the opposite sign.
 func DeadlineFromHeader(h http.Header) (remaining time.Duration, ok bool) {
 	v := h.Get(DeadlineHeader)
 	if v == "" {
@@ -40,6 +43,13 @@ func DeadlineFromHeader(h http.Header) (remaining time.Duration, ok bool) {
 	ms, err := strconv.ParseInt(v, 10, 64)
 	if err != nil {
 		return 0, false
+	}
+	const limit = math.MaxInt64 / int64(time.Millisecond)
+	switch {
+	case ms > limit:
+		return math.MaxInt64, true
+	case ms < -limit:
+		return math.MinInt64, true
 	}
 	return time.Duration(ms) * time.Millisecond, true
 }

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -28,6 +30,23 @@ func TestDeadlineHeaderParsing(t *testing.T) {
 	if d, ok := DeadlineFromHeader(h); !ok || d > 0 {
 		t.Errorf("0 parsed as (%v, %v), want spent deadline", d, ok)
 	}
+	// Budgets past time.Duration's range clamp instead of wrapping to a
+	// spent (negative) or boundless (positive) deadline.
+	for _, c := range []struct {
+		header string
+		want   time.Duration
+	}{
+		{"10000000000000", math.MaxInt64},
+		{"9223372036854775807", math.MaxInt64},
+		{"-10000000000000", math.MinInt64},
+		{"-9223372036854775808", math.MinInt64},
+		{"9223372036854", 9223372036854 * time.Millisecond},
+	} {
+		h.Set(DeadlineHeader, c.header)
+		if d, ok := DeadlineFromHeader(h); !ok || d != c.want {
+			t.Errorf("%s parsed as (%v, %v), want (%v, true)", c.header, d, ok, c.want)
+		}
+	}
 
 	h = make(http.Header)
 	SetDeadlineHeader(h, context.Background())
@@ -40,6 +59,41 @@ func TestDeadlineHeaderParsing(t *testing.T) {
 	if d, ok := DeadlineFromHeader(h); !ok || d <= 0 || d > time.Second {
 		t.Errorf("round-tripped deadline = (%v, %v)", d, ok)
 	}
+}
+
+// FuzzDeadlineHeader: whenever a Vabuf-Deadline-Ms value parses, the
+// budget it yields has the sign of the header's value — a huge budget
+// never wraps into a spent one, nor a spent one into a live one.
+func FuzzDeadlineHeader(f *testing.F) {
+	for _, v := range []string{"0", "250", "-1", "garbage", "10000000000000",
+		"9223372036854775807", "-9223372036854775808", "+5", "007"} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		h := make(http.Header)
+		h.Set(DeadlineHeader, v)
+		d, ok := DeadlineFromHeader(h)
+		if !ok {
+			return
+		}
+		ms, err := strconv.ParseInt(h.Get(DeadlineHeader), 10, 64)
+		if err != nil {
+			t.Fatalf("%q parsed as %v but is not an integer: %v", v, d, err)
+		}
+		if sign(int64(d)) != sign(ms) {
+			t.Fatalf("%q (%d ms) parsed as %v: sign flipped", v, ms, d)
+		}
+	})
+}
+
+func sign(x int64) int {
+	switch {
+	case x > 0:
+		return 1
+	case x < 0:
+		return -1
+	}
+	return 0
 }
 
 // postDeadline posts body with a Vabuf-Deadline-Ms header.

@@ -72,25 +72,31 @@ func (s *Server) yieldStream(w http.ResponseWriter, r *http.Request) {
 	// a pool worker. Progress sends are non-blocking (a slow client skips
 	// intermediate events instead of stalling the worker); the final
 	// result/error event is sent blocking after the channel's progress
-	// backlog, so it is never lost.
+	// backlog, so it is never lost. The channel is never closed: a job
+	// abandoned by a canceled request may still be sending progress, so
+	// the loop ends at the terminal event instead, draining without
+	// writing once the client is gone so that send never blocks.
 	events := make(chan StreamEvent, 16)
 	outcome := make(chan streamOutcome, 1)
-	go func() {
-		outcome <- run(events)
-		close(events)
-	}()
+	go func() { outcome <- run(events) }()
 
 	s.identityHeaders(w)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
+	gone := false
 	for ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			break // client gone; the job stops via r.Context()
+		if !gone {
+			// A write error means the client is gone; the job stops via
+			// r.Context().
+			gone = enc.Encode(ev) != nil
+			if !gone && flusher != nil {
+				flusher.Flush()
+			}
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if ev.Type != "progress" {
+			break
 		}
 	}
 	out := <-outcome
