@@ -36,7 +36,11 @@ func hashEstimate(h hash.Hash, est Estimate) {
 
 // pinnedNet is one benchgen net with a fixed assignment, per-edge wire
 // overrides on every fourth edge, and a model whose every buffer site was
-// resolved in ascending node order before any sampler touches it.
+// resolved in ascending node order before any sampler touches it. Nets a
+// and b use the heterogeneous model, whose per-site spatial sigma makes
+// every deviation form distinct; net c uses the default homogeneous
+// model, where buffer sites in one grid cell share all of their
+// deviation terms but the per-site random one.
 type pinnedNet struct {
 	tree   *rctree.Tree
 	lib    device.Library
@@ -49,13 +53,20 @@ func pinnedNets(t *testing.T) []pinnedNet {
 	t.Helper()
 	wlib := rctree.DefaultWireLibrary()
 	var out []pinnedNet
-	for _, spec := range []benchgen.Spec{{Sinks: 12, Seed: 3}, {Sinks: 40, Seed: 8}} {
-		tr, err := benchgen.Random(spec)
+	for _, net := range []struct {
+		spec          benchgen.Spec
+		heterogeneous bool
+	}{
+		{benchgen.Spec{Sinks: 12, Seed: 3}, true},
+		{benchgen.Spec{Sinks: 40, Seed: 8}, true},
+		{benchgen.Spec{Sinks: 40, Seed: 8}, false},
+	} {
+		tr, err := benchgen.Random(net.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := variation.DefaultConfig(tr.BoundingBox().Expand(100))
-		cfg.Heterogeneous = true
+		cfg.Heterogeneous = net.heterogeneous
 		model, err := variation.NewModel(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -149,6 +160,16 @@ func TestMonteCarloStreamsPinned(t *testing.T) {
 		"b/parallel-w3+wires":      "d00acffe314a22f9",
 		"b/adaptive-tol0.01+wires": "ff1f773437fc6954",
 		"b/adaptive-tol0+wires":    "d786c16a2bb27d21",
+		"c/serial":                 "6fafb6cf4c2f51a9",
+		"c/parallel-w1":            "3fdd04f1e394a9c5",
+		"c/parallel-w3":            "3fdd04f1e394a9c5",
+		"c/adaptive-tol0.01":       "93a9725482bf6ee2",
+		"c/adaptive-tol0":          "b4586b34516cf75f",
+		"c/serial+wires":           "0ba71444ebfb1132",
+		"c/parallel-w1+wires":      "7fe6a7ca6a4d67fc",
+		"c/parallel-w3+wires":      "7fe6a7ca6a4d67fc",
+		"c/adaptive-tol0.01+wires": "89636d1aa8412448",
+		"c/adaptive-tol0+wires":    "4fe76e1b22e73043",
 	}
 	for ni, p := range nets {
 		for _, sized := range []bool{false, true} {
