@@ -241,7 +241,7 @@ func BenchmarkExtensionSkew(b *testing.B) {
 }
 
 func BenchmarkMonteCarloSerial(b *testing.B) {
-	tree, model, lib, assign := mcSetup(b, "r1")
+	tree, model, lib, assign := mcSetup(b, "r1", true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := vabuf.MonteCarloRAT(tree, lib, assign, model, 2000, 1); err != nil {
@@ -251,7 +251,8 @@ func BenchmarkMonteCarloSerial(b *testing.B) {
 }
 
 func BenchmarkMonteCarloParallel(b *testing.B) {
-	tree, model, lib, assign := mcSetup(b, "r1")
+	tree, model, lib, assign := mcSetup(b, "r1", true)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := vabuf.MonteCarloRATParallel(tree, lib, assign, model, 2000, 1, 0); err != nil {
@@ -264,10 +265,13 @@ func BenchmarkMonteCarloParallel(b *testing.B) {
 // r3 buffered tree: tol > 0 stops at a 1% relative CI half-width on the
 // 5% quantile, tol = 0 burns every sample. The "samples" metric is the
 // early-stopping signal scripts/bench.sh snapshots into BENCH_core.json.
-func benchMCr3(b *testing.B, tol float64) {
-	tree, model, lib, assign := mcSetup(b, "r3")
+// heterogeneous picks mcSetup's model; under the homogeneous one, buffers
+// in one grid cell share every deviation term but their random one.
+func benchMCr3(b *testing.B, tol float64, heterogeneous bool) {
+	tree, model, lib, assign := mcSetup(b, "r3", heterogeneous)
 	const budget = 32768
 	var samples int
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, est, err := vabuf.MonteCarloRATAdaptive(tree, lib, assign, model, vabuf.MCAdaptiveOptions{
@@ -287,18 +291,24 @@ func benchMCr3(b *testing.B, tol float64) {
 	b.ReportMetric(float64(samples), "samples")
 }
 
-func BenchmarkMCR3Adaptive(b *testing.B) { benchMCr3(b, 0.01) }
-func BenchmarkMCR3Fixed(b *testing.B)    { benchMCr3(b, 0) }
+func BenchmarkMCR3Adaptive(b *testing.B)         { benchMCr3(b, 0.01, true) }
+func BenchmarkMCR3Fixed(b *testing.B)            { benchMCr3(b, 0, true) }
+func BenchmarkMCR3FixedHomogeneous(b *testing.B) { benchMCr3(b, 0, false) }
 
-func mcSetup(b *testing.B, bench string) (*vabuf.Tree, *vabuf.VariationModel, vabuf.Library, map[vabuf.NodeID]int) {
+// mcSetup buffers a benchmark net for Monte-Carlo runs. heterogeneous
+// selects the heterogeneous model with 15% budgets per class; otherwise
+// the model is the default homogeneous one.
+func mcSetup(b *testing.B, bench string, heterogeneous bool) (*vabuf.Tree, *vabuf.VariationModel, vabuf.Library, map[vabuf.NodeID]int) {
 	b.Helper()
 	tree, err := vabuf.GenerateBenchmark(bench)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := vabuf.DefaultModelConfig(tree)
-	cfg.Heterogeneous = true
-	cfg.RandomFrac, cfg.SpatialFrac, cfg.InterDieFrac = 0.15, 0.15, 0.15
+	if heterogeneous {
+		cfg.Heterogeneous = true
+		cfg.RandomFrac, cfg.SpatialFrac, cfg.InterDieFrac = 0.15, 0.15, 0.15
+	}
 	model, err := vabuf.NewVariationModel(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -23,15 +23,32 @@ type mcGraph struct {
 	res [][]float64
 }
 
-// prepareMC validates the sample count and the graph and allocates the
-// n-column result matrix.
+// prepareMC validates the sample count, the graph and the forms the
+// samplers evaluate, and allocates the n-column result matrix.
 func prepareMC(g *Graph, inputs map[PinID]variation.Form, space *variation.Space, n int) (*mcGraph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sta: sample count %d must be positive", n)
 	}
+	if space == nil {
+		return nil, fmt.Errorf("sta: Monte Carlo requires a variation space")
+	}
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
+	}
+	for _, id := range g.Inputs() {
+		if f, ok := inputs[id]; ok {
+			if err := checkSources(f, space); err != nil {
+				return nil, fmt.Errorf("sta: input at pin %d: %w", id, err)
+			}
+		}
+	}
+	for _, arcs := range g.out {
+		for _, a := range arcs {
+			if err := checkSources(a.Delay, space); err != nil {
+				return nil, fmt.Errorf("sta: arc %d->%d delay: %w", a.From, a.To, err)
+			}
+		}
 	}
 	outs := g.Outputs()
 	res := make([][]float64, len(outs))
@@ -39,6 +56,17 @@ func prepareMC(g *Graph, inputs map[PinID]variation.Form, space *variation.Space
 		res[i] = make([]float64, n)
 	}
 	return &mcGraph{g: g, inputs: inputs, space: space, order: order, outs: outs, res: res}, nil
+}
+
+// checkSources rejects a form naming a source outside space, which
+// Form.Eval on a space sample would index out of range.
+func checkSources(f variation.Form, space *variation.Space) error {
+	for _, t := range f.Terms {
+		if t.ID < 0 || int(t.ID) >= space.Len() {
+			return fmt.Errorf("source %d outside the %d-source space", t.ID, space.Len())
+		}
+	}
+	return nil
 }
 
 // MonteCarlo samples the variation space n times and evaluates the graph

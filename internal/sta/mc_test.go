@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -114,6 +115,58 @@ func TestMonteCarloParallelValidation(t *testing.T) {
 	for i := range out {
 		if len(out[i]) != 3 {
 			t.Errorf("output %d: %d samples, want 3", i, len(out[i]))
+		}
+	}
+}
+
+// TestMonteCarloRejectsFormsOutsideSpace: a delay or input form naming a
+// source the space does not hold, or a nil space, is an error from every
+// sampler, not an index panic inside a shard worker.
+func TestMonteCarloRejectsFormsOutsideSpace(t *testing.T) {
+	runs := map[string]func(g *Graph, in map[PinID]variation.Form, space *variation.Space) error{
+		"serial": func(g *Graph, in map[PinID]variation.Form, space *variation.Space) error {
+			_, err := MonteCarlo(g, in, space, 8, 1)
+			return err
+		},
+		"parallel": func(g *Graph, in map[PinID]variation.Form, space *variation.Space) error {
+			_, err := MonteCarloParallel(g, in, space, 8, 1, 2)
+			return err
+		},
+		"adaptive": func(g *Graph, in map[PinID]variation.Form, space *variation.Space) error {
+			_, _, err := MonteCarloAdaptive(g, in, space, AdaptiveOptions{MaxSamples: 64, Seed: 1, Workers: 2, Quantile: 0.5})
+			return err
+		},
+	}
+	space := variation.NewSpace()
+	space.Add(variation.ClassRandom, 1, "x")
+	inside := variation.NewForm(1, []variation.Term{{ID: 0, Coef: 0.1}})
+	type tc struct {
+		name         string
+		delay, input variation.Form
+		space        *variation.Space
+		ok           bool
+	}
+	cases := []tc{
+		{name: "in-space", delay: inside, input: inside, space: space, ok: true},
+		{name: "nil-space", delay: inside, input: inside},
+	}
+	for _, bad := range []variation.SourceID{5, 1, -1} {
+		outside := variation.Form{Nominal: 1, Terms: []variation.Term{{ID: bad, Coef: 0.1}}}
+		cases = append(cases,
+			tc{name: fmt.Sprintf("arc-source-%d", bad), delay: outside, input: inside, space: space},
+			tc{name: fmt.Sprintf("input-source-%d", bad), delay: inside, input: outside, space: space})
+	}
+	for _, c := range cases {
+		for rname, run := range runs {
+			g := NewGraph()
+			a, b := g.AddPin("a"), g.AddPin("b")
+			if err := g.AddArc(a, b, c.delay); err != nil {
+				t.Fatal(err)
+			}
+			err := run(g, map[PinID]variation.Form{a: c.input}, c.space)
+			if (err == nil) != c.ok {
+				t.Errorf("%s, %s: err = %v, want ok %v", c.name, rname, err, c.ok)
+			}
 		}
 	}
 }

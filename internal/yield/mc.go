@@ -1,8 +1,11 @@
 package yield
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"vabuf/internal/device"
 	"vabuf/internal/rctree"
@@ -21,6 +24,10 @@ type MCProgram struct {
 	Tree  *rctree.Program
 	space *variation.Space
 	slots []mcSlot
+	// shared holds the deviation prefixes two or more slots share: a
+	// form's nominal and all of its terms but the last. Each is
+	// evaluated once per sample.
+	shared []variation.Form
 }
 
 // mcSlot is one placed buffer: cell values and the site deviation D, so
@@ -28,6 +35,9 @@ type MCProgram struct {
 type mcSlot struct {
 	cb0, tb0, rb float64
 	dev          variation.Form
+	// pre indexes the slot's prefix in MCProgram.shared, or is -1 when no
+	// other slot shares it and the sampler evaluates dev in full.
+	pre int32
 }
 
 // CompileMC validates a buffered tree under a model once and compiles it
@@ -59,7 +69,63 @@ func CompileMC(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]i
 		b := lib[bi]
 		slots[k] = mcSlot{cb0: b.Cb0, tb0: b.Tb0, rb: b.Rb, dev: model.Deviation(int(id), tree.Node(id).Loc)}
 	}
-	return &MCProgram{Tree: prog, space: model.Space, slots: slots}, nil
+	return &MCProgram{Tree: prog, space: model.Space, slots: slots, shared: sharePrefixes(slots)}, nil
+}
+
+// comparePrefix orders the prefixes of two forms by term count, nominal
+// bits, then term by term on ID and coefficient bits. It returns 0 only
+// for prefixes that are equal bit for bit, which therefore evaluate to
+// the same partial sum of Form.Eval on any sample.
+func comparePrefix(f, g variation.Form) int {
+	if c := cmp.Compare(len(f.Terms), len(g.Terms)); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(math.Float64bits(f.Nominal), math.Float64bits(g.Nominal)); c != 0 {
+		return c
+	}
+	for i := range f.Terms[:max(len(f.Terms)-1, 0)] {
+		a, b := f.Terms[i], g.Terms[i]
+		if c := cmp.Compare(a.ID, b.ID); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(math.Float64bits(a.Coef), math.Float64bits(b.Coef)); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// sharePrefixes finds the deviation prefixes that two or more slots share
+// exactly, points each such slot's pre at its prefix and returns the
+// prefixes; every other slot gets pre = -1. Sorting by comparePrefix
+// puts equal prefixes next to each other. A form with no terms has no
+// prefix.
+func sharePrefixes(slots []mcSlot) []variation.Form {
+	order := make([]int32, 0, len(slots))
+	for k := range slots {
+		slots[k].pre = -1
+		if len(slots[k].dev.Terms) > 0 {
+			order = append(order, int32(k))
+		}
+	}
+	byPrefix := func(a, b int32) int { return comparePrefix(slots[a].dev, slots[b].dev) }
+	slices.SortFunc(order, byPrefix)
+	var shared []variation.Form
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && byPrefix(order[i], order[j]) == 0 {
+			j++
+		}
+		if j-i > 1 {
+			f := slots[order[i]].dev
+			for _, k := range order[i:j] {
+				slots[k].pre = int32(len(shared))
+			}
+			shared = append(shared, variation.Form{Nominal: f.Nominal, Terms: f.Terms[:len(f.Terms)-1]})
+		}
+		i = j
+	}
+	return shared
 }
 
 // Sampler is one RNG stream of buffer realizations drawn from a compiled
@@ -68,6 +134,7 @@ type Sampler struct {
 	p    *MCProgram
 	rng  *rand.Rand
 	src  []float64
+	pv   []float64 // pv[i] is the value of p.shared[i] on src
 	bufs []rctree.BufferValues
 }
 
@@ -76,6 +143,7 @@ func (p *MCProgram) Sampler(seed int64) *Sampler {
 	return &Sampler{
 		p:    p,
 		rng:  rand.New(rand.NewSource(seed)),
+		pv:   make([]float64, len(p.shared)),
 		bufs: make([]rctree.BufferValues, len(p.slots)),
 	}
 }
@@ -84,13 +152,30 @@ func (p *MCProgram) Sampler(seed int64) *Sampler {
 // buffer values it implies, indexed by slot. The slice is reused by the
 // next call.
 func (s *Sampler) Next() []rctree.BufferValues {
-	s.src = s.p.space.Sample(s.rng, s.src)
+	src := s.p.space.Sample(s.rng, s.src)
+	s.src = src
+	pv := s.pv
+	for i, f := range s.p.shared {
+		pv[i] = f.Eval(src)
+	}
 	for k := range s.p.slots {
 		sl := &s.p.slots[k]
-		d := sl.dev.Eval(s.src)
+		d := sl.deviation(src, pv)
 		s.bufs[k] = rctree.BufferValues{C: sl.cb0 * (1 + d), T: sl.tb0 * (1 + d), R: sl.rb}
 	}
 	return s.bufs
+}
+
+// deviation returns dev.Eval(src) bit for bit, given pv[i] =
+// shared[i].Eval(src). Form.Eval is a left fold of v += c*x from the
+// nominal, so a shared prefix's value is the fold's partial sum before
+// the last term, and one more v + c*x of the same shape finishes it.
+func (sl *mcSlot) deviation(src, pv []float64) float64 {
+	if sl.pre < 0 {
+		return sl.dev.Eval(src)
+	}
+	t := sl.dev.Terms[len(sl.dev.Terms)-1]
+	return pv[sl.pre] + t.Coef*src[t.ID]
 }
 
 // sample fills dst[sh.From:sh.End()] with root RATs of consecutive draws

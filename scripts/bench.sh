@@ -29,8 +29,11 @@
 #                               ServeInsertWarm, the result-cache win)
 #   * Monte Carlo              (root: MCR3Adaptive vs MCR3Fixed, the
 #                               "samples" metric being the early-stop
-#                               signal; MonteCarloParallel, 2000 sharded
-#                               r1 samples)
+#                               signal; MCR3FixedHomogeneous, the same
+#                               budget under the homogeneous model where
+#                               deviation prefixes are shared;
+#                               MonteCarloParallel, 2000 sharded r1
+#                               samples)
 set -eu
 
 COUNT=5
