@@ -546,7 +546,7 @@ func runBatch(file string, servers *serverList, pol retryPolicy) error {
 	if err := json.Unmarshal(raw, &items); err != nil {
 		return fmt.Errorf("parsing %s (want a JSON array of insert requests): %w", file, err)
 	}
-	payload, err := json.Marshal(server.BatchInsertRequest{Items: items})
+	payload, err := json.Marshal(server.BatchRequest[server.InsertRequest]{Items: items})
 	if err != nil {
 		return err
 	}
@@ -563,7 +563,7 @@ func runBatch(file string, servers *serverList, pol retryPolicy) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("batch request answered %s", resp.Status)
 	}
-	var out server.BatchInsertResult
+	var out server.BatchResult[*server.InsertResult]
 	if err := json.Unmarshal(body, &out); err != nil {
 		return fmt.Errorf("parsing batch response: %w", err)
 	}

@@ -340,7 +340,7 @@ func TestGatherGroupDistinguishesBadBody(t *testing.T) {
 	rt := &Router{cfg: Config{}.withDefaults(), met: newRMetrics()}
 	items := []preparedItem{{index: 0, owner: "http://a"}, {index: 1, owner: "http://a"}}
 
-	out := rawBatchResult{Items: make([]rawBatchItem, 2)}
+	out := server.BatchResult[json.RawMessage]{Items: make([]server.BatchItem[json.RawMessage], 2)}
 	rt.gatherGroup(&out,
 		&attempt{backend: "http://a", status: 200, header: http.Header{}, body: []byte("<html>gateway error</html>")},
 		items)
@@ -356,7 +356,7 @@ func TestGatherGroupDistinguishesBadBody(t *testing.T) {
 		}
 	}
 
-	out = rawBatchResult{Items: make([]rawBatchItem, 2)}
+	out = server.BatchResult[json.RawMessage]{Items: make([]server.BatchItem[json.RawMessage], 2)}
 	rt.gatherGroup(&out,
 		&attempt{backend: "http://a", status: 200, header: http.Header{},
 			body: []byte(`{"items":[{"index":0,"status":200}],"succeeded":1,"errors":0}`)},

@@ -257,7 +257,7 @@ func TestBatchScatterGatherParity(t *testing.T) {
 	_, ts := newTestRouter(t, fleet)
 	_, ref := newSingleBackend(t)
 
-	batch := server.BatchInsertRequest{Items: []server.InsertRequest{
+	batch := server.BatchRequest[server.InsertRequest]{Items: []server.InsertRequest{
 		{Tree: treeText(t, 10), Algo: "nom"},
 		{Tree: treeText(t, 11), Algo: "bogus"}, // per-item 400
 		{Tree: treeText(t, 12), Algo: "wid"},
@@ -269,7 +269,7 @@ func TestBatchScatterGatherParity(t *testing.T) {
 		t.Fatalf("aggregate status router=%d single=%d, want 200/200:\n%s\n%s",
 			respR.StatusCode, respS.StatusCode, rawR, rawS)
 	}
-	var outR, outS server.BatchInsertResult
+	var outR, outS server.BatchResult[*server.InsertResult]
 	if err := json.Unmarshal(rawR, &outR); err != nil {
 		t.Fatalf("router batch response: %v\n%s", err, rawR)
 	}
@@ -303,6 +303,46 @@ func TestBatchScatterGatherParity(t *testing.T) {
 	getJSON(t, ts.URL+"/metrics", &met)
 	if fan := met["scatter_fanout"].(map[string]any); len(fan) == 0 {
 		t.Error("scatter_fanout histogram empty after a batch")
+	}
+
+	// Raw bodies a typed client cannot send. An item with an unknown
+	// field is a per-item 400 while its siblings are served; a defaults
+	// block that does not decode fails the whole batch.
+	tree, _ := json.Marshal(treeText(t, 10))
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		items      []int
+	}{
+		{"unknown item field",
+			`{"items":[{"tree":` + string(tree) + `,"algo":"nom"},{"tree":` + string(tree) + `,"algo":"nom","bogus":1}]}`,
+			http.StatusOK, []int{http.StatusOK, http.StatusBadRequest}},
+		{"unknown defaults field",
+			`{"defaults":{"algo":"nom","bogus":1},"items":[{"tree":` + string(tree) + `}]}`,
+			http.StatusBadRequest, nil},
+		{"defaults of the wrong type",
+			`{"defaults":["nom"],"items":[{"tree":` + string(tree) + `}]}`,
+			http.StatusBadRequest, nil},
+	} {
+		for _, url := range []string{ts.URL, ref} {
+			resp, raw := postJSON(t, url+"/v1/insert:batch", json.RawMessage(tc.body))
+			if resp.StatusCode != tc.status {
+				t.Errorf("%s via %s: status %d, want %d: %s", tc.name, url, resp.StatusCode, tc.status, raw)
+				continue
+			}
+			if tc.items == nil {
+				continue
+			}
+			var out server.BatchResult[*server.InsertResult]
+			if err := json.Unmarshal(raw, &out); err != nil {
+				t.Fatalf("%s via %s: %v\n%s", tc.name, url, err, raw)
+			}
+			for i, want := range tc.items {
+				if i >= len(out.Items) || out.Items[i].Status != want {
+					t.Errorf("%s via %s: item %d: %s, want status %d", tc.name, url, i, raw, want)
+				}
+			}
+		}
 	}
 }
 

@@ -27,14 +27,14 @@ func TestBatchInsertMixedWithPartialFailure(t *testing.T) {
 	}
 	items[bad].Algo = "frobnicate" // one invalid item must not fail the batch
 
-	resp, raw := postJSON(t, ts.URL+"/v1/insert:batch", BatchInsertRequest{
+	resp, raw := postJSON(t, ts.URL+"/v1/insert:batch", BatchRequest[InsertRequest]{
 		Defaults: &InsertRequest{Tree: treeText},
 		Items:    items,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d, want 200: %s", resp.StatusCode, raw)
 	}
-	var out BatchInsertResult
+	var out BatchResult[*InsertResult]
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ func TestBatchInsertCacheHitsAcrossIdenticalItems(t *testing.T) {
 		items[i].Quantile = 0.05 + 0.05*float64(i)
 	}
 
-	resp, raw := postJSON(t, ts.URL+"/v1/insert:batch", BatchInsertRequest{Items: items})
+	resp, raw := postJSON(t, ts.URL+"/v1/insert:batch", BatchRequest[InsertRequest]{Items: items})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
 	}
-	var out BatchInsertResult
+	var out BatchResult[*InsertResult]
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestBatchInsertCacheHitsAcrossIdenticalItems(t *testing.T) {
 
 func TestBatchYield(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	resp, raw := postJSON(t, ts.URL+"/v1/yield:batch", BatchYieldRequest{
+	resp, raw := postJSON(t, ts.URL+"/v1/yield:batch", BatchRequest[YieldRequest]{
 		Defaults: &YieldRequest{
 			InsertRequest: InsertRequest{Tree: smallTreeText(t), Algo: "wid"},
 			MonteCarlo:    128,
@@ -128,7 +128,7 @@ func TestBatchYield(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
 	}
-	var out BatchYieldResult
+	var out BatchResult[*YieldResult]
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,11 @@ func TestBatchYield(t *testing.T) {
 
 func TestBatchBounds(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxBatchItems: 2})
-	resp, raw := postJSON(t, ts.URL+"/v1/insert:batch", BatchInsertRequest{})
+	resp, raw := postJSON(t, ts.URL+"/v1/insert:batch", BatchRequest[InsertRequest]{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch status %d, want 400: %s", resp.StatusCode, raw)
 	}
-	resp, raw = postJSON(t, ts.URL+"/v1/insert:batch", BatchInsertRequest{
+	resp, raw = postJSON(t, ts.URL+"/v1/insert:batch", BatchRequest[InsertRequest]{
 		Items: make([]InsertRequest, 3),
 	})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "cap") {
@@ -174,7 +174,7 @@ func TestBatchOverload(t *testing.T) {
 	defer close(release)
 
 	treeText := smallTreeText(t)
-	resp, raw := postJSON(t, ts.URL+"/v1/insert:batch", BatchInsertRequest{
+	resp, raw := postJSON(t, ts.URL+"/v1/insert:batch", BatchRequest[InsertRequest]{
 		Defaults: &InsertRequest{Tree: treeText, Algo: "nom"},
 		Items:    make([]InsertRequest, 2),
 	})
@@ -186,7 +186,7 @@ func TestBatchOverload(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 batch response missing Retry-After")
 	}
-	var out BatchInsertResult
+	var out BatchResult[*InsertResult]
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestInteractiveBeatsQueuedBatch(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, SweepQueueDepth: 8, SweepEvery: 1})
 	gate := make(chan struct{})
 	started := make(chan struct{}, 16)
-	s.testHookJob = func() { started <- struct{}{}; <-gate }
+	s.faults = &faultHooks{beforeJob: func(string) { started <- struct{}{}; <-gate }}
 
 	treeText := smallTreeText(t)
 	type reply struct {
@@ -225,7 +225,7 @@ func TestInteractiveBeatsQueuedBatch(t *testing.T) {
 	}
 	batchDone := make(chan reply, 1)
 	go func() {
-		resp, raw := postJSON(t, ts.URL+"/v1/insert:batch", BatchInsertRequest{
+		resp, raw := postJSON(t, ts.URL+"/v1/insert:batch", BatchRequest[InsertRequest]{
 			Defaults: &InsertRequest{Tree: treeText, Algo: "nom"},
 			Items:    items,
 		})
@@ -264,7 +264,7 @@ func TestInteractiveBeatsQueuedBatch(t *testing.T) {
 	if r.status != http.StatusOK {
 		t.Fatalf("batch status %d: %s", r.status, r.raw)
 	}
-	var out BatchInsertResult
+	var out BatchResult[*InsertResult]
 	if err := json.Unmarshal(r.raw, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -354,14 +354,14 @@ func TestTrailingGarbageRejected(t *testing.T) {
 	}
 }
 
-// TestQueueDepthGaugeExact holds the single worker via testHookJob and
-// checks that the /metrics queue-depth gauge counts queued + in-flight
-// exactly — no transient low reading between dequeue and execution.
+// TestQueueDepthGaugeExact holds the single worker via the beforeJob
+// fault hook and checks that the /metrics queue-depth gauge counts
+// queued + in-flight exactly — no transient low reading between dequeue and execution.
 func TestQueueDepthGaugeExact(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	s.testHookJob = func() { started <- struct{}{}; <-release }
+	s.faults = &faultHooks{beforeJob: func(string) { started <- struct{}{}; <-release }}
 
 	treeText := smallTreeText(t)
 	httpDone := make(chan struct{})

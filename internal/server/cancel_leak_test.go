@@ -71,12 +71,12 @@ func TestCanceledInsertReleasesWorkers(t *testing.T) {
 	// would otherwise answer later iterations from cache, without a job.
 	s, ts := newTestServer(t, Config{Workers: 2, ResultCacheSize: -1})
 	started := make(chan struct{}, 16)
-	s.testHookJob = func() {
+	s.faults = &faultHooks{beforeJob: func(string) {
 		select {
 		case started <- struct{}{}:
 		default:
 		}
-	}
+	}}
 	client := &http.Client{}
 	baseline := runtime.NumGoroutine()
 

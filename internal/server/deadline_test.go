@@ -139,7 +139,7 @@ func metricsSection(t *testing.T, url, section string) map[string]any {
 func TestSpentDeadlineRejectedAtAdmission(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	ran := make(chan struct{}, 4)
-	s.testHookJob = func() { ran <- struct{}{} }
+	s.faults = &faultHooks{beforeJob: func(string) { ran <- struct{}{} }}
 
 	for _, ep := range []string{"/v1/insert", "/v1/yield", "/v1/yield:stream"} {
 		resp, raw := postDeadline(t, ts.URL+ep, "0",
@@ -174,10 +174,10 @@ func TestDeadlineExpiredWhileQueued(t *testing.T) {
 	defer unblock() // a failing assertion must still free the worker
 	var once sync.Once
 	started := make(chan struct{})
-	s.testHookJob = func() {
+	s.faults = &faultHooks{beforeJob: func(string) {
 		once.Do(func() { close(started) })
 		<-release
-	}
+	}}
 
 	// Occupy the lone worker.
 	blockerDone := make(chan struct{})
@@ -254,14 +254,14 @@ func TestQueueWaitCountsRejections(t *testing.T) {
 // the run context's error, not the endpoint, decides timeout vs cancel.
 func TestBatchItemDeadlineExpiresMidRun(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	s.testHookJob = func() { time.Sleep(150 * time.Millisecond) }
+	s.faults = &faultHooks{beforeJob: func(string) { time.Sleep(150 * time.Millisecond) }}
 	item := InsertRequest{Bench: "p1", Algo: "nom"}
 	cases := []struct {
 		endpoint string
 		body     any
 	}{
-		{"/v1/insert:batch", BatchInsertRequest{Items: []InsertRequest{item}}},
-		{"/v1/yield:batch", BatchYieldRequest{Items: []YieldRequest{{InsertRequest: item}}}},
+		{"/v1/insert:batch", BatchRequest[InsertRequest]{Items: []InsertRequest{item}}},
+		{"/v1/yield:batch", BatchRequest[YieldRequest]{Items: []YieldRequest{{InsertRequest: item}}}},
 	}
 	for _, c := range cases {
 		resp, raw := postDeadline(t, ts.URL+c.endpoint, "60", c.body)

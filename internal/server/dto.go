@@ -5,6 +5,8 @@ package server
 
 import (
 	"fmt"
+	"math"
+	"net/http"
 	"slices"
 	"strings"
 	"time"
@@ -81,53 +83,47 @@ type YieldRequest struct {
 	MCTol float64 `json:"mc_tol,omitempty"`
 }
 
-// BatchInsertRequest is the body of POST /v1/insert:batch: up to
-// Config.MaxBatchItems insertion requests answered as one aggregate
-// response. Defaults, when present, fills the zero-valued fields of
-// every item before validation (shared sweep parameters stated once).
-type BatchInsertRequest struct {
-	Defaults *InsertRequest  `json:"defaults,omitempty"`
-	Items    []InsertRequest `json:"items"`
+// BatchRequest is the body of POST /v1/insert:batch (T = InsertRequest)
+// and POST /v1/yield:batch (T = YieldRequest): up to
+// Config.MaxBatchItems requests answered as one aggregate response.
+// Defaults, when present, fills the zero-valued fields of every item
+// before validation (shared sweep parameters stated once). vabufd and
+// vabufr decode it at T = json.RawMessage and parse every item on its
+// own (ParseBatch, ParseRequest), so a bad item fails only itself.
+type BatchRequest[T any] struct {
+	Defaults *T  `json:"defaults,omitempty"`
+	Items    []T `json:"items"`
 }
 
-// BatchYieldRequest is the body of POST /v1/yield:batch.
-type BatchYieldRequest struct {
-	Defaults *YieldRequest  `json:"defaults,omitempty"`
-	Items    []YieldRequest `json:"items"`
+// BatchItem is the outcome of one batch item: either Result (Status
+// 200) or Error with the status the item would have received as a
+// standalone request. A failed item never fails the batch.
+type BatchItem[T any] struct {
+	Index  int    `json:"index"`
+	Status int    `json:"status"`
+	Result T      `json:"result,omitempty"`
+	Error  string `json:"error,omitempty"`
 }
 
-// BatchItemResult is the outcome of one item of a batch insert: either
-// Result (Status 200) or Error with the status the item would have
-// received as a standalone request. A failed item never fails the batch.
-type BatchItemResult struct {
-	Index  int           `json:"index"`
-	Status int           `json:"status"`
-	Result *InsertResult `json:"result,omitempty"`
-	Error  string        `json:"error,omitempty"`
+// BatchResult is the response of a batch endpoint, with T the result
+// type of its kind (*InsertResult or *YieldResult). The overall HTTP
+// status is 200 even with per-item errors; only a batch where nothing
+// could be enqueued answers 429 or 503.
+type BatchResult[T any] struct {
+	Items     []BatchItem[T] `json:"items"`
+	Succeeded int            `json:"succeeded"`
+	Errors    int            `json:"errors"`
 }
 
-// BatchYieldItemResult is the outcome of one item of a batch yield run.
-type BatchYieldItemResult struct {
-	Index  int          `json:"index"`
-	Status int          `json:"status"`
-	Result *YieldResult `json:"result,omitempty"`
-	Error  string       `json:"error,omitempty"`
-}
-
-// BatchInsertResult is the response of POST /v1/insert:batch. The
-// overall HTTP status is 200 even with per-item errors; only a batch
-// where nothing could be enqueued (pool overload) answers 429.
-type BatchInsertResult struct {
-	Items     []BatchItemResult `json:"items"`
-	Succeeded int               `json:"succeeded"`
-	Errors    int               `json:"errors"`
-}
-
-// BatchYieldResult is the response of POST /v1/yield:batch.
-type BatchYieldResult struct {
-	Items     []BatchYieldItemResult `json:"items"`
-	Succeeded int                    `json:"succeeded"`
-	Errors    int                    `json:"errors"`
+// Tally counts the items that succeeded and failed.
+func (b *BatchResult[T]) Tally() {
+	for _, it := range b.Items {
+		if it.Status == http.StatusOK {
+			b.Succeeded++
+		} else {
+			b.Errors++
+		}
+	}
 }
 
 // StatsDTO is the "stats" object of an InsertResult: the run's work
@@ -216,9 +212,7 @@ func CheckUnitInterval(name string, v float64) error {
 }
 
 // Normalize fills defaults and validates the request, returning an error
-// suitable for a 400 response. It is exported for the vabufr router,
-// which normalizes a copy of each request to compute its routing
-// fingerprint exactly as the owning backend will.
+// suitable for a 400 response. ParseRequest runs it on every request.
 func (r *InsertRequest) Normalize() error {
 	switch {
 	case r.Bench != "" && r.Tree != "":
@@ -295,21 +289,21 @@ func (r *YieldRequest) Normalize() error {
 	if !(r.MCTol >= 0 && r.MCTol < 1) {
 		return fmt.Errorf("mc_tol must be in [0, 1), got %g", r.MCTol)
 	}
+	// A -0 tolerance would fingerprint as "-0", but re-encoding drops it
+	// (omitempty) and the forwarded copy would key as "0".
+	r.MCTol = math.Abs(r.MCTol)
 	if r.MCTol > 0 && r.MonteCarlo == 0 {
 		return fmt.Errorf("mc_tol requires monte_carlo > 0 (the sample cap)")
 	}
 	return nil
 }
 
-// ApplyDefaults fills the zero-valued fields of r from d — the
+// applyDefaults fills the zero-valued fields of r from d, the
 // shared-defaults block of a batch request. An item that states a field
 // always wins; booleans merge only from false, so a default can enable
-// but never disable an option per item. Exported for the vabufr router,
-// which resolves defaults before splitting a batch across owners.
-func (r *InsertRequest) ApplyDefaults(d *InsertRequest) {
-	if d == nil {
-		return
-	}
+// but never disable an option per item.
+func (r *InsertRequest) applyDefaults(dr Request) {
+	d := dr.insert()
 	if r.Bench == "" && r.Tree == "" {
 		r.Bench, r.Tree = d.Bench, d.Tree
 	}
@@ -357,12 +351,11 @@ func (r *InsertRequest) ApplyDefaults(d *InsertRequest) {
 	}
 }
 
-// ApplyDefaults fills the zero-valued fields of r from d.
-func (r *YieldRequest) ApplyDefaults(d *YieldRequest) {
-	if d == nil {
-		return
-	}
-	r.InsertRequest.ApplyDefaults(&d.InsertRequest)
+// applyDefaults fills the zero-valued fields of r from d, a yield
+// request's defaults block.
+func (r *YieldRequest) applyDefaults(dr Request) {
+	d := dr.(*YieldRequest)
+	r.InsertRequest.applyDefaults(d)
 	if r.MonteCarlo == 0 {
 		r.MonteCarlo = d.MonteCarlo
 	}
@@ -373,6 +366,9 @@ func (r *YieldRequest) ApplyDefaults(d *YieldRequest) {
 		r.MCTol = d.MCTol
 	}
 }
+
+// insert returns the insertion part of the request.
+func (r *InsertRequest) insert() *InsertRequest { return r }
 
 // heterogeneous reports the effective Heterogeneous setting (default true).
 func (r *InsertRequest) heterogeneous() bool {

@@ -2,14 +2,14 @@ package server
 
 // Test-only fault injection. A Server carries an optional *faultHooks
 // that production code never sets (there is no flag or config field for
-// it); the failure-mode tests in faults_test.go install hooks before
-// serving traffic to force panics, slow jobs, snapshot-write failures,
-// and snapshot corruption deterministically. Every hook site is a nil
-// check on the hot path — zero cost when unset.
+// it); tests install hooks before serving traffic to force panics, slow
+// or held jobs, snapshot-write failures, and snapshot corruption
+// deterministically. Every hook site is a nil check on the hot path —
+// zero cost when unset.
 type faultHooks struct {
 	// beforeJob runs at the start of every pool job with the endpoint
-	// that submitted it. Panic here to simulate a crashing DP run; sleep
-	// to simulate a slow one.
+	// that submitted it. Panic here to simulate a crashing DP run, sleep
+	// to simulate a slow one, or block to hold a worker busy.
 	beforeJob func(endpoint string)
 
 	// snapshotWrite intercepts the serialized snapshot before it reaches

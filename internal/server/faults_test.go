@@ -63,7 +63,7 @@ func TestBatchItemPanicIsolated(t *testing.T) {
 		}
 	}}
 
-	breq := BatchInsertRequest{Items: []InsertRequest{
+	breq := BatchRequest[InsertRequest]{Items: []InsertRequest{
 		{Bench: "p1", Algo: "nom"},
 		{Bench: "p2", Algo: "nom"},
 		{Bench: "r1", Algo: "nom"},
@@ -72,7 +72,7 @@ func TestBatchItemPanicIsolated(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("aggregate status = %d, want 200: %s", resp.StatusCode, raw)
 	}
-	var out BatchInsertResult
+	var out BatchResult[*InsertResult]
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
@@ -118,15 +118,15 @@ func TestDrainRejectsNewWorkAndSnapshots(t *testing.T) {
 
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	s.testHookJob = func() {
+	s.faults = &faultHooks{beforeJob: func(string) {
 		started <- struct{}{}
 		<-release
-	}
+	}}
 
 	// An in-flight batch rides through the drain.
 	batchDone := make(chan *http.Response, 1)
 	go func() {
-		payload, _ := json.Marshal(BatchInsertRequest{Items: []InsertRequest{
+		payload, _ := json.Marshal(BatchRequest[InsertRequest]{Items: []InsertRequest{
 			{Bench: "p1", Algo: "nom"},
 			{Bench: "p1", Algo: "nom"},
 		}})
@@ -157,7 +157,7 @@ func TestDrainRejectsNewWorkAndSnapshots(t *testing.T) {
 		t.Error("draining 503 missing Retry-After")
 	}
 	resp, _ = postJSON(t, ts.URL+"/v1/insert:batch",
-		BatchInsertRequest{Items: []InsertRequest{{Bench: "p1", Algo: "nom"}}})
+		BatchRequest[InsertRequest]{Items: []InsertRequest{{Bench: "p1", Algo: "nom"}}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("drain batch status = %d, want 503", resp.StatusCode)
 	}
@@ -200,10 +200,10 @@ func TestSheddingRejectsSweepKeepsInteractive(t *testing.T) {
 	})
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s.testHookJob = func() {
+	s.faults = &faultHooks{beforeJob: func(string) {
 		started <- struct{}{}
 		<-release
-	}
+	}}
 
 	// Hold the single worker, fill both class queues, then trip the
 	// saturation mark with one refused submit.
@@ -241,7 +241,7 @@ func TestSheddingRejectsSweepKeepsInteractive(t *testing.T) {
 		t.Error("shed 503 missing Retry-After")
 	}
 	resp, _ = postJSON(t, ts.URL+"/v1/insert:batch",
-		BatchInsertRequest{Items: []InsertRequest{{Bench: "p1", Algo: "nom"}}})
+		BatchRequest[InsertRequest]{Items: []InsertRequest{{Bench: "p1", Algo: "nom"}}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("shed batch status = %d, want 503", resp.StatusCode)
 	}

@@ -102,7 +102,7 @@ func TestCoalescedIdenticalRequestsRunOnce(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	s.testHookJob = func() { started <- struct{}{}; <-release }
+	s.faults = &faultHooks{beforeJob: func(string) { started <- struct{}{}; <-release }}
 
 	req := InsertRequest{Tree: smallTreeText(t), Algo: "wid"}
 	fp := fingerprintOf(t, req)
@@ -247,13 +247,13 @@ func TestBatchDedupeIdenticalItems(t *testing.T) {
 	dup := InsertRequest{Tree: treeText, Algo: "wid"}
 	distinct := InsertRequest{Tree: treeText, Algo: "wid", Quantile: 0.25}
 
-	resp, raw := postJSON(t, ts.URL+"/v1/insert:batch", BatchInsertRequest{
+	resp, raw := postJSON(t, ts.URL+"/v1/insert:batch", BatchRequest[InsertRequest]{
 		Items: []InsertRequest{dup, dup, distinct, dup},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
 	}
-	var out BatchInsertResult
+	var out BatchResult[*InsertResult]
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}

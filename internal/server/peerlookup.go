@@ -39,9 +39,13 @@ type CacheLookupRequest struct {
 // would have answered on /v1/insert or /v1/yield — so the router can
 // relay it to the client verbatim. A miss answers 404.
 func (s *Server) cacheLookup(r *http.Request) (int, any) {
+	raw, status, err := readBody(r, s.cfg.MaxRequestBytes)
+	if err != nil {
+		return status, errBody(err)
+	}
 	var look CacheLookupRequest
-	if st, err := decodeJSON(r, s.cfg.MaxRequestBytes, &look); err != nil {
-		return st, errBody(err)
+	if err := DecodeStrict(raw, &look); err != nil {
+		return http.StatusBadRequest, errBody(err)
 	}
 	if look.Epoch != s.cfg.Epoch {
 		s.met.peerLookups.Misses.Inc()
@@ -49,11 +53,14 @@ func (s *Server) cacheLookup(r *http.Request) (int, any) {
 			"cache lookup epoch %q does not match instance epoch %q",
 			look.Epoch, s.cfg.Epoch))
 	}
-	fp, err := s.lookupFingerprint(&look)
+	// The embedded request is parsed as strictly as the endpoints parse
+	// it, so a body they reject can never be served from the cache.
+	req, err := ParseRequest(look.Kind, nil, look.Request)
 	if err != nil {
 		s.met.peerLookups.Misses.Inc()
-		return http.StatusBadRequest, errBody(err)
+		return http.StatusBadRequest, errBody(fmt.Errorf("lookup request: %w", err))
 	}
+	fp := req.Fingerprint(s.cfg.Epoch)
 	body, ok := s.resultGet(fp)
 	if !ok {
 		s.met.peerLookups.Misses.Inc()
@@ -62,31 +69,4 @@ func (s *Server) cacheLookup(r *http.Request) (int, any) {
 	}
 	s.met.peerLookups.Hits.Inc()
 	return http.StatusOK, body
-}
-
-// lookupFingerprint normalizes the embedded request and returns the
-// fingerprint this instance files its result under.
-func (s *Server) lookupFingerprint(look *CacheLookupRequest) (string, error) {
-	switch look.Kind {
-	case "insert":
-		var req InsertRequest
-		if err := json.Unmarshal(look.Request, &req); err != nil {
-			return "", fmt.Errorf("decoding lookup request: %w", err)
-		}
-		if err := req.Normalize(); err != nil {
-			return "", fmt.Errorf("normalizing lookup request: %w", err)
-		}
-		return req.Fingerprint(s.cfg.Epoch), nil
-	case "yield":
-		var req YieldRequest
-		if err := json.Unmarshal(look.Request, &req); err != nil {
-			return "", fmt.Errorf("decoding lookup request: %w", err)
-		}
-		if err := req.Normalize(); err != nil {
-			return "", fmt.Errorf("normalizing lookup request: %w", err)
-		}
-		return req.Fingerprint(s.cfg.Epoch), nil
-	default:
-		return "", fmt.Errorf("unknown lookup kind %q (want insert or yield)", look.Kind)
-	}
 }

@@ -105,3 +105,22 @@ func TestCacheLookupAllowedWhileDraining(t *testing.T) {
 		t.Error("draining lookup body differs from the original response")
 	}
 }
+
+// TestCacheLookupRejectsWhatEndpointsReject: the lookup decodes its
+// embedded request as strictly as /v1/insert does, so a body the
+// endpoint answers 400 can never be served from the cache.
+func TestCacheLookupRejectsWhatEndpointsReject(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	warm := InsertRequest{Bench: "p1", Algo: "nom"}
+	if resp, raw := postJSON(t, ts.URL+"/v1/insert", warm); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm insert: status %d: %s", resp.StatusCode, raw)
+	}
+	body := json.RawMessage(`{"bench":"p1","algo":"nom","bogus":1}`)
+	if resp, raw := postJSON(t, ts.URL+"/v1/insert", body); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("insert with an unknown field: status %d, want 400: %s", resp.StatusCode, raw)
+	}
+	look := CacheLookupRequest{Kind: "insert", Request: body}
+	if resp, raw := postJSON(t, ts.URL+"/v1/cache/lookup", look); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("lookup with an unknown field: status %d, want 400: %s", resp.StatusCode, raw)
+	}
+}

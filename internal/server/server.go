@@ -159,9 +159,6 @@ type Server struct {
 	tickerStop chan struct{}
 	tickerDone chan struct{}
 
-	// testHookJob, when set, runs at the start of every pool job. Tests
-	// use it to hold workers busy deterministically.
-	testHookJob func()
 	// faults, when set, injects failures at instrumented points — test
 	// only, see faults.go. Production code never assigns it.
 	faults *faultHooks
@@ -186,11 +183,12 @@ func New(cfg Config) *Server {
 	if cfg.SubtreeCacheMB > 0 {
 		s.subtrees = vabuf.NewSubtreeCache(int64(cfg.SubtreeCacheMB) << 20)
 	}
-	s.mux.HandleFunc("POST /v1/insert", s.instrument("/v1/insert", s.insert))
-	s.mux.HandleFunc("POST /v1/insert:batch", s.instrument("/v1/insert:batch", s.insertBatch))
-	s.mux.HandleFunc("POST /v1/yield", s.instrument("/v1/yield", s.yield))
+	for _, kind := range []string{"insert", "yield"} {
+		ep := "/v1/" + kind
+		s.mux.HandleFunc("POST "+ep, s.instrument(ep, s.single(kind, ep)))
+		s.mux.HandleFunc("POST "+ep+":batch", s.instrument(ep+":batch", s.batch(kind, ep+":batch")))
+	}
 	s.mux.HandleFunc("POST /v1/yield:stream", s.yieldStream)
-	s.mux.HandleFunc("POST /v1/yield:batch", s.instrument("/v1/yield:batch", s.yieldBatch))
 	s.mux.HandleFunc("POST /v1/cache/lookup", s.instrument("/v1/cache/lookup", s.cacheLookup))
 	s.mux.HandleFunc("GET /v1/benchmarks", s.instrument("/v1/benchmarks", s.benchmarks))
 	s.mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.healthz))
@@ -320,32 +318,35 @@ const statusClientClosed = 499
 
 func errBody(err error) ErrorResult { return ErrorResult{Error: err.Error()} }
 
-// decodeJSON decodes the request body into dst, returning the HTTP
-// status of the failure: 413 when the body exceeds limit, 400 for
-// malformed JSON or trailing data after the document.
-func decodeJSON(r *http.Request, limit int64, dst any) (int, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return http.StatusRequestEntityTooLarge, fmt.Errorf(
-				"request body exceeds the %d-byte limit", tooBig.Limit)
-		}
-		return http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
+// readBody reads the request body, answering 413 past limit.
+func readBody(r *http.Request, limit int64) ([]byte, int, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, limit))
+	if err != nil {
+		status, err := bodyFailure(fmt.Errorf("reading request: %w", err))
+		return nil, status, err
 	}
-	// Exactly one JSON document: a second decode must hit EOF, or the
-	// body carries trailing garbage the first decode silently ignored.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return http.StatusRequestEntityTooLarge, fmt.Errorf(
-				"request body exceeds the %d-byte limit", tooBig.Limit)
-		}
-		return http.StatusBadRequest, fmt.Errorf(
-			"request body has trailing data after the JSON document")
+	return body, 0, nil
+}
+
+// parseBody parses a single request of kind straight from the body.
+func (s *Server) parseBody(r *http.Request, kind string) (Request, int, error) {
+	req, err := parseRequest(kind, nil, http.MaxBytesReader(nil, r.Body, s.cfg.MaxRequestBytes))
+	if err != nil {
+		status, err := bodyFailure(err)
+		return nil, status, err
 	}
-	return 0, nil
+	return req, 0, nil
+}
+
+// bodyFailure maps a body read or parse error to its answer: 413 for a
+// body over its limit, 400 otherwise.
+func bodyFailure(err error) (int, error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf(
+			"request body exceeds the %d-byte limit", tooBig.Limit)
+	}
+	return http.StatusBadRequest, err
 }
 
 // preparedRun is everything a worker needs for one insertion job.
@@ -521,13 +522,12 @@ func (s *Server) loadModel(req *InsertRequest, tree *vabuf.Tree) (*modelEntry, b
 	return entry, hit, nil
 }
 
-// execute submits fn to the pool under the given class and waits for it
-// or for the client to go away. A non-zero status reports the failure.
-// The job runs under recover(): a panic inside fn becomes a structured
-// 500 for this request only — the worker survives and returns to the
-// pool. Submission is refused with 503 while draining, and sweep-class
-// submission with 503 while the shed gate is active.
-func (s *Server) execute(ctx context.Context, endpoint string, class jobClass, fn func()) (int, error) {
+// execute submits fn to the pool under the given class as a guarded
+// job and waits for it or for the client to go away. A non-zero status
+// reports the failure, fn's own included. Submission is refused with
+// 503 while draining, and sweep-class submission with 503 while the
+// shed gate is active.
+func (s *Server) execute(ctx context.Context, endpoint string, class jobClass, fn func() (int, error)) (int, error) {
 	if s.isDraining() {
 		return http.StatusServiceUnavailable, errDraining
 	}
@@ -540,61 +540,66 @@ func (s *Server) execute(ctx context.Context, endpoint string, class jobClass, f
 		// admission and submit. Refuse before consuming a queue slot.
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.met.deadlineRejected.Inc(endpoint)
-			return http.StatusGatewayTimeout, fmt.Errorf("deadline spent before enqueue: %w", err)
 		}
-		return statusClientClosed, fmt.Errorf("client closed request: %w", err)
+		return ctxFailure(ctx, "deadline spent before enqueue")
 	}
 	done := make(chan struct{})
-	var panicked error
-	var droppedQueued bool
-	job := func() {
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil {
-				panicked = s.met.panicRecovered(endpoint, r)
-			}
-		}()
-		// Dequeue gate: a job whose deadline passed (or whose client
-		// vanished) while it waited is dropped without running — its
-		// requester has already been answered, so the run could only
-		// burn a worker the live requests need.
-		if ctx.Err() != nil {
-			droppedQueued = true
-			s.pool.classes[class].expired.Inc()
-			s.met.deadlineExpired.Inc(endpoint)
-			return
-		}
-		if s.testHookJob != nil {
-			s.testHookJob()
-		}
-		s.faultBeforeJob(endpoint)
-		fn()
-	}
+	var status int
+	var err error
+	job := s.guardedJob(ctx, endpoint, class, fn, func(st int, e error) {
+		status, err = st, e
+		close(done)
+	})
 	if !s.pool.trySubmit(job, class) {
 		return http.StatusTooManyRequests, errOverloaded
 	}
 	select {
 	case <-done:
-		if panicked != nil {
-			return http.StatusInternalServerError, panicked
-		}
-		if droppedQueued {
-			// Reachable only when ctx died and the dequeue raced the
-			// select; classify the same way as the ctx.Done arm below.
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				return http.StatusGatewayTimeout, fmt.Errorf("deadline expired while queued: %w", ctx.Err())
-			}
-			return statusClientClosed, fmt.Errorf("client closed request: %w", ctx.Err())
-		}
-		return 0, nil
+		return status, err
 	case <-ctx.Done():
-		// The job still runs (or is dropped) on its worker; the closure
-		// owns every variable it writes, so nothing races.
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return http.StatusGatewayTimeout, fmt.Errorf("deadline expired: %w", ctx.Err())
-		}
-		return statusClientClosed, fmt.Errorf("client closed request: %w", ctx.Err())
+		// The job still runs (or is dropped) on its worker; its finish
+		// callback owns status and err, which are not read on this arm.
+		return ctxFailure(ctx, "deadline expired")
 	}
+}
+
+// guardedJob wraps fn as a pool job of class. fn runs under recover(): a
+// panic becomes a 500 for this job only and the worker survives. At
+// dequeue the job checks ctx — the request's deadline-aware context —
+// and a job whose deadline passed (or whose client vanished) while it
+// queued is dropped without running (504 or 499): its requester has
+// been answered, so the run could only burn a worker live requests
+// need. finish runs last, exactly once, with fn's outcome or the
+// panic's or the drop's.
+func (s *Server) guardedJob(ctx context.Context, endpoint string, class jobClass,
+	fn func() (int, error), finish func(status int, err error)) func() {
+	return func() {
+		var status int
+		var err error
+		defer func() {
+			if r := recover(); r != nil {
+				status, err = http.StatusInternalServerError, s.met.panicRecovered(endpoint, r)
+			}
+			finish(status, err)
+		}()
+		if ctx.Err() != nil {
+			s.pool.classes[class].expired.Inc()
+			s.met.deadlineExpired.Inc(endpoint)
+			status, err = ctxFailure(ctx, "deadline expired while queued")
+			return
+		}
+		s.faultBeforeJob(endpoint)
+		status, err = fn()
+	}
+}
+
+// ctxFailure classifies a dead request context: 504 prefixed with what
+// when its deadline expired, 499 when the client went away.
+func ctxFailure(ctx context.Context, what string) (int, error) {
+	if err := ctx.Err(); errors.Is(err, context.DeadlineExceeded) {
+		return http.StatusGatewayTimeout, fmt.Errorf("%s: %w", what, err)
+	}
+	return statusClientClosed, fmt.Errorf("client closed request: %w", ctx.Err())
 }
 
 // statusForRunError maps an insertion failure to an HTTP status: the
@@ -616,32 +621,31 @@ func statusForRunError(err error) int {
 }
 
 // runPrepared executes one prepared insertion on the calling goroutine
-// (a pool worker) and assembles the result DTO. A non-zero status
-// reports the failure. It is the shared item body of /v1/insert and
-// each /v1/insert:batch item.
+// (a pool worker) and assembles the result DTO; it also returns the
+// library result for yield analysis. A non-zero status reports the
+// failure.
 func (s *Server) runPrepared(ctx context.Context, req *InsertRequest,
-	p *preparedRun) (*InsertResult, int, error) {
+	p *preparedRun) (*InsertResult, *vabuf.Result, int, error) {
 	res, elapsed, err := p.run(ctx)
 	if err != nil {
-		return nil, statusForRunError(err), err
+		return nil, nil, statusForRunError(err), err
 	}
 	s.met.recordRun(req.Algo, p.opts.Rule.String(), elapsed, res)
 	out := NewInsertResult(p.tree, p.lib, req.Algo, p.opts, res, elapsed, req.IncludeAssignment)
 	out.Bench = req.Bench
 	out.TreeCacheHit = p.treeHit
 	out.ModelCacheHit = p.modelHit
-	return &out, 0, nil
+	return &out, res, 0, nil
 }
 
 // runPreparedYield is runPrepared plus yield analysis and optional
-// Monte-Carlo validation — the shared item body of /v1/yield, each
-// /v1/yield:batch item, and /v1/yield:stream. onEstimate, when non-nil,
-// receives adaptive-sampler progress (streaming only).
+// Monte-Carlo validation. onEstimate, when non-nil, receives
+// adaptive-sampler progress (streaming only).
 func (s *Server) runPreparedYield(ctx context.Context, req *YieldRequest,
 	p *preparedRun, onEstimate func(vabuf.MCEstimate) bool) (*YieldResult, int, error) {
-	res, elapsed, err := p.run(ctx)
+	insert, res, status, err := s.runPrepared(ctx, &req.InsertRequest, p)
 	if err != nil {
-		return nil, statusForRunError(err), err
+		return nil, status, err
 	}
 	report, err := vabuf.EvaluateYield(p.tree, p.lib, res.Assignment, p.model, req.Quantile)
 	if err != nil {
@@ -651,19 +655,29 @@ func (s *Server) runPreparedYield(ctx context.Context, req *YieldRequest,
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
-	s.met.recordRun(req.Algo, p.opts.Rule.String(), elapsed, res)
-
-	insert := NewInsertResult(p.tree, p.lib, req.Algo, p.opts, res, elapsed, req.IncludeAssignment)
-	insert.Bench = req.Bench
-	insert.TreeCacheHit = p.treeHit
-	insert.ModelCacheHit = p.modelHit
 	return &YieldResult{
-		Insert:     insert,
+		Insert:     *insert,
 		MeanPS:     report.Mean,
 		SigmaPS:    report.Sigma,
 		YieldRATPS: report.YieldRAT,
 		MonteCarlo: mc,
 	}, 0, nil
+}
+
+func (r *InsertRequest) run(s *Server, ctx context.Context, p *preparedRun) (any, int, error) {
+	out, _, status, err := s.runPrepared(ctx, r, p)
+	if err != nil {
+		return nil, status, err
+	}
+	return out, 0, nil
+}
+
+func (r *YieldRequest) run(s *Server, ctx context.Context, p *preparedRun) (any, int, error) {
+	out, status, err := s.runPreparedYield(ctx, r, p, nil)
+	if err != nil {
+		return nil, status, err
+	}
+	return out, 0, nil
 }
 
 // resultGet answers a request from the content-addressed result cache.
@@ -709,12 +723,8 @@ func (s *Server) memoized(r *http.Request, endpoint, fp string,
 			case <-r.Context().Done():
 				// Same classification as execute: a waiter whose budget
 				// ran out is a timeout (504), not a hung-up client (499).
-				if err := r.Context().Err(); errors.Is(err, context.DeadlineExceeded) {
-					return http.StatusGatewayTimeout, errBody(
-						fmt.Errorf("deadline expired awaiting coalesced result: %w", err))
-				}
-				return statusClientClosed, errBody(
-					fmt.Errorf("client closed request: %w", r.Context().Err()))
+				status, err := ctxFailure(r.Context(), "deadline expired awaiting coalesced result")
+				return status, errBody(err)
 			}
 		}
 		status, body := leader()
@@ -726,66 +736,31 @@ func (s *Server) memoized(r *http.Request, endpoint, fp string,
 	}
 }
 
-func (s *Server) insert(r *http.Request) (int, any) {
-	var req InsertRequest
-	if st, err := decodeJSON(r, s.cfg.MaxRequestBytes, &req); err != nil {
-		return st, errBody(err)
-	}
-	if err := req.Normalize(); err != nil {
-		return http.StatusBadRequest, errBody(err)
-	}
-	return s.memoized(r, "/v1/insert", req.Fingerprint(s.cfg.Epoch), func() (int, any) {
-		p, err := s.prepare(&req)
-		if err != nil {
-			return http.StatusBadRequest, errBody(err)
-		}
-		var (
-			out       *InsertResult
-			runStatus int
-			runErr    error
-		)
-		status, err := s.execute(r.Context(), "/v1/insert", classFor(req.Priority), func() {
-			out, runStatus, runErr = s.runPrepared(r.Context(), &req, p)
-		})
+// single returns the handler of /v1/insert or /v1/yield: parse, then
+// answer from the result cache, an identical in-flight run, or a new
+// pool job under the request's scheduling class.
+func (s *Server) single(kind, endpoint string) func(*http.Request) (int, any) {
+	return func(r *http.Request) (int, any) {
+		req, status, err := s.parseBody(r, kind)
 		if err != nil {
 			return status, errBody(err)
 		}
-		if runErr != nil {
-			return runStatus, errBody(runErr)
-		}
-		return http.StatusOK, out
-	})
-}
-
-func (s *Server) yield(r *http.Request) (int, any) {
-	var req YieldRequest
-	if st, err := decodeJSON(r, s.cfg.MaxRequestBytes, &req); err != nil {
-		return st, errBody(err)
-	}
-	if err := req.Normalize(); err != nil {
-		return http.StatusBadRequest, errBody(err)
-	}
-	return s.memoized(r, "/v1/yield", req.Fingerprint(s.cfg.Epoch), func() (int, any) {
-		p, err := s.prepare(&req.InsertRequest)
-		if err != nil {
-			return http.StatusBadRequest, errBody(err)
-		}
-		var (
-			out       *YieldResult
-			runStatus int
-			runErr    error
-		)
-		status, err := s.execute(r.Context(), "/v1/yield", classFor(req.Priority), func() {
-			out, runStatus, runErr = s.runPreparedYield(r.Context(), &req, p, nil)
+		return s.memoized(r, endpoint, req.Fingerprint(s.cfg.Epoch), func() (int, any) {
+			p, err := s.prepare(req.insert())
+			if err != nil {
+				return http.StatusBadRequest, errBody(err)
+			}
+			var out any
+			status, err := s.execute(r.Context(), endpoint, classFor(req.insert().Priority), func() (st int, err error) {
+				out, st, err = req.run(s, r.Context(), p)
+				return st, err
+			})
+			if err != nil {
+				return status, errBody(err)
+			}
+			return http.StatusOK, out
 		})
-		if err != nil {
-			return status, errBody(err)
-		}
-		if runErr != nil {
-			return runStatus, errBody(runErr)
-		}
-		return http.StatusOK, out
-	})
+	}
 }
 
 // runMonteCarlo draws the yield request's Monte-Carlo samples with the

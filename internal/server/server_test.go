@@ -217,10 +217,10 @@ func TestOverloadRejectsWith429(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s.testHookJob = func() {
+	s.faults = &faultHooks{beforeJob: func(string) {
 		started <- struct{}{}
 		<-release
-	}
+	}}
 
 	treeText := smallTreeText(t)
 	type outcome struct {

@@ -114,27 +114,20 @@ type streamOutcome struct {
 // returned run executes the job, feeds events, and reports the terminal
 // status.
 func (s *Server) prepareYieldStream(r *http.Request) (int, any, func(chan<- StreamEvent) streamOutcome) {
-	var req YieldRequest
-	if st, err := decodeJSON(r, s.cfg.MaxRequestBytes, &req); err != nil {
-		return st, errBody(err), nil
+	parsed, status, err := s.parseBody(r, "yield")
+	if err != nil {
+		return status, errBody(err), nil
 	}
-	if err := req.Normalize(); err != nil {
-		return http.StatusBadRequest, errBody(err), nil
-	}
+	req := parsed.(*YieldRequest)
 	if req.MonteCarlo <= 0 || req.Algo == "nom" {
-		return http.StatusBadRequest, errBody(
-			errStreamNeedsMC), nil
+		return http.StatusBadRequest, errBody(errStreamNeedsMC), nil
 	}
 	p, err := s.prepare(&req.InsertRequest)
 	if err != nil {
 		return http.StatusBadRequest, errBody(err), nil
 	}
 	run := func(events chan<- StreamEvent) streamOutcome {
-		var (
-			out       *YieldResult
-			runStatus int
-			runErr    error
-		)
+		var out *YieldResult
 		onEstimate := func(est vabuf.MCEstimate) bool {
 			ev := StreamEvent{Type: "progress", Progress: &ProgressDTO{
 				Samples:       est.Samples,
@@ -150,20 +143,16 @@ func (s *Server) prepareYieldStream(r *http.Request) (int, any, func(chan<- Stre
 			}
 			return r.Context().Err() == nil
 		}
-		status, err := s.execute(r.Context(), "/v1/yield:stream", classFor(req.Priority), func() {
-			out, runStatus, runErr = s.runPreparedYield(r.Context(), &req, p, onEstimate)
+		status, err := s.execute(r.Context(), "/v1/yield:stream", classFor(req.Priority), func() (st int, err error) {
+			out, st, err = s.runPreparedYield(r.Context(), req, p, onEstimate)
+			return st, err
 		})
-		switch {
-		case err != nil:
+		if err != nil {
 			events <- StreamEvent{Type: "error", Error: err.Error(), Status: status}
 			return streamOutcome{status: status}
-		case runErr != nil:
-			events <- StreamEvent{Type: "error", Error: runErr.Error(), Status: runStatus}
-			return streamOutcome{status: runStatus}
-		default:
-			events <- StreamEvent{Type: "result", Result: out}
-			return streamOutcome{status: http.StatusOK}
 		}
+		events <- StreamEvent{Type: "result", Result: out}
+		return streamOutcome{status: http.StatusOK}
 	}
 	return 0, nil, run
 }
