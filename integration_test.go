@@ -248,31 +248,6 @@ func TestSkewFacade(t *testing.T) {
 	}
 }
 
-// TestTimingFacade drives the SSTA substrate through the public API.
-func TestTimingFacade(t *testing.T) {
-	g := vabuf.NewTimingGraph()
-	in := g.AddPin("in")
-	out := g.AddPin("out")
-	if err := g.AddArc(in, out, vabuf.ConstForm(42)); err != nil {
-		t.Fatal(err)
-	}
-	space := &vabuf.VariationSpace{}
-	res, err := vabuf.AnalyzeTiming(g, nil, nil, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Arrival[out].Mean() != 42 {
-		t.Errorf("arrival = %g", res.Arrival[out].Mean())
-	}
-	samples, err := vabuf.MonteCarloTiming(g, nil, space, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 1 || samples[0][0] != 42 {
-		t.Errorf("MC timing = %v", samples)
-	}
-}
-
 // TestInverterFacade runs polarity-aware insertion through the facade.
 func TestInverterFacade(t *testing.T) {
 	tree, err := vabuf.GenerateTree(vabuf.BenchmarkSpec{Name: "invf", Sinks: 20, Seed: 9})

@@ -59,17 +59,18 @@ func WriteFigureCSVs(dir string, cfg Config) error {
 		return err
 	}
 
-	// Figure 5: sinks vs runtime.
+	// Figure 5: sinks vs runtime and candidates generated.
 	f5, err := Figure5(cfg)
 	if err != nil {
 		return err
 	}
 	rows = rows[:0]
 	for _, r := range f5.Rows {
-		rows = append(rows, []string{r.Bench, strconv.Itoa(r.Sinks), fmtF(r.Elapsed.Seconds())})
+		rows = append(rows, []string{r.Bench, strconv.Itoa(r.Sinks), fmtF(r.Elapsed.Seconds()),
+			strconv.FormatInt(r.Generated, 10)})
 	}
 	if err := writeCSV(filepath.Join(dir, "fig5.csv"),
-		[]string{"bench", "sinks", "seconds"}, rows); err != nil {
+		[]string{"bench", "sinks", "seconds", "generated"}, rows); err != nil {
 		return err
 	}
 

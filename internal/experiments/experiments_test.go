@@ -141,6 +141,11 @@ func TestFigure3Shape(t *testing.T) {
 func TestFigure5Shape(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Benches = []string{"p1", "r1", "r2", "r3"}
+	// Time the serial engine. These benches span only 267–862 sinks, and
+	// over that range the parallel engine's speedup on a two-CPU host
+	// depends on tree shape (p1 and r1 have equal sink counts but not
+	// equal speedups) about as much as runtime depends on sink count.
+	cfg.Parallelism = 1
 	res, err := Figure5(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +159,18 @@ func TestFigure5Shape(t *testing.T) {
 	}
 	if res.Fit.R2 < 0.8 {
 		t.Errorf("runtime linearity R2 = %g, expected roughly linear", res.Fit.R2)
+	}
+	// The same claim on the machine-independent work count.
+	for _, r := range res.Rows {
+		if r.Generated <= 0 {
+			t.Errorf("%s: generated = %d", r.Bench, r.Generated)
+		}
+	}
+	if res.WorkFit.Slope <= 0 {
+		t.Errorf("work slope = %g", res.WorkFit.Slope)
+	}
+	if res.WorkFit.R2 < 0.99 {
+		t.Errorf("work linearity R2 = %g, expected linear", res.WorkFit.R2)
 	}
 	var sb strings.Builder
 	if err := RenderFigure5(&sb, res); err != nil {

@@ -4,13 +4,17 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"slices"
 	"time"
 
 	"vabuf/internal/benchgen"
 	"vabuf/internal/device"
+	"vabuf/internal/rctree"
 	"vabuf/internal/report"
 	"vabuf/internal/spice"
 	"vabuf/internal/stats"
+	"vabuf/internal/variation"
 	"vabuf/internal/yield"
 )
 
@@ -112,11 +116,20 @@ func RenderFigure3(w io.Writer, res *Figure3Result) error {
 	return err
 }
 
+// figure5Runs is the number of timed rounds in Figure 5; a row reports
+// the median of its benchmark's runs, so one GC pause or scheduler
+// hiccup cannot move a point.
+const figure5Runs = 3
+
 // Figure5Row is one point of the runtime-scaling experiment.
 type Figure5Row struct {
-	Bench   string
-	Sinks   int
+	Bench string
+	Sinks int
+	// Elapsed is the median wall time of figure5Runs timed runs.
 	Elapsed time.Duration
+	// Generated is the run's candidate count (core.Stats.Generated), the
+	// machine-independent measure of the same DP work.
+	Generated int64
 }
 
 // Figure5Result carries the sweep and the linear fit quality.
@@ -125,15 +138,26 @@ type Figure5Result struct {
 	// Fit is runtime (s) versus sinks; R2 close to 1 backs the paper's
 	// "roughly linear runtime scalability" claim.
 	Fit stats.LinearFit
+	// WorkFit is candidates generated versus sinks: the same claim
+	// checked on a count that does not depend on the machine.
+	WorkFit stats.LinearFit
 }
 
 // Figure5 times the full-library 2P WID optimization across the benchmark
-// suite and fits runtime against sink count.
+// suite and fits runtime and work against sink count. Each benchmark runs
+// once untimed; then each of figure5Runs rounds times every benchmark
+// once, after a runtime.GC each, so a burst of outside load lands on all
+// points of a round rather than on every run of one point.
 func Figure5(cfg Config) (*Figure5Result, error) {
 	cfg = cfg.withDefaults()
+	type bench struct {
+		tree  *rctree.Tree
+		model *variation.Model
+		times []time.Duration
+	}
 	res := &Figure5Result{}
-	var xs, ys []float64
-	for _, name := range cfg.Benches {
+	benches := make([]bench, len(cfg.Benches))
+	for i, name := range cfg.Benches {
 		tr, err := benchgen.Build(name)
 		if err != nil {
 			return nil, err
@@ -142,14 +166,30 @@ func Figure5(cfg Config) (*Figure5Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		t0 := time.Now()
-		if _, err := insertWID(tr, wid, cfg.YieldQuantile, cfg.Parallelism, cfg.Hull); err != nil {
+		run, err := insertWID(tr, wid, cfg.YieldQuantile, cfg.Parallelism, cfg.Hull)
+		if err != nil {
 			return nil, fmt.Errorf("experiments: figure 5 on %s: %w", name, err)
 		}
-		el := time.Since(t0)
-		res.Rows = append(res.Rows, Figure5Row{Bench: name, Sinks: tr.NumSinks(), Elapsed: el})
-		xs = append(xs, float64(tr.NumSinks()))
-		ys = append(ys, el.Seconds())
+		benches[i] = bench{tree: tr, model: wid, times: make([]time.Duration, figure5Runs)}
+		res.Rows = append(res.Rows, Figure5Row{Bench: name, Sinks: tr.NumSinks(), Generated: run.Stats.Generated})
+	}
+	for r := range figure5Runs {
+		for i, b := range benches {
+			runtime.GC()
+			t0 := time.Now()
+			if _, err := insertWID(b.tree, b.model, cfg.YieldQuantile, cfg.Parallelism, cfg.Hull); err != nil {
+				return nil, fmt.Errorf("experiments: figure 5 on %s: %w", res.Rows[i].Bench, err)
+			}
+			b.times[r] = time.Since(t0)
+		}
+	}
+	var xs, ys, ws []float64
+	for i, b := range benches {
+		slices.Sort(b.times)
+		res.Rows[i].Elapsed = b.times[len(b.times)/2]
+		xs = append(xs, float64(res.Rows[i].Sinks))
+		ys = append(ys, res.Rows[i].Elapsed.Seconds())
+		ws = append(ws, float64(res.Rows[i].Generated))
 	}
 	if len(xs) >= 2 {
 		fit, err := stats.FitLine(xs, ys)
@@ -157,6 +197,9 @@ func Figure5(cfg Config) (*Figure5Result, error) {
 			return nil, err
 		}
 		res.Fit = fit
+		if res.WorkFit, err = stats.FitLine(xs, ws); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
@@ -177,8 +220,10 @@ func RenderFigure5(w io.Writer, res *Figure5Result) error {
 	if err := p.Render(w); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "linear fit: t = %.3g + %.3g*sinks (R^2 = %.4f)\n",
-		res.Fit.Intercept, res.Fit.Slope, res.Fit.R2)
+	_, err := fmt.Fprintf(w, "linear fit: t = %.3g + %.3g*sinks (R^2 = %.4f)\n"+
+		"work fit: candidates = %.4g + %.4g*sinks (R^2 = %.4f)\n",
+		res.Fit.Intercept, res.Fit.Slope, res.Fit.R2,
+		res.WorkFit.Intercept, res.WorkFit.Slope, res.WorkFit.R2)
 	return err
 }
 

@@ -116,24 +116,31 @@ type Grid struct {
 	Cols, Rows int
 }
 
+// maxGridCells bounds the cells of one grid: 65,536 cells of the
+// variation model's default 500 µm edge cover a 128 mm square die, 39×
+// the largest built-in net (the 8-level H-tree's 1,681). A grid is the
+// spatial model's per-cell source list, so the bound keeps a tree with
+// far-flung coordinates — an inline tree is untrusted input — from
+// allocating one source per cell of a continent-sized die.
+const maxGridCells = 1 << 16
+
 // NewGrid builds a grid of square cells of edge length cell covering area.
 // The last column/row may extend past area.Max so coverage is complete.
+// A grid of more than maxGridCells cells is an error.
 func NewGrid(area Rect, cell float64) (Grid, error) {
-	if cell <= 0 {
+	if !(cell > 0) {
 		return Grid{}, fmt.Errorf("geom: grid cell size must be positive, got %g", cell)
 	}
 	if area.Width() < 0 || area.Height() < 0 {
 		return Grid{}, fmt.Errorf("geom: grid area is inverted: %+v", area)
 	}
-	cols := int(math.Ceil(area.Width() / cell))
-	rows := int(math.Ceil(area.Height() / cell))
-	if cols == 0 {
-		cols = 1
+	cols := math.Max(1, math.Ceil(area.Width()/cell))
+	rows := math.Max(1, math.Ceil(area.Height()/cell))
+	if !(cols*rows <= maxGridCells) { // NaN and Inf extents fail too
+		return Grid{}, fmt.Errorf("geom: %g x %g µm area needs %g cells of %g µm, more than %d",
+			area.Width(), area.Height(), cols*rows, cell, maxGridCells)
 	}
-	if rows == 0 {
-		rows = 1
-	}
-	return Grid{Area: area, Cell: cell, Cols: cols, Rows: rows}, nil
+	return Grid{Area: area, Cell: cell, Cols: int(cols), Rows: int(rows)}, nil
 }
 
 // NumCells returns the total number of grid cells.

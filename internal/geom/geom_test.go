@@ -121,6 +121,23 @@ func TestNewGridErrors(t *testing.T) {
 	if _, err := NewGrid(NewRect(Point{}, Point{100, 100}), -5); err == nil {
 		t.Error("want error for negative cell size")
 	}
+	if _, err := NewGrid(NewRect(Point{}, Point{100, 100}), math.NaN()); err == nil {
+		t.Error("want error for NaN cell size")
+	}
+	// One row past the bound, a continent-sized die and an extent that
+	// overflows to +Inf are refused before anything is allocated.
+	for _, area := range []Rect{
+		NewRect(Point{}, Point{256 * 500, 256*500 + 1}),
+		NewRect(Point{}, Point{1e9, 1e9}),
+		NewRect(Point{-math.MaxFloat64, 0}, Point{math.MaxFloat64, 0}),
+	} {
+		if _, err := NewGrid(area, 500); err == nil {
+			t.Errorf("want error for a %g x %g µm area", area.Width(), area.Height())
+		}
+	}
+	if g, err := NewGrid(NewRect(Point{}, Point{256 * 500, 256 * 500}), 500); err != nil || g.NumCells() != maxGridCells {
+		t.Errorf("grid at the bound = %+v, %v; want %d cells", g, err, maxGridCells)
+	}
 }
 
 func TestGridIndexing(t *testing.T) {

@@ -304,6 +304,10 @@ func TestBadRequests(t *testing.T) {
 		{"pbar out of range", `{"bench":"p1","pbar":1.5}`},
 		{"quantile out of range", `{"bench":"p1","quantile":-0.1}`},
 		{"negative timeout", `{"bench":"p1","timeout_ms":-5}`},
+		// A sink 10^7 µm out asks for a 20,000 x 20,000 cell variation
+		// grid; it is refused before a single source is allocated.
+		{"die past the variation grid bound", `{"algo":"wid","tree":"tree v1\nwire 0.0001 0.2\ndriver 0.3\n` +
+			`node 0 driver 0 0 -1 0 0 0 0 drv\nnode 1 sink 1e7 1e7 0 100 1 10 -200 far\n"}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -100,15 +100,3 @@ func MinNormals(mu1, s1, mu2, s2, rho float64) MinMoments {
 	}
 	return MinMoments{Mean: mean, Var: v, Tightness: t, SigmaDiff: sd}
 }
-
-// MaxNormals computes Clark's moments for max(T1, T2); the Tightness field
-// is P(T1 > T2), the probability that T1 dominates the MAX.
-func MaxNormals(mu1, s1, mu2, s2, rho float64) MinMoments {
-	m := MinNormals(-mu1, s1, -mu2, s2, rho)
-	return MinMoments{
-		Mean:      -m.Mean,
-		Var:       m.Var,
-		Tightness: m.Tightness,
-		SigmaDiff: m.SigmaDiff,
-	}
-}

@@ -207,17 +207,6 @@ func TestMinMeanBelowBothMeans(t *testing.T) {
 	}
 }
 
-func TestMaxNormalsMirrorsMin(t *testing.T) {
-	mx := MaxNormals(1, 2, 3, 1, 0.4)
-	mn := MinNormals(-1, 2, -3, 1, 0.4)
-	if math.Abs(mx.Mean+mn.Mean) > 1e-12 || math.Abs(mx.Var-mn.Var) > 1e-12 {
-		t.Errorf("max/min mirror broken: %+v vs %+v", mx, mn)
-	}
-	if mx.Mean < 3 {
-		t.Errorf("E[max] = %g below larger mean", mx.Mean)
-	}
-}
-
 func TestMinNormalsTightnessComplementarity(t *testing.T) {
 	// P(T1 < T2) from Min(a, b) and P(T2 < T1) from Min(b, a) sum to 1.
 	f := func(m1r, m2r, s1r, s2r, rhoR float64) bool {

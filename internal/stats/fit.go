@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // LinearFit holds the result of an ordinary least-squares straight-line
 // fit y ≈ Intercept + Slope·x.
@@ -49,110 +46,3 @@ func FitLine(xs, ys []float64) (LinearFit, error) {
 
 // Eval returns the fitted value at x.
 func (f LinearFit) Eval(x float64) float64 { return f.Intercept + f.Slope*x }
-
-// FitPoly fits a polynomial of the given degree by solving the normal
-// equations with Gaussian elimination and partial pivoting. Coefficients
-// are returned lowest order first: y ≈ c[0] + c[1]x + … + c[deg]x^deg.
-func FitPoly(xs, ys []float64, degree int) ([]float64, error) {
-	if degree < 0 {
-		return nil, fmt.Errorf("stats: FitPoly degree %d is negative", degree)
-	}
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("stats: FitPoly length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < degree+1 {
-		return nil, fmt.Errorf("stats: FitPoly needs >= %d points for degree %d, got %d",
-			degree+1, degree, len(xs))
-	}
-	n := degree + 1
-	// Build the normal-equation matrix A (n x n) and RHS b.
-	a := make([][]float64, n)
-	b := make([]float64, n)
-	// powSums[k] = sum of x^k for k = 0..2*degree.
-	powSums := make([]float64, 2*degree+1)
-	for _, x := range xs {
-		p := 1.0
-		for k := range powSums {
-			powSums[k] += p
-			p *= x
-		}
-	}
-	for i := 0; i < n; i++ {
-		a[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			a[i][j] = powSums[i+j]
-		}
-	}
-	for i := range xs {
-		p := 1.0
-		for k := 0; k < n; k++ {
-			b[k] += p * ys[i]
-			p *= xs[i]
-		}
-	}
-	coeffs, err := SolveLinearSystem(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("stats: FitPoly: %w", err)
-	}
-	return coeffs, nil
-}
-
-// EvalPoly evaluates a polynomial with coefficients lowest order first at x.
-func EvalPoly(coeffs []float64, x float64) float64 {
-	y := 0.0
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		y = y*x + coeffs[i]
-	}
-	return y
-}
-
-// SolveLinearSystem solves A·x = b in place via Gaussian elimination with
-// partial pivoting. A must be square with len(A) == len(b). The inputs are
-// not modified.
-func SolveLinearSystem(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	if n == 0 || len(b) != n {
-		return nil, fmt.Errorf("stats: bad system dimensions %dx? vs %d", n, len(b))
-	}
-	// Copy into augmented matrix.
-	m := make([][]float64, n)
-	for i := range a {
-		if len(a[i]) != n {
-			return nil, fmt.Errorf("stats: matrix row %d has %d columns, want %d", i, len(a[i]), n)
-		}
-		m[i] = make([]float64, n+1)
-		copy(m[i], a[i])
-		m[i][n] = b[i]
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(m[pivot][col]) < 1e-14 {
-			return nil, fmt.Errorf("stats: singular system at column %d", col)
-		}
-		m[col], m[pivot] = m[pivot], m[col]
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
-			if f == 0 {
-				continue
-			}
-			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-		}
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := m[i][n]
-		for j := i + 1; j < n; j++ {
-			s -= m[i][j] * x[j]
-		}
-		x[i] = s / m[i][i]
-	}
-	return x, nil
-}

@@ -66,97 +66,3 @@ func TestFitLineErrors(t *testing.T) {
 		t.Errorf("constant-y fit = %+v", fit)
 	}
 }
-
-func TestFitPolyRecoversCubic(t *testing.T) {
-	want := []float64{1, -2, 0.5, 0.25}
-	xs := make([]float64, 30)
-	ys := make([]float64, 30)
-	for i := range xs {
-		xs[i] = float64(i)/5 - 3
-		ys[i] = EvalPoly(want, xs[i])
-	}
-	got, err := FitPoly(xs, ys, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-8 {
-			t.Errorf("coeff[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestFitPolyErrors(t *testing.T) {
-	if _, err := FitPoly([]float64{1, 2}, []float64{1, 2}, -1); err == nil {
-		t.Error("negative degree should error")
-	}
-	if _, err := FitPoly([]float64{1, 2}, []float64{1, 2, 3}, 1); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := FitPoly([]float64{1, 2}, []float64{1, 2}, 2); err == nil {
-		t.Error("too few points should error")
-	}
-}
-
-func TestEvalPoly(t *testing.T) {
-	if got := EvalPoly(nil, 3); got != 0 {
-		t.Errorf("EvalPoly(nil) = %g", got)
-	}
-	if got := EvalPoly([]float64{2, 3, 4}, 2); got != 2+6+16 {
-		t.Errorf("EvalPoly = %g, want 24", got)
-	}
-}
-
-func TestSolveLinearSystem(t *testing.T) {
-	a := [][]float64{
-		{2, 1, -1},
-		{-3, -1, 2},
-		{-2, 1, 2},
-	}
-	b := []float64{8, -11, -3}
-	x, err := SolveLinearSystem(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 3, -1}
-	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-10 {
-			t.Errorf("x[%d] = %g, want %g", i, x[i], want[i])
-		}
-	}
-	// Inputs must be unmodified.
-	if a[0][0] != 2 || b[0] != 8 {
-		t.Error("SolveLinearSystem modified its inputs")
-	}
-}
-
-func TestSolveLinearSystemNeedsPivot(t *testing.T) {
-	// Zero in the leading position forces a row swap.
-	a := [][]float64{
-		{0, 1},
-		{1, 0},
-	}
-	x, err := SolveLinearSystem(a, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x[0] != 4 || x[1] != 3 {
-		t.Errorf("x = %v", x)
-	}
-}
-
-func TestSolveLinearSystemSingular(t *testing.T) {
-	a := [][]float64{
-		{1, 2},
-		{2, 4},
-	}
-	if _, err := SolveLinearSystem(a, []float64{1, 2}); err == nil {
-		t.Error("singular system should error")
-	}
-	if _, err := SolveLinearSystem(nil, nil); err == nil {
-		t.Error("empty system should error")
-	}
-	if _, err := SolveLinearSystem([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Error("non-square system should error")
-	}
-}

@@ -98,16 +98,3 @@ func (h *Histogram) PDF() []float64 {
 	}
 	return out
 }
-
-// MaxDensityError returns the largest absolute difference between the
-// empirical bin density and the N(mu, sigma) density evaluated at the bin
-// centers — the cheap "are these two PDFs close" metric used by the
-// Figure 3 / Figure 6 reproductions.
-func (h *Histogram) MaxDensityError(mu, sigma float64) float64 {
-	worst := 0.0
-	for i, d := range h.PDF() {
-		ref := NormalPDF(h.BinCenter(i), mu, sigma)
-		worst = math.Max(worst, math.Abs(d-ref))
-	}
-	return worst
-}

@@ -108,22 +108,3 @@ func TestPDFEmpty(t *testing.T) {
 		}
 	}
 }
-
-func TestMaxDensityErrorMatchesNormal(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	xs := make([]float64, 200000)
-	for i := range xs {
-		xs[i] = 50 + 5*rng.NormFloat64()
-	}
-	h, err := HistogramOf(xs, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak := NormalPDF(50, 50, 5)
-	if e := h.MaxDensityError(50, 5); e > 0.1*peak {
-		t.Errorf("density error vs true parameters = %g (peak %g)", e, peak)
-	}
-	if e := h.MaxDensityError(0, 5); e < 0.5*peak {
-		t.Errorf("density error vs wrong mean = %g, expected large", e)
-	}
-}

@@ -8,12 +8,12 @@ import (
 )
 
 // Sequential-stopping helpers for adaptive Monte Carlo: a streaming
-// moment accumulator plus confidence intervals for the mean and for
-// empirical quantiles. The adaptive samplers in internal/yield and
-// internal/sta commit the shards of ShardPlan in order through RunShards
-// (shard.go) and stop as soon as the CI half-width of the estimate they
-// care about reaches a requested tolerance — the sequential analogue of
-// the fixed-budget estimators in descriptive.go.
+// moment accumulator plus confidence intervals for empirical quantiles.
+// The adaptive sampler in internal/yield commits the shards of
+// ShardPlan in order through RunShards (shard.go) and stops as soon as
+// the CI half-width of its quantile estimate reaches a requested
+// tolerance — the sequential analogue of the fixed-budget estimators in
+// descriptive.go.
 
 // Running accumulates a sample stream one value at a time (Welford's
 // algorithm, the streaming twin of MeanVar). The zero value is ready to
@@ -55,17 +55,6 @@ func (r *Running) Var() float64 {
 
 // Sigma returns the running unbiased sample standard deviation.
 func (r *Running) Sigma() float64 { return math.Sqrt(r.Var()) }
-
-// MeanCIHalfWidth returns the half-width of the confidence interval for
-// the mean at the given two-sided confidence level (e.g. 0.95), using
-// the normal approximation z·s/√n. It is 0 while n < 2.
-func (r *Running) MeanCIHalfWidth(confidence float64) float64 {
-	if r.n < 2 {
-		return 0
-	}
-	z := Quantile(0.5 + confidence/2)
-	return z * r.Sigma() / math.Sqrt(float64(r.n))
-}
 
 // CheckAdaptive validates the options every adaptive Monte-Carlo sampler
 // shares — a positive sample cap, and a stopping quantile and two-sided

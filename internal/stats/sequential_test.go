@@ -27,26 +27,6 @@ func TestRunningMatchesMeanVar(t *testing.T) {
 	}
 }
 
-func TestMeanCIHalfWidthShrinks(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var r Running
-	for i := 0; i < 100; i++ {
-		r.Add(rng.NormFloat64())
-	}
-	hw100 := r.MeanCIHalfWidth(0.95)
-	for i := 0; i < 9900; i++ {
-		r.Add(rng.NormFloat64())
-	}
-	hw10k := r.MeanCIHalfWidth(0.95)
-	if hw100 <= 0 || hw10k <= 0 {
-		t.Fatalf("non-positive half-widths %g, %g", hw100, hw10k)
-	}
-	// √100 more samples shrinks the half-width by ~10×.
-	if ratio := hw100 / hw10k; ratio < 5 || ratio > 20 {
-		t.Errorf("half-width ratio %g, want ~10", ratio)
-	}
-}
-
 // TestQuantileCICoverage draws repeated standard-normal samples and
 // checks the 95% CI for the 5% quantile covers the true value at
 // roughly the nominal rate.

@@ -2,8 +2,8 @@ package stats
 
 import "runtime"
 
-// The deterministic shard layout and driver shared by every
-// Monte-Carlo sampler in internal/yield and internal/sta. A run of n
+// The deterministic shard layout and driver of the parallel and
+// adaptive Monte-Carlo samplers in internal/yield. A run of n
 // samples is split into a fixed number of shards, shard i drawing from
 // its own stream seeded seed+i, so the sample vector depends only on
 // (n, seed) — never on how many workers evaluate it. Adaptive samplers

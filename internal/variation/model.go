@@ -124,13 +124,6 @@ func NewModel(cfg ModelConfig) (*Model, error) {
 	return m, nil
 }
 
-// InterDieSource returns the shared inter-die source ID.
-func (m *Model) InterDieSource() SourceID { return m.interDie }
-
-// SpatialSources returns the per-cell spatial source IDs (nil when the
-// spatial class is disabled).
-func (m *Model) SpatialSources() []SourceID { return m.spatial }
-
 // RandomSourceFor returns (allocating on first use) the per-site random
 // source for the given stable site key.
 func (m *Model) RandomSourceFor(siteKey int) SourceID {

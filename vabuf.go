@@ -19,7 +19,7 @@
 //   - extensions beyond the paper: simultaneous wire sizing ([8]),
 //     polarity-aware insertion with inverters, drive-capability limits,
 //     clock-skew minimization (§6 future work), sink criticality,
-//     statistical STA on DAGs, and parallel Monte Carlo.
+//     and parallel Monte Carlo.
 //
 // # Quickstart
 //
@@ -43,7 +43,6 @@ import (
 	"vabuf/internal/geom"
 	"vabuf/internal/rctree"
 	"vabuf/internal/skew"
-	"vabuf/internal/sta"
 	"vabuf/internal/stats"
 	"vabuf/internal/variation"
 	"vabuf/internal/yield"
@@ -119,16 +118,6 @@ type (
 	// VariationSpace is the registry of independent variation sources
 	// shared by every canonical form of one run (model.Space).
 	VariationSpace = variation.Space
-
-	// TimingGraph is a combinational timing DAG for block-based
-	// statistical static timing analysis (the SSTA substrate of the
-	// paper's refs [1] and [3]).
-	TimingGraph = sta.Graph
-	// TimingPin identifies a vertex of a TimingGraph.
-	TimingPin = sta.PinID
-	// TimingResult holds arrival/required/slack forms and endpoint
-	// criticalities.
-	TimingResult = sta.Result
 )
 
 // Pruning rules (see core.Rule).
@@ -273,15 +262,6 @@ func MonteCarloRATAdaptive(tree *Tree, lib Library, assign map[NodeID]int,
 	return yield.MonteCarloAdaptive(tree, lib, assign, nil, model, opts)
 }
 
-// MonteCarloTimingAdaptive is MonteCarloTimingParallel with the same
-// sequential stopping rule applied per output pin: the run ends once
-// every output's quantile CI is inside tolerance (or at the cap), and
-// the estimate reports the worst-converged pin.
-func MonteCarloTimingAdaptive(g *TimingGraph, inputs map[TimingPin]Form,
-	space *VariationSpace, opts sta.AdaptiveOptions) ([][]float64, sta.Estimate, error) {
-	return sta.MonteCarloAdaptive(g, inputs, space, opts)
-}
-
 // SinkCriticality returns, per sink, the probability that it is the
 // statistically critical one (the sink realizing the minimum slack at
 // the root) for a fixed buffered tree under the model.
@@ -346,32 +326,6 @@ func StdDev(xs []float64) float64 { return stats.StdDev(xs) }
 // Percentile returns the p-quantile (0 <= p <= 1) of xs using linear
 // interpolation between order statistics. It does not modify xs.
 func Percentile(xs []float64, p float64) (float64, error) { return stats.Percentile(xs, p) }
-
-// NewTimingGraph creates an empty timing DAG for statistical STA.
-func NewTimingGraph() *TimingGraph { return sta.NewGraph() }
-
-// AnalyzeTiming runs the forward/backward SSTA passes: arrival times with
-// statistical MAX, required times with statistical MIN, slacks, endpoint
-// criticalities, and the statistical worst slack.
-func AnalyzeTiming(g *TimingGraph, inputs, required map[TimingPin]Form,
-	space *VariationSpace) (*TimingResult, error) {
-	return sta.Analyze(g, inputs, required, space)
-}
-
-// MonteCarloTiming samples the space and returns per-sample arrival times
-// at every output pin, in g.Outputs() order.
-func MonteCarloTiming(g *TimingGraph, inputs map[TimingPin]Form,
-	space *VariationSpace, n int, seed int64) ([][]float64, error) {
-	return sta.MonteCarlo(g, inputs, space, n, seed)
-}
-
-// MonteCarloTimingParallel is MonteCarloTiming sharded across workers with
-// deterministic per-shard RNG streams: the result depends only on
-// (n, seed), never on the worker count. workers <= 0 selects GOMAXPROCS.
-func MonteCarloTimingParallel(g *TimingGraph, inputs map[TimingPin]Form,
-	space *VariationSpace, n int, seed int64, workers int) ([][]float64, error) {
-	return sta.MonteCarloParallel(g, inputs, space, n, seed, workers)
-}
 
 // ReadTree parses a tree from the rctree text format.
 func ReadTree(r io.Reader) (*Tree, error) { return rctree.Read(r) }
