@@ -74,7 +74,7 @@ func run() error {
 		htree    = flag.Int("htree", 0, "H-tree levels for the capacity run")
 		benches  = flag.String("benches", "", "comma-separated benchmark subset (default: all)")
 		pbarOn   = flag.String("pbar-bench", "r1", "benchmark for the pbar sweep")
-		csvDir   = flag.String("csv", "", "also write the figure data series as CSV files into this directory")
+		csvDir   = flag.String("csv", "", "with -run all, also write the plotted figure data series as CSV files into this directory")
 		parallel = flag.Int("parallel", 0, "DP worker goroutines per insertion (0 = GOMAXPROCS, 1 = serial; results identical)")
 		hullName = flag.String("hull", "auto", "convex-hull buffering kernel: auto or off (results identical)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -114,16 +114,21 @@ func run() error {
 	}
 	w := os.Stdout
 
-	if *csvDir != "" {
-		if err := experiments.WriteFigureCSVs(*csvDir, cfg); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote figure CSVs to %s\n", *csvDir)
+	if *csvDir != "" && *which != "all" {
+		return fmt.Errorf("-csv exports the figures of -run all, not -run %s", *which)
 	}
 
 	switch *which {
 	case "all":
-		return experiments.RunAll(w, cfg)
+		figs, err := experiments.RunAll(w, cfg)
+		if err != nil || *csvDir == "" {
+			return err
+		}
+		if err := experiments.WriteFigureCSVs(*csvDir, figs); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote figure CSVs to %s\n", *csvDir)
+		return nil
 	case "table1":
 		rows, err := experiments.Table1(cfg)
 		if err != nil {

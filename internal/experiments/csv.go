@@ -10,21 +10,17 @@ import (
 	"vabuf/internal/stats"
 )
 
-// WriteFigureCSVs regenerates Figures 2, 3, 5 and 6 and writes their raw
-// data series into dir (created if missing) as fig2.csv, fig3.csv,
-// fig5.csv and fig6.csv, for external plotting tools.
-func WriteFigureCSVs(dir string, cfg Config) error {
-	cfg = cfg.withDefaults()
+// WriteFigureCSVs writes the raw data series of the Figures 2, 3, 5 and
+// 6 that RunAll computed into dir (created if missing) as fig2.csv,
+// fig3.csv, fig5.csv and fig6.csv, for external plotting tools.
+func WriteFigureCSVs(dir string, figs *Figures) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
 
 	// Figure 2: one row per mean difference, one probability column per
 	// (rho, sigma-ratio) curve.
-	curves, err := Figure2(cfg)
-	if err != nil {
-		return err
-	}
+	curves := figs.Fig2
 	header := []string{"mean_diff"}
 	for _, c := range curves {
 		header = append(header, fmt.Sprintf("p_rho%.1f_ratio%.0f", c.Rho, c.SigmaRatio))
@@ -42,10 +38,7 @@ func WriteFigureCSVs(dir string, cfg Config) error {
 	}
 
 	// Figure 3: bin centers with empirical and model densities.
-	f3, err := Figure3(cfg)
-	if err != nil {
-		return err
-	}
+	f3 := figs.Fig3
 	rows = rows[:0]
 	emp := f3.Hist.PDF()
 	for i := range emp {
@@ -60,10 +53,7 @@ func WriteFigureCSVs(dir string, cfg Config) error {
 	}
 
 	// Figure 5: sinks vs runtime and candidates generated.
-	f5, err := Figure5(cfg)
-	if err != nil {
-		return err
-	}
+	f5 := figs.Fig5
 	rows = rows[:0]
 	for _, r := range f5.Rows {
 		rows = append(rows, []string{r.Bench, strconv.Itoa(r.Sinks), fmtF(r.Elapsed.Seconds()),
@@ -75,10 +65,7 @@ func WriteFigureCSVs(dir string, cfg Config) error {
 	}
 
 	// Figure 6: RAT bins with MC and model densities.
-	f6, err := Figure6(cfg)
-	if err != nil {
-		return err
-	}
+	f6 := figs.Fig6
 	rows = rows[:0]
 	emp = f6.Hist.PDF()
 	for i := range emp {

@@ -13,7 +13,8 @@ func TestWriteFigureCSVs(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Benches = []string{"p1", "r1"}
 	cfg.MCSamples = 1000
-	if err := WriteFigureCSVs(dir, cfg); err != nil {
+	figs := quickFigures(t, cfg)
+	if err := WriteFigureCSVs(dir, figs); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fig2.csv", "fig3.csv", "fig5.csv", "fig6.csv"} {
@@ -64,7 +65,27 @@ func TestWriteFigureCSVs(t *testing.T) {
 		t.Errorf("fig3 empirical PDF integrates to %g", sum)
 	}
 	// Unwritable directory errors.
-	if err := WriteFigureCSVs("/proc/definitely-not-writable/x", cfg); err == nil {
+	if err := WriteFigureCSVs("/proc/definitely-not-writable/x", figs); err == nil {
 		t.Error("unwritable dir accepted")
 	}
+}
+
+// quickFigures computes the four exported figures the way RunAll does.
+func quickFigures(t *testing.T, cfg Config) *Figures {
+	t.Helper()
+	var figs Figures
+	var err error
+	if figs.Fig2, err = Figure2(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if figs.Fig3, err = Figure3(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if figs.Fig5, err = Figure5(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if figs.Fig6, err = Figure6(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return &figs
 }

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"flag"
 	"math"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -305,7 +308,7 @@ func TestRunAllQuick(t *testing.T) {
 	cfg.HTreeLevels = 3
 	cfg.FourPTimeout = 5e9
 	var sb strings.Builder
-	if err := RunAll(&sb, cfg); err != nil {
+	if _, err := RunAll(&sb, cfg); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -315,4 +318,80 @@ func TestRunAllQuick(t *testing.T) {
 			t.Errorf("RunAll output missing %q", want)
 		}
 	}
+	got := maskTimings(out)
+	const golden = "testdata/quick.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range max(len(gl), len(wl)) {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Errorf("%s line %d:\n got  %q\n want %q", golden, i+1, g, w)
+			}
+		}
+		t.Log("rerun with -update to accept the new output")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from the current RunAll output")
+
+// maskTimings makes RunAll's output machine-independent: it blanks every
+// wall-clock figure and drops Figure 5's runtime plot and time fit (its
+// work fit stays), then collapses the runs of spaces that column widths
+// put around them and shortens table rules, so a masked time of another
+// width cannot shift a line. Plot lines keep their spacing.
+func maskTimings(out string) string {
+	seconds := regexp.MustCompile(`\b\d+\.\d+s\b`)
+	lines := strings.Split(out, "\n")
+	var kept []string
+	section := ""
+	for _, line := range lines {
+		if strings.HasPrefix(line, "===== ") {
+			section = strings.Trim(line, "= ")
+		}
+		if section == "Figure 5" && line != "" && !strings.HasPrefix(line, "=====") &&
+			!strings.HasPrefix(line, "Figure 5") && !strings.HasPrefix(line, "work fit") {
+			if strings.HasPrefix(line, "linear fit") {
+				kept = append(kept, "<runtime plot and time fit masked>")
+			}
+			continue
+		}
+		if strings.HasPrefix(line, "|") || strings.HasPrefix(line, "+") {
+			kept = append(kept, line)
+			continue
+		}
+		line = seconds.ReplaceAllString(line, "<t>")
+		fields := strings.Fields(line)
+		// Table 2 rows: Bench Sinks 4P 2P Speedup. A 4P run stopped by
+		// the candidate cap is deterministic; its time, a timeout and
+		// the speedup are not.
+		if section == "Table 2" && len(fields) == 5 && fields[0] != "Bench" {
+			for i := 2; i < 5; i++ {
+				if fields[i] != "-(capacity)" {
+					fields[i] = "<t>"
+				}
+			}
+		}
+		line = strings.Join(fields, " ")
+		if strings.Trim(line, "-") == "" && line != "" {
+			line = "-"
+		}
+		kept = append(kept, line)
+	}
+	return strings.Join(kept, "\n")
 }
