@@ -22,7 +22,7 @@
 //
 // Stream mode posts a yield request to the server's /v1/yield:stream
 // endpoint and follows the NDJSON event stream: Monte-Carlo progress
-// ticks on stderr as shard-sized chunks commit, and the final result
+// ticks on stderr as sampling chunks complete, and the final result
 // prints on stdout (the full /v1/yield DTO with -json). A positive
 // -mc-tol selects the adaptive sampler, which stops once the yield
 // quantile's CI half-width falls within the tolerance.

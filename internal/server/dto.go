@@ -50,8 +50,8 @@ type InsertRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Parallelism bounds the DP worker goroutines of this run (0 =
 	// GOMAXPROCS, 1 = serial). Results are identical for every value. The
-	// yield endpoint also fans its Monte-Carlo validation out across this
-	// many workers when > 1 (sharded deterministic streams).
+	// yield endpoint also splits its Monte-Carlo validation over this many
+	// workers, which draw the same samples at every count.
 	Parallelism int `json:"parallelism,omitempty"`
 	// WireSizing enables simultaneous wire sizing with the default
 	// three-width routing library.
@@ -76,10 +76,10 @@ type YieldRequest struct {
 	// Seed seeds the Monte-Carlo sampler (default 1).
 	Seed int64 `json:"seed,omitempty"`
 	// MCTol, when positive, selects the adaptive (early-stopping)
-	// sampler: sampling proceeds in deterministic shard-sized chunks and
-	// stops once the CI half-width of the yield quantile falls within
-	// MCTol (relative), or at the MonteCarlo cap. The samples are a
-	// prefix of the sharded (parallelism > 1) stream for the same seed.
+	// sampler: sampling proceeds in deterministic chunks of 1/16 of the
+	// cap and stops once the CI half-width of the yield quantile falls
+	// within MCTol (relative), or at the MonteCarlo cap. The samples are
+	// a prefix of the fixed-budget stream for the same seed.
 	MCTol float64 `json:"mc_tol,omitempty"`
 }
 

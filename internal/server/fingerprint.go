@@ -21,9 +21,10 @@ package server
 // bump invalidates caches without reshuffling request ownership.
 //
 // Yield fingerprints do include the sampler identity: monte_carlo,
-// seed, mc_tol, and whether the sharded stream was selected
-// (parallelism > 1), because those change the sample vector and with it
-// the reported quantiles.
+// seed, mc_tol, whether the run is adaptive, and the name of the sample
+// stream, because those change the sample vector and with it the
+// reported quantiles. Parallelism does not: every worker count draws
+// the same samples.
 
 import (
 	"crypto/sha256"
@@ -59,19 +60,22 @@ func (r *InsertRequest) Fingerprint(epoch string) string {
 	return "ins:" + hex.EncodeToString(h.Sum(nil))
 }
 
+// mcStream names the Monte-Carlo sample stream. Every yield fingerprint
+// folds it in, so a deliberate stream change renames it and no cache or
+// restored snapshot serves samples of the old stream under a new key.
+const mcStream = "keyed"
+
 // mcSampler names the Monte-Carlo sampler a normalized yield request
-// selects; distinct samplers produce distinct streams, so the name is
-// part of the fingerprint.
+// selects. Every worker count draws the same samples, so only the
+// stopping rule tells samplers apart.
 func (r *YieldRequest) mcSampler() string {
 	switch {
 	case r.MonteCarlo <= 0:
 		return "none"
 	case r.MCTol > 0:
 		return "adaptive"
-	case r.Parallelism > 1:
-		return "sharded"
 	default:
-		return "serial"
+		return "fixed"
 	}
 }
 
@@ -81,7 +85,7 @@ func (r *YieldRequest) mcSampler() string {
 func (r *YieldRequest) Fingerprint(epoch string) string {
 	h := sha256.New()
 	r.InsertRequest.writeFingerprint(h, "yield", epoch)
-	fmt.Fprintf(h, "\x00mc=%d\x00seed=%d\x00sampler=%s\x00tol=%g",
-		r.MonteCarlo, r.Seed, r.mcSampler(), r.MCTol)
+	fmt.Fprintf(h, "\x00mc=%d\x00seed=%d\x00stream=%s\x00sampler=%s\x00tol=%g",
+		r.MonteCarlo, r.Seed, mcStream, r.mcSampler(), r.MCTol)
 	return "yld:" + hex.EncodeToString(h.Sum(nil))
 }

@@ -214,8 +214,6 @@ func TestFingerprintTable(t *testing.T) {
 			{InsertRequest: base, MonteCarlo: 128, Seed: 2},     // seed
 			{InsertRequest: base, MonteCarlo: 128, MCTol: 0.01}, // adaptive sampler
 			{InsertRequest: base},                               // no MC at all
-			{InsertRequest: InsertRequest{Bench: "r1", Algo: "wid", Parallelism: 4},
-				MonteCarlo: 128}, // sharded sampler: parallelism changes the stream here
 		}
 		seen := map[string]int{ybaseFP: -1}
 		for i, req := range diff {
@@ -225,15 +223,17 @@ func TestFingerprintTable(t *testing.T) {
 			}
 			seen[fp] = i
 		}
-		// Parallelism does not change the *adaptive* stream (in-order
-		// commit is worker-invariant), so there it is excluded again.
-		a1 := yieldFingerprintOf(t, YieldRequest{InsertRequest: base, MonteCarlo: 128, MCTol: 0.01})
-		a8 := yieldFingerprintOf(t, YieldRequest{
-			InsertRequest: InsertRequest{Bench: "r1", Algo: "wid", Parallelism: 8},
-			MonteCarlo:    128, MCTol: 0.01,
-		})
-		if a1 != a8 {
-			t.Error("adaptive fingerprint depends on parallelism")
+		// Parallelism changes neither stream (every worker count draws
+		// the same samples), so it stays out of both samplers' keys.
+		for _, tol := range []float64{0, 0.01} {
+			p1 := yieldFingerprintOf(t, YieldRequest{InsertRequest: base, MonteCarlo: 128, MCTol: tol})
+			p8 := yieldFingerprintOf(t, YieldRequest{
+				InsertRequest: InsertRequest{Bench: "r1", Algo: "wid", Parallelism: 8},
+				MonteCarlo:    128, MCTol: tol,
+			})
+			if p1 != p8 {
+				t.Errorf("mc_tol %g: fingerprint depends on parallelism", tol)
+			}
 		}
 	})
 }

@@ -12,7 +12,8 @@ import (
 // pinnedFingerprints are literal result-cache and routing keys. A change
 // to any of them turns every snapshot and fleet cache cold and moves
 // partitions during a rolling upgrade, so a deliberate change must bump
-// fingerprintVersion and update this table in the same commit.
+// fingerprintVersion (or, for the yield keys alone, rename mcStream) and
+// update this table in the same commit.
 var pinnedFingerprints = []struct {
 	kind, body string
 	epoch      string
@@ -27,15 +28,15 @@ var pinnedFingerprints = []struct {
 	{"insert", `{"tree":"node 0 source 0 0\n","algo":"d2d"}`, "lib-2026a",
 		"ins:2549a43eb0341fc8aa02d78f050c10f06b3a1e1996f25e136779791f42e3a714"},
 	{"yield", `{"bench":"p1","algo":"wid"}`, "",
-		"yld:e2e1c25d2890a1d74babb4d32c2ebdb6af039baf7a33c8936be3a22e2d5be2d7"},
+		"yld:c76f4842d7694619af7d94216f6b342363390431aae8b24cb7aa1b063be11cc4"},
 	{"yield", `{"bench":"p1","algo":"wid","monte_carlo":128}`, "",
-		"yld:fc04c7998477efe39fcfd618dd049ec92668b31ee381dde089acc7f55939620b"},
+		"yld:bef2c4847528df6a3bba443cf76f27a387b728a6c1ad2bcb92876ecca6e8f4b9"},
 	{"yield", `{"bench":"p1","algo":"wid","monte_carlo":128}`, "lib-2026a",
-		"yld:9a536ff23e288f8cc94f6e7599243e0588ab7de82e2a26ea263129f77dd2995c"},
+		"yld:64a56d4c68d218c98da322ad7b0970f12c884ceb7c6401035d79bf6615f7a099"},
 	{"yield", `{"bench":"r2","algo":"d2d","monte_carlo":256,"parallelism":4,"seed":9}`, "",
-		"yld:e108e5dc18bc2fcb9bb0c426e8e283eec84eb5051eaea9c516520f7423cdeac5"},
+		"yld:98c85ac79a94696ecd9e29ecce0ecf044f623c92e2c3bd5d326c02db90c9c8ca"},
 	{"yield", `{"bench":"r2","algo":"wid","monte_carlo":5000,"mc_tol":0.02,"parallelism":8,"quantile":0.1}`, "lib-2026a",
-		"yld:458bd179cb88490146cdc4200a950ab8fdeaf0f42441409c39b0bcf97aaeb8f0"},
+		"yld:daaf387e111b86a35d35ff5c2c9f34a3dac701237de7719bc7a398ec3ed6a0f5"},
 }
 
 // TestFingerprintPins pins the literal fingerprint hex of a fixed set of

@@ -763,11 +763,11 @@ func (s *Server) single(kind, endpoint string) func(*http.Request) (int, any) {
 	}
 }
 
-// runMonteCarlo draws the yield request's Monte-Carlo samples with the
-// sampler the request selects — serial, sharded (parallelism > 1), or
-// adaptive (mc_tol > 0) — and reduces them to the DTO. onEstimate, when
-// non-nil, observes every committed shard of an adaptive run (the
-// streaming endpoint's progress feed) and may stop it early.
+// runMonteCarlo draws the yield request's Monte-Carlo samples over
+// req.Parallelism workers, adaptively when mc_tol > 0, and reduces them
+// to the DTO. Every worker count draws the same samples. onEstimate,
+// when non-nil, observes every chunk of an adaptive run (the streaming
+// endpoint's progress feed) and may stop it early.
 func (s *Server) runMonteCarlo(req *YieldRequest, p *preparedRun,
 	assignment map[vabuf.NodeID]int,
 	onEstimate func(vabuf.MCEstimate) bool) (*MonteCarloDTO, error) {
@@ -790,7 +790,7 @@ func (s *Server) runMonteCarlo(req *YieldRequest, p *preparedRun,
 		}
 		// Reduce via the same two-pass helpers as the fixed-budget path,
 		// so a full-budget adaptive run reports numbers bit-identical to
-		// the sharded sampler's.
+		// the fixed-budget sampler's.
 		mc := summarizeSamples(samples, req.Quantile)
 		if mc != nil {
 			mc.CIHalfWidthPS = est.HalfWidth
@@ -798,18 +798,8 @@ func (s *Server) runMonteCarlo(req *YieldRequest, p *preparedRun,
 		}
 		return mc, nil
 	}
-	var samples []float64
-	var err error
-	if req.Parallelism > 1 {
-		// The sharded sampler's stream depends only on (n, seed) but
-		// differs from the serial one, so it is opt-in: existing
-		// clients keep their recorded quantiles.
-		samples, err = vabuf.MonteCarloRATParallel(p.tree, p.lib, assignment,
-			model, req.MonteCarlo, req.Seed, req.Parallelism)
-	} else {
-		samples, err = vabuf.MonteCarloRAT(p.tree, p.lib, assignment,
-			model, req.MonteCarlo, req.Seed)
-	}
+	samples, err := vabuf.MonteCarloRATParallel(p.tree, p.lib, assignment,
+		model, req.MonteCarlo, req.Seed, req.Parallelism)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -192,4 +195,100 @@ func TestPeriodicSnapshotTicker(t *testing.T) {
 		var doc snapshotFile
 		return json.Unmarshal(data, &doc) == nil && len(doc.Entries) >= 1
 	}, "periodic snapshot written with at least one entry")
+}
+
+// preKeyedYieldKey is the yield fingerprint from before the keyed
+// Monte-Carlo stream: no stream name, and samplers named serial and
+// sharded after the streams they drew.
+func preKeyedYieldKey(r *YieldRequest, epoch string) string {
+	sampler := "serial"
+	switch {
+	case r.MonteCarlo <= 0:
+		sampler = "none"
+	case r.MCTol > 0:
+		sampler = "adaptive"
+	case r.Parallelism > 1:
+		sampler = "sharded"
+	}
+	h := sha256.New()
+	r.InsertRequest.writeFingerprint(h, "yield", epoch)
+	fmt.Fprintf(h, "\x00mc=%d\x00seed=%d\x00sampler=%s\x00tol=%g",
+		r.MonteCarlo, r.Seed, sampler, r.MCTol)
+	return "yld:" + hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSnapshotPreKeyedYieldNotServed restores a yield result saved under
+// its request's pre-keyed-stream key, for a fixed-budget and an adaptive
+// request: each must run afresh rather than answer with the old stream's
+// samples. A result saved under
+// the current key of another request is the control: restore files it
+// and that request is answered from it.
+func TestSnapshotPreKeyedYieldNotServed(t *testing.T) {
+	normalized := func(r YieldRequest) *YieldRequest {
+		if err := r.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		return &r
+	}
+	// The helper reproduces a pin recorded before the switch.
+	if got, want := preKeyedYieldKey(normalized(YieldRequest{
+		InsertRequest: InsertRequest{Bench: "p1", Algo: "wid"}, MonteCarlo: 128}), ""),
+		"yld:fc04c7998477efe39fcfd618dd049ec92668b31ee381dde089acc7f55939620b"; got != want {
+		t.Fatalf("pre-keyed key %s, want %s", got, want)
+	}
+	treeText := smallTreeText(t)
+	stale := YieldRequest{InsertRequest: InsertRequest{Tree: treeText, Algo: "wid"}, MonteCarlo: 64, Seed: 3}
+	staleAdaptive := stale
+	staleAdaptive.MCTol = 0.05
+	control := stale
+	control.Seed = 4
+	poisoned := func(key string) snapshotEntry {
+		body, err := json.Marshal(YieldResult{MeanPS: -1, MonteCarlo: &MonteCarloDTO{Samples: 64, MeanPS: -12345}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := snapshotEntry{Kind: "yield_result", Key: key, Result: body}
+		e.SHA256 = e.computeChecksum()
+		return e
+	}
+	doc, err := json.Marshal(snapshotFile{Version: snapshotVersion, Entries: []snapshotEntry{
+		poisoned(preKeyedYieldKey(normalized(stale), "")),
+		poisoned(preKeyedYieldKey(normalized(staleAdaptive), "")),
+		poisoned(normalized(control).Fingerprint("")),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "caches.snap")
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 2})
+	stats, err := s.RestoreSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Results != 3 || stats.Skipped != 0 {
+		t.Fatalf("restore stats = %+v, want 3 results restored", stats)
+	}
+	for _, c := range []struct {
+		req    YieldRequest
+		served bool
+	}{{stale, false}, {staleAdaptive, false}, {control, true}} {
+		resp, raw := postJSON(t, ts.URL+"/v1/yield", c.req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: status %d: %s", c.req, resp.StatusCode, raw)
+		}
+		var res YieldResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.MonteCarlo == nil {
+			t.Fatalf("seed %d tol %g: no Monte-Carlo result: %s", c.req.Seed, c.req.MCTol, raw)
+		}
+		if served := res.MonteCarlo.MeanPS == -12345; served != c.served {
+			t.Errorf("seed %d tol %g: answered from the restored entry %v, want %v",
+				c.req.Seed, c.req.MCTol, served, c.served)
+		}
+	}
 }

@@ -2,7 +2,7 @@ package server
 
 // POST /v1/yield:stream — the chunked-JSON face of the adaptive
 // Monte-Carlo sampler. The response is newline-delimited JSON: one
-// "progress" event per committed sampling shard (running mean/sigma,
+// "progress" event per sampled chunk (running mean/sigma,
 // quantile estimate, CI half-width), then a final "result" event
 // carrying the same YieldResult the plain /v1/yield endpoint would
 // return, or an "error" event when the run fails after streaming began.
@@ -13,7 +13,7 @@ package server
 // purpose: a stream's value is watching the run converge, and two
 // clients joining one flight would see each other's progress cadence.
 // Client disconnects propagate into the sampler through OnEstimate, so
-// an abandoned stream stops burning its worker at the next shard
+// an abandoned stream stops burning its worker at the next chunk
 // boundary.
 
 import (
@@ -25,7 +25,7 @@ import (
 )
 
 // ProgressDTO is one adaptive Monte-Carlo progress event: the running
-// estimate after an integral number of sampling shards.
+// estimate after an integral number of sampling chunks.
 type ProgressDTO struct {
 	Samples       int     `json:"samples"`
 	MeanPS        float64 `json:"mean_ps"`

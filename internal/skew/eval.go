@@ -101,7 +101,8 @@ func Propagate(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]i
 // MonteCarlo samples the model and computes the exact per-sample skew
 // (max minus min source-to-sink Elmore delay) of the buffered tree. The
 // tree and assignment are validated and compiled once, through the same
-// step as the yield Monte Carlo.
+// step as the yield Monte Carlo, and sample i reads the same keyed draws
+// as the yield samplers' sample i for the same seed.
 func MonteCarlo(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	model *variation.Model, n int, seed int64) ([]float64, error) {
 	if n <= 0 {
@@ -115,7 +116,7 @@ func MonteCarlo(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]
 	vals := make([]dstate, prog.Tree.Len())
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = sampleSkew(prog.Tree, s.Next(), vals)
+		out[i] = sampleSkew(prog.Tree, s.Sample(i), vals)
 	}
 	return out, nil
 }

@@ -27,8 +27,8 @@ func TestMonteCarloStreamPinned(t *testing.T) {
 		lib  device.Library
 		want string
 	}{
-		{"unbalanced", unbalancedTree(), skewLib(), "c6f5ce020b94514b"},
-		{"benchgen30", big, device.DefaultLibrary(), "8a8cdf0f1dafd496"},
+		{"unbalanced", unbalancedTree(), skewLib(), "ca5d410c46144304"},
+		{"benchgen30", big, device.DefaultLibrary(), "bc44502079b9d90e"},
 	}
 	for _, c := range cases {
 		model, err := variation.NewModel(variation.DefaultConfig(c.tree.BoundingBox().Expand(100)))

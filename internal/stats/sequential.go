@@ -9,9 +9,9 @@ import (
 
 // Sequential-stopping helpers for adaptive Monte Carlo: a streaming
 // moment accumulator plus confidence intervals for empirical quantiles.
-// The adaptive sampler in internal/yield commits the shards of
-// ShardPlan in order through RunShards (shard.go) and stops as soon as
-// the CI half-width of its quantile estimate reaches a requested
+// The adaptive sampler in internal/yield draws the chunks of ShardPlan
+// in order, each split over its workers by RunShards (shard.go), and
+// stops as soon as the CI half-width of its quantile estimate reaches a requested
 // tolerance — the sequential analogue of the fixed-budget estimators in
 // descriptive.go.
 

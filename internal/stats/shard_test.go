@@ -1,16 +1,14 @@
 package stats
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func TestShardPlan(t *testing.T) {
-	const seed = 40
 	for _, n := range []int{1, 5, 15, 16, 17, 100, 1601} {
-		plan := ShardPlan(n, seed)
+		plan := ShardPlan(n)
 		if want := min(n, 16); len(plan) != want {
 			t.Fatalf("n=%d: %d shards, want %d", n, len(plan), want)
 		}
@@ -22,9 +20,6 @@ func TestShardPlan(t *testing.T) {
 			if sh.From != from {
 				t.Errorf("n=%d shard %d: starts at %d, want %d", n, i, sh.From, from)
 			}
-			if sh.Seed != seed+int64(i) {
-				t.Errorf("n=%d shard %d: seed %d, want %d", n, i, sh.Seed, seed+int64(i))
-			}
 			if c := plan[0].Count - sh.Count; c < 0 || c > 1 {
 				t.Errorf("n=%d shard %d: %d samples against %d in shard 0", n, i, sh.Count, plan[0].Count)
 			}
@@ -34,36 +29,27 @@ func TestShardPlan(t *testing.T) {
 			t.Errorf("n=%d: shard counts sum to %d", n, from)
 		}
 	}
-	if plan := ShardPlan(0, seed); len(plan) != 0 {
+	if plan := ShardPlan(0); len(plan) != 0 {
 		t.Errorf("n=0: %d shards, want none", len(plan))
 	}
 }
 
-// shardProbe evaluates a 16-shard plan with evals that finish in reverse
-// plan order, recording what a caller of RunShards could observe: which
-// evals finished, how many ran at once, and whether any was still
-// running when a commit or the return happened.
-type shardProbe struct {
-	t        *testing.T
-	seed     int64
-	plan     []Shard
-	out      []int // out[s] = 1 once sample s's shard has been evaluated
-	finished []atomic.Bool
-	running  atomic.Int32
-	peak     atomic.Int32
-	evals    atomic.Int32
+// splitProbe records what RunShards does with one range: how often each
+// sample index was evaluated, the parts it was cut into, and how many
+// evals ran at once. Later parts sleep less, so they finish first.
+type splitProbe struct {
+	sh      Shard
+	hits    []int32 // hits[s-sh.From] counts evals covering sample s
+	parts   chan Shard
+	running atomic.Int32
+	peak    atomic.Int32
 }
 
-func newShardProbe(t *testing.T) *shardProbe {
-	const seed = 100
-	plan := ShardPlan(160, seed)
-	return &shardProbe{t: t, seed: seed, plan: plan, out: make([]int, 160),
-		finished: make([]atomic.Bool, len(plan))}
+func newSplitProbe(sh Shard) *splitProbe {
+	return &splitProbe{sh: sh, hits: make([]int32, sh.Count), parts: make(chan Shard, sh.Count+1)}
 }
 
-func (p *shardProbe) index(sh Shard) int { return int(sh.Seed - p.seed) }
-
-func (p *shardProbe) eval(sh Shard) {
+func (p *splitProbe) eval(part Shard) {
 	now := p.running.Add(1)
 	for {
 		peak := p.peak.Load()
@@ -71,129 +57,55 @@ func (p *shardProbe) eval(sh Shard) {
 			break
 		}
 	}
-	p.evals.Add(1)
-	// Later shards sleep less, so any lookahead finishes out of order.
-	time.Sleep(time.Duration(len(p.plan)-p.index(sh)) * 300 * time.Microsecond)
-	for s := sh.From; s < sh.End(); s++ {
-		p.out[s] = 1
+	time.Sleep(time.Duration(p.sh.End()-part.From) * 20 * time.Microsecond)
+	for s := part.From; s < part.End(); s++ {
+		p.hits[s-p.sh.From]++
 	}
-	p.finished[p.index(sh)].Store(true)
+	p.parts <- part
 	p.running.Add(-1)
 }
 
-// checkDrained fails unless no eval is running and every launched shard
-// has written its samples; the plain reads of out race with any eval
-// still in flight, which -race reports.
-func (p *shardProbe) checkDrained(label string) {
-	p.t.Helper()
-	if n := p.running.Load(); n != 0 {
-		p.t.Errorf("%s: %d evals still running after return", label, n)
-	}
-	written := 0
-	for _, v := range p.out {
-		written += v
-	}
-	launched := 0
-	for i := range p.finished {
-		if p.finished[i].Load() {
-			launched += p.plan[i].Count
-		}
-	}
-	if written != launched || int(p.evals.Load()) > len(p.plan) {
-		p.t.Errorf("%s: %d samples written by %d evals, %d finished", label, written, p.evals.Load(), launched)
-	}
-}
-
-func TestRunShardsCommitsInPlanOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		p := newShardProbe(t)
-		var order []int
-		err := RunShards(p.plan, workers, p.eval, func(sh Shard) (bool, error) {
-			i := p.index(sh)
-			if !p.finished[i].Load() {
-				t.Errorf("workers=%d: shard %d committed before its eval returned", workers, i)
+// TestRunShardsSplitsRange checks that every sample of the range is
+// evaluated exactly once, by at most workers evals of near-equal,
+// contiguous, non-empty parts, with none still running on return; the
+// plain reads of hits race with any eval still in flight, which -race
+// reports. workers <= 0 selects GOMAXPROCS.
+func TestRunShardsSplitsRange(t *testing.T) {
+	for _, sh := range []Shard{{From: 0, Count: 1}, {From: 7, Count: 3}, {From: 2048, Count: 2048}, {From: 5, Count: 161}} {
+		for _, workers := range []int{0, 1, 2, 3, 8} {
+			p := newSplitProbe(sh)
+			RunShards(sh, workers, p.eval)
+			if n := p.running.Load(); n != 0 {
+				t.Errorf("%+v workers=%d: %d evals still running after return", sh, workers, n)
 			}
-			order = append(order, i)
-			return false, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(order) != len(p.plan) {
-			t.Fatalf("workers=%d: %d commits, want %d", workers, len(order), len(p.plan))
-		}
-		for k, i := range order {
-			if i != k {
-				t.Fatalf("workers=%d: commit order %v", workers, order)
+			for i, h := range p.hits {
+				if h != 1 {
+					t.Fatalf("%+v workers=%d: sample %d evaluated %d times", sh, workers, sh.From+i, h)
+				}
+			}
+			close(p.parts)
+			var parts []Shard
+			for part := range p.parts {
+				parts = append(parts, part)
+			}
+			limit := workers
+			if workers <= 0 {
+				limit = 1 << 20
+			}
+			if len(parts) > min(limit, sh.Count) || int(p.peak.Load()) > len(parts) {
+				t.Errorf("%+v workers=%d: %d parts, %d at once", sh, workers, len(parts), p.peak.Load())
+			}
+			if workers > 0 && len(parts) != min(workers, sh.Count) {
+				t.Errorf("%+v workers=%d: %d parts, want %d", sh, workers, len(parts), min(workers, sh.Count))
+			}
+			lo, hi := sh.Count, 0
+			for _, part := range parts {
+				lo, hi = min(lo, part.Count), max(hi, part.Count)
+			}
+			if lo <= 0 || hi-lo > 1 {
+				t.Errorf("%+v workers=%d: part sizes %d..%d", sh, workers, lo, hi)
 			}
 		}
-		if peak := p.peak.Load(); peak > int32(workers) {
-			t.Errorf("workers=%d: %d evals in flight at once", workers, peak)
-		}
-		p.checkDrained("full run")
 	}
-}
-
-func TestRunShardsStopDrains(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, k := range []int{0, 5, 15} {
-			p := newShardProbe(t)
-			commits := 0
-			err := RunShards(p.plan, workers, p.eval, func(sh Shard) (bool, error) {
-				commits++
-				return p.index(sh) == k, nil
-			})
-			if err != nil {
-				t.Fatalf("workers=%d stop=%d: %v", workers, k, err)
-			}
-			if commits != k+1 {
-				t.Errorf("workers=%d stop=%d: %d commits, want %d", workers, k, commits, k+1)
-			}
-			if n := int(p.evals.Load()); n > min(k+workers, len(p.plan)) {
-				t.Errorf("workers=%d stop=%d: %d shards evaluated past the lookahead window", workers, k, n)
-			}
-			p.checkDrained("stopped run")
-		}
-	}
-}
-
-func TestRunShardsCommitErrorAfterDrain(t *testing.T) {
-	boom := errors.New("boom")
-	p := newShardProbe(t)
-	commits := 0
-	err := RunShards(p.plan, 4, p.eval, func(sh Shard) (bool, error) {
-		commits++
-		if p.index(sh) == 2 {
-			return false, boom
-		}
-		return false, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("error %v, want %v", err, boom)
-	}
-	if commits != 3 {
-		t.Errorf("%d commits, want 3", commits)
-	}
-	p.checkDrained("failed run")
-}
-
-func TestRunShardsNilCommit(t *testing.T) {
-	for _, workers := range []int{0, 1, 5} {
-		p := newShardProbe(t)
-		if err := RunShards(p.plan, workers, p.eval, nil); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if n := int(p.evals.Load()); n != len(p.plan) {
-			t.Errorf("workers=%d: %d evals, want %d", workers, n, len(p.plan))
-		}
-		if peak := p.peak.Load(); workers > 0 && peak > int32(workers) {
-			t.Errorf("workers=%d: %d evals in flight at once", workers, peak)
-		}
-		for s, v := range p.out {
-			if v != 1 {
-				t.Fatalf("workers=%d: sample %d never written", workers, s)
-			}
-		}
-		p.checkDrained("nil commit")
-	}
+	RunShards(Shard{From: 3}, 4, func(Shard) { t.Error("eval called on an empty range") })
 }

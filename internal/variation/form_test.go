@@ -105,7 +105,7 @@ func TestFormAlgebraProperties(t *testing.T) {
 		}
 		return NewForm(rng.NormFloat64()*10, terms)
 	}
-	samples := space.Sample(rng, nil)
+	samples := space.Sample(NewDraws(17), 0, nil)
 	for trial := 0; trial < 200; trial++ {
 		f := randForm()
 		g := randForm()
@@ -268,7 +268,7 @@ func TestQuantileForm(t *testing.T) {
 
 func TestMinAgainstSampling(t *testing.T) {
 	space := testSpace(4)
-	rng := rand.New(rand.NewSource(23))
+	draws := NewDraws(23)
 	// Correlated forms sharing source 1.
 	f := NewForm(5, []Term{{0, 1}, {1, 2}})
 	g := NewForm(5.5, []Term{{1, 2}, {2, 1.5}})
@@ -277,7 +277,7 @@ func TestMinAgainstSampling(t *testing.T) {
 	var sum float64
 	samples := make([]float64, 0)
 	for i := 0; i < n; i++ {
-		samples = space.Sample(rng, samples)
+		samples = space.Sample(draws, i, samples)
 		sum += math.Min(f.Eval(samples), g.Eval(samples))
 	}
 	mcMean := sum / n
@@ -396,7 +396,7 @@ func TestMaxMirrorsMin(t *testing.T) {
 
 func TestMaxAgainstSampling(t *testing.T) {
 	space := testSpace(3)
-	rng := rand.New(rand.NewSource(77))
+	draws := NewDraws(77)
 	f := NewForm(10, []Term{{0, 2}, {1, 1}})
 	g := NewForm(10.5, []Term{{1, 1}, {2, 2}})
 	res := Max(f, g, space)
@@ -404,7 +404,7 @@ func TestMaxAgainstSampling(t *testing.T) {
 	var sum, sum2 float64
 	var buf []float64
 	for i := 0; i < n; i++ {
-		buf = space.Sample(rng, buf)
+		buf = space.Sample(draws, i, buf)
 		v := math.Max(f.Eval(buf), g.Eval(buf))
 		sum += v
 		sum2 += v * v

@@ -8,10 +8,7 @@
 // Monte-Carlo sampling.
 package variation
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // SourceID identifies one independent variation source within a Space.
 type SourceID int32
@@ -95,15 +92,17 @@ func (s *Space) CountByClass() map[Class]int {
 	return out
 }
 
-// Sample draws one realization of every source into dst (allocated if nil
-// or too short) and returns it. dst[i] ~ N(0, sigma_i), independent.
-func (s *Space) Sample(rng *rand.Rand, dst []float64) []float64 {
+// Sample writes sample i of the keyed stream d into dst (allocated if
+// nil or too short) and returns it: dst[j] = d.Norm(i, j)·σ_j for every
+// source j, independent N(0, σ_j).
+func (s *Space) Sample(d *Draws, i int, dst []float64) []float64 {
 	if cap(dst) < len(s.sources) {
 		dst = make([]float64, len(s.sources))
 	}
 	dst = dst[:len(s.sources)]
-	for i, src := range s.sources {
-		dst[i] = rng.NormFloat64() * src.Sigma
+	d.Seek(i)
+	for j, src := range s.sources {
+		dst[j] = d.Next(SourceID(j)) * src.Sigma
 	}
 	return dst
 }

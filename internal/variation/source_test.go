@@ -2,7 +2,6 @@ package variation
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"vabuf/internal/stats"
@@ -56,13 +55,13 @@ func TestSampleMoments(t *testing.T) {
 	s := NewSpace()
 	s.Add(ClassRandom, 1, "u")
 	s.Add(ClassRandom, 4, "w")
-	rng := rand.New(rand.NewSource(99))
+	draws := NewDraws(99)
 	const n = 100000
 	xs := make([]float64, 0, n)
 	ys := make([]float64, 0, n)
 	var buf []float64
 	for i := 0; i < n; i++ {
-		buf = s.Sample(rng, buf)
+		buf = s.Sample(draws, i, buf)
 		xs = append(xs, buf[0])
 		ys = append(ys, buf[1])
 	}
@@ -91,9 +90,8 @@ func TestSampleReusesBuffer(t *testing.T) {
 	s := NewSpace()
 	s.Add(ClassRandom, 1, "a")
 	s.Add(ClassRandom, 1, "b")
-	rng := rand.New(rand.NewSource(1))
 	buf := make([]float64, 10)
-	out := s.Sample(rng, buf)
+	out := s.Sample(NewDraws(1), 0, buf)
 	if len(out) != 2 {
 		t.Errorf("sample len = %d", len(out))
 	}
@@ -109,12 +107,12 @@ func TestFormSamplingMatchesAnalyticMoments(t *testing.T) {
 	a := s.Add(ClassRandom, 1, "a")
 	b := s.Add(ClassRandom, 2, "b")
 	f := NewForm(10, []Term{{a, 3}, {b, -1}})
-	rng := rand.New(rand.NewSource(5))
+	draws := NewDraws(5)
 	const n = 200000
 	vals := make([]float64, 0, n)
 	var buf []float64
 	for i := 0; i < n; i++ {
-		buf = s.Sample(rng, buf)
+		buf = s.Sample(draws, i, buf)
 		vals = append(vals, f.Eval(buf))
 	}
 	m, v := stats.MeanVar(vals)

@@ -2,18 +2,18 @@ package yield
 
 // Adaptive (early-stopping) Monte Carlo. The fixed-budget samplers burn
 // their whole sample budget even when the estimate converged orders of
-// magnitude earlier; the adaptive sampler commits the shards of
-// stats.ShardPlan — the layout MonteCarloParallel runs — in order through
-// stats.RunShards, keeps a running confidence interval of the target
-// quantile, and stops at the first shard boundary where the CI half-width
-// reaches the requested tolerance (or the sample cap).
+// magnitude earlier; the adaptive sampler draws the chunks of
+// stats.ShardPlan in order, each split over its workers, keeps a running
+// confidence interval of the target quantile, and stops at the first
+// chunk boundary where the CI half-width reaches the requested tolerance
+// (or the sample cap). No chunk is drawn before the previous one has
+// been judged, so no work is thrown away.
 //
-// Determinism: the sample stream is identical to MonteCarloParallel's —
-// shard i draws from seed+i — and the stopping decision after shard k
-// depends only on shards 0..k, so the result is invariant to the worker
-// count. A run that never converges returns exactly the
-// MonteCarloParallel(n, seed) sample vector; a run that converges early
-// returns a shard-aligned prefix of it.
+// Determinism: sample i depends only on (Seed, i), and the stopping
+// decision after chunk k only on chunks 0..k, so the result is invariant
+// to the worker count. A run that never converges returns exactly the
+// MonteCarloParallel(MaxSamples, Seed) sample vector; a run that
+// converges early returns a chunk-aligned prefix of it.
 
 import (
 	"fmt"
@@ -30,9 +30,9 @@ type AdaptiveOptions struct {
 	// MaxSamples is the sample cap — the fixed budget the adaptive run
 	// never exceeds. Required > 0.
 	MaxSamples int
-	// Seed seeds the deterministic shard streams (shard i uses Seed+i).
+	// Seed selects the keyed sample stream.
 	Seed int64
-	// Workers bounds concurrent shard evaluations (lookahead); <=0
+	// Workers is the number of goroutines each chunk is split over; <=0
 	// selects GOMAXPROCS. The result never depends on it.
 	Workers int
 	// Quantile is the q whose empirical quantile drives the stopping
@@ -47,14 +47,14 @@ type AdaptiveOptions struct {
 	// full budget, still emitting progress estimates.
 	Tol float64
 	// OnEstimate, when non-nil, observes the running estimate after
-	// every committed shard. Returning false aborts the run (the
+	// every chunk. Returning false aborts the run (the
 	// samples so far are returned with Converged=false) — the hook a
 	// streaming client uses to stop on disconnect.
 	OnEstimate func(Estimate) bool
 }
 
 // Estimate is the running (or final) state of an adaptive Monte-Carlo
-// run after an integral number of shards.
+// run after an integral number of chunks.
 type Estimate struct {
 	// Samples is the number of samples folded in so far.
 	Samples int
@@ -81,12 +81,11 @@ func (o AdaptiveOptions) converged(est, halfWidth float64) bool {
 }
 
 // MonteCarloAdaptive is MonteCarloSized with the sequential stopping
-// rule of AdaptiveOptions: shards of the deterministic 16-shard stream
-// are committed in order until the quantile CI converges or the budget
-// is exhausted. Up to opts.Workers shards are evaluated ahead of the
-// commit frontier; those past the stopping point are discarded. The
-// returned samples are a shard-aligned prefix of the
-// MonteCarloParallel(MaxSamples, Seed) stream.
+// rule of AdaptiveOptions: the chunks of stats.ShardPlan(MaxSamples) are
+// drawn in order, each split over opts.Workers, until the quantile CI
+// converges or the budget is exhausted. The returned samples are a
+// chunk-aligned prefix of the MonteCarloParallel(MaxSamples, Seed)
+// stream.
 func MonteCarloAdaptive(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	wires rctree.WireAssignment, model *variation.Model, opts AdaptiveOptions) ([]float64, Estimate, error) {
 	conf, err := stats.CheckAdaptive(opts.MaxSamples, opts.Quantile, opts.Confidence)
@@ -98,34 +97,33 @@ func MonteCarloAdaptive(tree *rctree.Tree, lib device.Library, assign map[rctree
 		return nil, Estimate{}, err
 	}
 	samples := make([]float64, opts.MaxSamples)
-	// sorted is the committed prefix in ascending order; each shard is
-	// sorted on its own and merged in, linear in the prefix per shard.
+	// sorted is the drawn prefix in ascending order; each chunk is
+	// sorted on its own and merged in, linear in the prefix per chunk.
 	sorted := make([]float64, 0, opts.MaxSamples)
 	var run stats.Running
 	var est Estimate
-	err = stats.RunShards(stats.ShardPlan(opts.MaxSamples, opts.Seed), opts.Workers,
-		func(sh stats.Shard) { prog.sample(samples, sh) },
-		func(sh stats.Shard) (bool, error) {
-			part := samples[sh.From:sh.End()]
-			run.AddAll(part)
-			sorted = stats.MergeSorted(sorted, part)
-			q, hw, err := stats.QuantileEstimate(sorted, opts.Quantile, conf)
-			if err != nil {
-				return true, err
-			}
-			est = Estimate{
-				Samples:   sh.End(),
-				Mean:      run.Mean(),
-				Sigma:     run.Sigma(),
-				Quantile:  q,
-				HalfWidth: hw,
-				Converged: opts.converged(q, hw),
-			}
-			keepGoing := opts.OnEstimate == nil || opts.OnEstimate(est)
-			return est.Converged || !keepGoing, nil
-		})
-	if err != nil {
-		return nil, Estimate{}, err
+	for _, chunk := range stats.ShardPlan(opts.MaxSamples) {
+		stats.RunShards(chunk, opts.Workers,
+			func(sh stats.Shard) { prog.sample(samples, opts.Seed, sh) })
+		part := samples[chunk.From:chunk.End()]
+		run.AddAll(part)
+		sorted = stats.MergeSorted(sorted, part)
+		q, hw, err := stats.QuantileEstimate(sorted, opts.Quantile, conf)
+		if err != nil {
+			return nil, Estimate{}, err
+		}
+		est = Estimate{
+			Samples:   chunk.End(),
+			Mean:      run.Mean(),
+			Sigma:     run.Sigma(),
+			Quantile:  q,
+			HalfWidth: hw,
+			Converged: opts.converged(q, hw),
+		}
+		keepGoing := opts.OnEstimate == nil || opts.OnEstimate(est)
+		if est.Converged || !keepGoing {
+			break
+		}
 	}
 	return samples[:est.Samples:est.Samples], est, nil
 }

@@ -63,7 +63,7 @@ func TestAdaptiveStopsEarly(t *testing.T) {
 	if est.Samples >= cap {
 		t.Errorf("converged run used the full budget (%d samples)", est.Samples)
 	}
-	if !slices.ContainsFunc(stats.ShardPlan(cap, 7), func(sh stats.Shard) bool { return sh.End() == est.Samples }) {
+	if !slices.ContainsFunc(stats.ShardPlan(cap), func(sh stats.Shard) bool { return sh.End() == est.Samples }) {
 		t.Errorf("stop at %d samples is not shard-aligned", est.Samples)
 	}
 	ref, err := MonteCarloParallel(tr, lib, assign, nil, model, cap, 7, 4)

@@ -2,7 +2,6 @@ package yield
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"vabuf/internal/geom"
@@ -69,7 +68,7 @@ func TestCriticalityMatchesMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4))
+	draws := variation.NewDraws(4)
 	counts := make(map[rctree.NodeID]int)
 	const n = 20000
 	var buf []float64
@@ -89,7 +88,7 @@ func TestCriticalityMatchesMonteCarlo(t *testing.T) {
 	}
 	vals := make([]st, tr.Len())
 	for s := 0; s < n; s++ {
-		buf = model.Space.Sample(rng, buf)
+		buf = model.Space.Sample(draws, s, buf)
 		for _, id := range order {
 			node := tr.Node(id)
 			var cur st

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"vabuf/internal/device"
@@ -17,17 +16,21 @@ import (
 // flat post-order walk of rctree.Program plus, per buffer slot, the
 // library cell's nominal values and the site's resolved deviation form.
 // Compiling resolves every deviation serially, so the model is read-only
-// afterwards and shards may share one program, each drawing through its
+// afterwards and workers may share one program, each drawing through its
 // own Sampler.
 type MCProgram struct {
 	// Tree is the compiled topology; Tree.Buffers[k] carries slot k.
 	Tree  *rctree.Program
-	space *variation.Space
 	slots []mcSlot
 	// shared holds the deviation prefixes two or more slots share: a
 	// form's nominal and all of its terms but the last. Each is
 	// evaluated once per sample.
 	shared []variation.Form
+	// sources lists, ascending, the IDs of the sources the slots'
+	// deviations reference, and sigma their standard deviations: the
+	// only sources a sample draws.
+	sources []variation.SourceID
+	sigma   []float64
 }
 
 // mcSlot is one placed buffer: cell values and the site deviation D, so
@@ -69,7 +72,26 @@ func CompileMC(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]i
 		b := lib[bi]
 		slots[k] = mcSlot{cb0: b.Cb0, tb0: b.Tb0, rb: b.Rb, dev: model.Deviation(int(id), tree.Node(id).Loc)}
 	}
-	return &MCProgram{Tree: prog, space: model.Space, slots: slots, shared: sharePrefixes(slots)}, nil
+	p := &MCProgram{Tree: prog, slots: slots, shared: sharePrefixes(slots)}
+	p.reference(model.Space)
+	return p, nil
+}
+
+// reference records, ascending, the IDs of the sources the slots' forms
+// name, with their sigmas.
+func (p *MCProgram) reference(space *variation.Space) {
+	used := make([]bool, space.Len())
+	for _, sl := range p.slots {
+		for _, t := range sl.dev.Terms {
+			used[t.ID] = true
+		}
+	}
+	for id, u := range used {
+		if u {
+			p.sources = append(p.sources, variation.SourceID(id))
+			p.sigma = append(p.sigma, space.Sigma(variation.SourceID(id)))
+		}
+	}
 }
 
 // comparePrefix orders the prefixes of two forms by term count, nominal
@@ -128,33 +150,47 @@ func sharePrefixes(slots []mcSlot) []variation.Form {
 	return shared
 }
 
-// Sampler is one RNG stream of buffer realizations drawn from a compiled
-// program, with its own scratch. It is not safe for concurrent use.
+// Sampler reads buffer realizations of a compiled program from the keyed
+// stream of one seed, with its own scratch. Sample i's values depend
+// only on (seed, i), never on which Sampler drew them or in what order.
+// It is not safe for concurrent use.
 type Sampler struct {
-	p    *MCProgram
-	rng  *rand.Rand
-	src  []float64
-	pv   []float64 // pv[i] is the value of p.shared[i] on src
-	bufs []rctree.BufferValues
+	p     *MCProgram
+	draws *variation.Draws
+	src   []float64 // src[id] is the current sample's value of source id
+	pv    []float64 // pv[i] is the value of p.shared[i] on src
+	bufs  []rctree.BufferValues
 }
 
-// Sampler starts the stream seeded by seed.
+// Sampler starts a reader of the stream seeded by seed.
 func (p *MCProgram) Sampler(seed int64) *Sampler {
+	n := 0
+	if len(p.sources) > 0 {
+		n = int(p.sources[len(p.sources)-1]) + 1
+	}
 	return &Sampler{
-		p:    p,
-		rng:  rand.New(rand.NewSource(seed)),
-		pv:   make([]float64, len(p.shared)),
-		bufs: make([]rctree.BufferValues, len(p.slots)),
+		p:     p,
+		draws: variation.NewDraws(seed),
+		src:   make([]float64, n),
+		pv:    make([]float64, len(p.shared)),
+		bufs:  make([]rctree.BufferValues, len(p.slots)),
 	}
 }
 
-// Next draws one realization of every variation source and returns the
-// buffer values it implies, indexed by slot. The slice is reused by the
-// next call.
-func (s *Sampler) Next() []rctree.BufferValues {
-	src := s.p.space.Sample(s.rng, s.src)
-	s.src = src
-	pv := s.pv
+// Sample draws sample i of every source the program references and
+// returns the buffer values it implies, indexed by slot. The slice is
+// reused by the next call.
+func (s *Sampler) Sample(i int) []rctree.BufferValues {
+	s.draws.Seek(i)
+	for k, id := range s.p.sources {
+		s.src[id] = s.draws.Next(id) * s.p.sigma[k]
+	}
+	return s.realize()
+}
+
+// realize evaluates the buffer values of the source values in s.src.
+func (s *Sampler) realize() []rctree.BufferValues {
+	src, pv := s.src, s.pv
 	for i, f := range s.p.shared {
 		pv[i] = f.Eval(src)
 	}
@@ -178,13 +214,13 @@ func (sl *mcSlot) deviation(src, pv []float64) float64 {
 	return pv[sl.pre] + t.Coef*src[t.ID]
 }
 
-// sample fills dst[sh.From:sh.End()] with root RATs of consecutive draws
-// from the stream seeded sh.Seed. Distinct shards may fill one dst
+// sample fills dst[sh.From:sh.End()] with the root RATs of those
+// samples of the stream seeded seed. Disjoint ranges may fill one dst
 // concurrently.
-func (p *MCProgram) sample(dst []float64, sh stats.Shard) {
-	s := p.Sampler(sh.Seed)
+func (p *MCProgram) sample(dst []float64, seed int64, sh stats.Shard) {
+	s := p.Sampler(seed)
 	vals := make([]rctree.LT, p.Tree.Len())
 	for i := sh.From; i < sh.End(); i++ {
-		dst[i] = p.Tree.RootRAT(s.Next(), vals)
+		dst[i] = p.Tree.RootRAT(s.Sample(i), vals)
 	}
 }

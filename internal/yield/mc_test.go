@@ -14,7 +14,9 @@ func prefixProgram(space *variation.Space, forms []variation.Form) *MCProgram {
 	for k, f := range forms {
 		slots[k] = mcSlot{cb0: 1, tb0: 2, rb: 3, dev: f}
 	}
-	return &MCProgram{space: space, slots: slots, shared: sharePrefixes(slots)}
+	p := &MCProgram{slots: slots, shared: sharePrefixes(slots)}
+	p.reference(space)
+	return p
 }
 
 // sameBits reports whether a and b are bit-identical or both NaN. Go
@@ -61,7 +63,7 @@ func checkPrefixProgram(t *testing.T, p *MCProgram, n int, seed int64) {
 	}
 	s := p.Sampler(seed)
 	for i := 0; i < n; i++ {
-		bufs := s.Next()
+		bufs := s.Sample(i)
 		for k := range p.slots {
 			sl := &p.slots[k]
 			want := sl.dev.Eval(s.src)

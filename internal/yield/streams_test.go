@@ -49,7 +49,7 @@ type pinnedNet struct {
 	model  *variation.Model
 }
 
-func pinnedNets(t *testing.T) []pinnedNet {
+func pinnedNets(t testing.TB) []pinnedNet {
 	t.Helper()
 	wlib := rctree.DefaultWireLibrary()
 	var out []pinnedNet
@@ -92,8 +92,8 @@ func pinnedNets(t *testing.T) []pinnedNet {
 // TestMonteCarloStreamsPinned pins SHA-256 hashes of the Monte-Carlo
 // sample vectors (and adaptive estimates) for fixed (net, seed, n), so
 // any change to the sampling stream or the per-sample float operations
-// shows up as a hash mismatch. Worker counts share one hash: the sharded
-// stream must not depend on them.
+// shows up as a hash mismatch. The serial sampler and every worker count
+// share one hash: sample i depends only on (seed, i).
 func TestMonteCarloStreamsPinned(t *testing.T) {
 	nets := pinnedNets(t)
 	type run func(p pinnedNet, wires rctree.WireAssignment, h hash.Hash) error
@@ -105,9 +105,9 @@ func TestMonteCarloStreamsPinned(t *testing.T) {
 			var s []float64
 			var err error
 			if w == nil {
-				s, err = MonteCarlo(p.tree, p.lib, p.assign, p.model, 500, 9)
+				s, err = MonteCarlo(p.tree, p.lib, p.assign, p.model, 1000, 7)
 			} else {
-				s, err = MonteCarloSized(p.tree, p.lib, p.assign, w, p.model, 500, 9)
+				s, err = MonteCarloSized(p.tree, p.lib, p.assign, w, p.model, 1000, 7)
 			}
 			hashFloats(h, s...)
 			return err
@@ -140,36 +140,36 @@ func TestMonteCarloStreamsPinned(t *testing.T) {
 		}},
 	}
 	want := map[string]string{
-		"a/serial":                 "7681ebf512d4334e",
-		"a/parallel-w1":            "50a4c515ba0b5c2b",
-		"a/parallel-w3":            "50a4c515ba0b5c2b",
-		"a/adaptive-tol0.01":       "6f4c9c69976054b4",
-		"a/adaptive-tol0":          "e184d014905d5c71",
-		"a/serial+wires":           "7598a6947eff1b00",
-		"a/parallel-w1+wires":      "a6ccea8e7aae68b8",
-		"a/parallel-w3+wires":      "a6ccea8e7aae68b8",
-		"a/adaptive-tol0.01+wires": "e634a8ca364d4307",
-		"a/adaptive-tol0+wires":    "e1ecb411808b7d11",
-		"b/serial":                 "fed9fcaa6828ed45",
-		"b/parallel-w1":            "e57d6e90f2e2de0a",
-		"b/parallel-w3":            "e57d6e90f2e2de0a",
-		"b/adaptive-tol0.01":       "94de287387b2499c",
-		"b/adaptive-tol0":          "a403ce212b3962ab",
-		"b/serial+wires":           "347afb5baa73bc6e",
-		"b/parallel-w1+wires":      "d00acffe314a22f9",
-		"b/parallel-w3+wires":      "d00acffe314a22f9",
-		"b/adaptive-tol0.01+wires": "ff1f773437fc6954",
-		"b/adaptive-tol0+wires":    "d786c16a2bb27d21",
-		"c/serial":                 "6fafb6cf4c2f51a9",
-		"c/parallel-w1":            "3fdd04f1e394a9c5",
-		"c/parallel-w3":            "3fdd04f1e394a9c5",
-		"c/adaptive-tol0.01":       "93a9725482bf6ee2",
-		"c/adaptive-tol0":          "b4586b34516cf75f",
-		"c/serial+wires":           "0ba71444ebfb1132",
-		"c/parallel-w1+wires":      "7fe6a7ca6a4d67fc",
-		"c/parallel-w3+wires":      "7fe6a7ca6a4d67fc",
-		"c/adaptive-tol0.01+wires": "89636d1aa8412448",
-		"c/adaptive-tol0+wires":    "4fe76e1b22e73043",
+		"a/serial":                 "2d2dc4694e240839",
+		"a/parallel-w1":            "2d2dc4694e240839",
+		"a/parallel-w3":            "2d2dc4694e240839",
+		"a/adaptive-tol0.01":       "e92a16dbc8d271f1",
+		"a/adaptive-tol0":          "7cda5f74e7fd4de7",
+		"a/serial+wires":           "0e1f1b38f191b473",
+		"a/parallel-w1+wires":      "0e1f1b38f191b473",
+		"a/parallel-w3+wires":      "0e1f1b38f191b473",
+		"a/adaptive-tol0.01+wires": "d9d86c82f7e5d25b",
+		"a/adaptive-tol0+wires":    "98337c45c52e9cca",
+		"b/serial":                 "4188700aecc7d4b7",
+		"b/parallel-w1":            "4188700aecc7d4b7",
+		"b/parallel-w3":            "4188700aecc7d4b7",
+		"b/adaptive-tol0.01":       "d37f2b1f1778ccc4",
+		"b/adaptive-tol0":          "4958d5ef59b59d8b",
+		"b/serial+wires":           "34e321a115d63430",
+		"b/parallel-w1+wires":      "34e321a115d63430",
+		"b/parallel-w3+wires":      "34e321a115d63430",
+		"b/adaptive-tol0.01+wires": "b3435f9521be1b0f",
+		"b/adaptive-tol0+wires":    "08d4ac93a9de7c62",
+		"c/serial":                 "99a22a0e2ab05a97",
+		"c/parallel-w1":            "99a22a0e2ab05a97",
+		"c/parallel-w3":            "99a22a0e2ab05a97",
+		"c/adaptive-tol0.01":       "17b84ecddc3d5fdc",
+		"c/adaptive-tol0":          "fe5fee98a8fc923f",
+		"c/serial+wires":           "3ab8afb41b417022",
+		"c/parallel-w1+wires":      "3ab8afb41b417022",
+		"c/parallel-w3+wires":      "3ab8afb41b417022",
+		"c/adaptive-tol0.01+wires": "66fab185f2c60097",
+		"c/adaptive-tol0+wires":    "eb0bfe8a7d1c358c",
 	}
 	for ni, p := range nets {
 		for _, sized := range []bool{false, true} {

@@ -116,23 +116,12 @@ func MonteCarlo(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]
 // MonteCarloSized is MonteCarlo with per-edge wire overrides.
 func MonteCarloSized(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	wires rctree.WireAssignment, model *variation.Model, n int, seed int64) ([]float64, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("yield: sample count %d must be positive", n)
-	}
-	prog, err := CompileMC(tree, lib, assign, wires, model)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	prog.sample(out, stats.Shard{Count: n, Seed: seed})
-	return out, nil
+	return MonteCarloParallel(tree, lib, assign, wires, model, n, seed, 1)
 }
 
-// MonteCarloParallel is MonteCarloSized fanned out over worker
-// goroutines. Sampling is sharded deterministically by stats.ShardPlan —
-// shard i draws its samples from seed+i — so the result is identical for
-// any worker count, including 1, but is NOT the same stream as
-// MonteCarloSized(seed). workers <= 0 selects GOMAXPROCS.
+// MonteCarloParallel is MonteCarloSized with the samples split over
+// worker goroutines (<= 0 selects GOMAXPROCS). Sample i depends only on
+// (seed, i), so the result is the same for every worker count.
 func MonteCarloParallel(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	wires rctree.WireAssignment, model *variation.Model, n int, seed int64, workers int) ([]float64, error) {
 	if n <= 0 {
@@ -142,11 +131,10 @@ func MonteCarloParallel(tree *rctree.Tree, lib device.Library, assign map[rctree
 	if err != nil {
 		return nil, err
 	}
-	// Shards share the read-only program and write disjoint ranges of out.
-	// With no commit callback RunShards has no error to return.
+	// Workers share the read-only program and write disjoint ranges of out.
 	out := make([]float64, n)
-	_ = stats.RunShards(stats.ShardPlan(n, seed), workers,
-		func(sh stats.Shard) { prog.sample(out, sh) }, nil)
+	stats.RunShards(stats.Shard{Count: n}, workers,
+		func(sh stats.Shard) { prog.sample(out, seed, sh) })
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package yield
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vabuf/internal/benchgen"
@@ -151,15 +152,13 @@ func TestMonteCarloParallelDeterministic(t *testing.T) {
 			t.Fatalf("sample %d differs: %g vs %g", i, one[i], many[i])
 		}
 	}
-	// Statistically consistent with the serial sampler.
-	serial, err := MonteCarlo(tr, lib, assign, model, 4000, 7)
+	// The serial sampler reads the same stream.
+	serial, err := MonteCarlo(tr, lib, assign, model, 1000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, _ := stats.MeanVar(many)
-	m2, _ := stats.MeanVar(serial)
-	if math.Abs(m1-m2) > 0.01*math.Abs(m2) {
-		t.Errorf("parallel mean %.3f vs serial %.3f", m1, m2)
+	if !slices.Equal(serial, many) {
+		t.Error("serial and parallel samplers drew different samples")
 	}
 }
 

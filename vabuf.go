@@ -233,9 +233,9 @@ func MonteCarloRAT(tree *Tree, lib Library, assign map[NodeID]int,
 	return yield.MonteCarlo(tree, lib, assign, model, n, seed)
 }
 
-// MonteCarloRATParallel is MonteCarloRAT fanned out over worker
-// goroutines with deterministic sharding (identical output for any
-// worker count). workers <= 0 selects GOMAXPROCS.
+// MonteCarloRATParallel is MonteCarloRAT split over worker goroutines:
+// sample i depends only on (seed, i), so the output equals
+// MonteCarloRAT's for any worker count. workers <= 0 selects GOMAXPROCS.
 func MonteCarloRATParallel(tree *Tree, lib Library, assign map[NodeID]int,
 	model *VariationModel, n int, seed int64, workers int) ([]float64, error) {
 	return yield.MonteCarloParallel(tree, lib, assign, nil, model, n, seed, workers)
@@ -251,12 +251,12 @@ type MCAdaptiveOptions = yield.AdaptiveOptions
 type MCEstimate = yield.Estimate
 
 // MonteCarloRATAdaptive is MonteCarloRATParallel with a sequential
-// stopping rule: sampling proceeds in deterministic shard-sized chunks
-// and stops once the CI half-width of the requested RAT quantile falls
-// within opts.Tol (relative), or at opts.MaxSamples. The returned
-// samples are a shard-aligned prefix of the MonteCarloRATParallel
-// stream for the same (MaxSamples, Seed), so a run that never converges
-// reproduces the fixed-budget result exactly.
+// stopping rule: sampling proceeds in deterministic chunks of
+// MaxSamples/16 and stops once the CI half-width of the requested RAT
+// quantile falls within opts.Tol (relative), or at opts.MaxSamples. The
+// returned samples are a chunk-aligned prefix of the MonteCarloRAT
+// stream for the same Seed, so a run that never converges reproduces the
+// fixed-budget result exactly.
 func MonteCarloRATAdaptive(tree *Tree, lib Library, assign map[NodeID]int,
 	model *VariationModel, opts MCAdaptiveOptions) ([]float64, MCEstimate, error) {
 	return yield.MonteCarloAdaptive(tree, lib, assign, nil, model, opts)
