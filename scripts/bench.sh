@@ -32,7 +32,7 @@
 #                               signal; MCR3FixedHomogeneous, the same
 #                               budget under the homogeneous model where
 #                               deviation prefixes are shared;
-#                               MonteCarloParallel, 2000 sharded r1
+#                               MonteCarloParallel, 2000 r1
 #                               samples)
 set -eu
 
