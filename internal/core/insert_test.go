@@ -415,7 +415,7 @@ func TestStatisticalAgainstMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := yield.MonteCarlo(tr, lib, res.Assignment, model, 20000, 7)
+	samples, err := yield.MonteCarloParallel(tr, lib, res.Assignment, nil, model, 20000, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,7 +176,7 @@ func TestWireSizingStatisticalConsistency(t *testing.T) {
 		t.Errorf("propagated sigma %.4f != DP %.4f", rat.Sigma(model.Space), res.Sigma)
 	}
 	// Monte Carlo on the sized design agrees with the canonical model.
-	samples, err := yield.MonteCarloSized(tr, lib, res.Assignment, wires, model, 10000, 3)
+	samples, err := yield.MonteCarloParallel(tr, lib, res.Assignment, wires, model, 10000, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"vabuf/internal/core"
 	"vabuf/internal/rctree"
 	"vabuf/internal/report"
-	"vabuf/internal/stats"
 	"vabuf/internal/yield"
 )
 
@@ -172,17 +171,6 @@ type (
 	treeNodeID = rctree.NodeID
 )
 
-// normalYield returns P(RAT >= target) for RAT ~ N(mean, sigma).
-func normalYield(mean, sigma, target float64) float64 {
-	if sigma == 0 {
-		if mean >= target {
-			return 1
-		}
-		return 0
-	}
-	return 1 - stats.Phi((target-mean)/sigma)
-}
-
 // AlgoReport is one algorithm's evaluation under the full WID model.
 type AlgoReport struct {
 	// YieldRAT is the q%-tile RAT (the "RAT at 95% timing yield").
@@ -256,7 +244,7 @@ func YieldComparison(cfg Config, hetero bool) ([]YieldRow, error) {
 		row.Target = row.WID.Mean - 0.10*math.Abs(row.WID.Mean)
 		for _, r := range []*AlgoReport{&row.NOM, &row.D2D, &row.WID} {
 			r.RelDeg = (r.YieldRAT - row.WID.YieldRAT) / math.Abs(row.WID.YieldRAT)
-			r.Yield = normalYield(r.Mean, r.Sigma, row.Target)
+			r.Yield = yield.NormalYieldAtTarget(r.Mean, r.Sigma, row.Target)
 		}
 		out = append(out, row)
 	}

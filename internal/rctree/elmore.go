@@ -39,10 +39,3 @@ type Evaluation struct {
 func Evaluate(t *Tree, buffers Assignment) (Evaluation, error) {
 	return EvaluateSized(t, buffers, nil)
 }
-
-// WireDelay returns the Elmore delay of a wire of length l loaded by
-// downstream capacitance load, under the tree's wire parasitics — the
-// amount the wire operation subtracts from T.
-func (t *Tree) WireDelay(l, load float64) float64 {
-	return t.Wire.R*l*load + 0.5*t.Wire.R*t.Wire.C*l*l
-}

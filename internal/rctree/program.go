@@ -2,6 +2,7 @@ package rctree
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -50,11 +51,12 @@ type LT struct {
 }
 
 // Compile compiles a tree, the set of buffered nodes and per-edge wire
-// overrides into a Program. It rejects exactly the inputs EvaluateSized
-// rejects: a buffered node outside the tree or off a legal buffer
-// position, a wire override outside the tree, on the root or
-// non-positive, and an internal node without children. It also rejects a
-// node listed twice in buffered. Slots follow ascending node ID.
+// overrides into a Program. It is the legality check of a buffered
+// design, EvaluateSized's too: it rejects a buffered node outside the
+// tree or off a legal buffer position, a wire override outside the tree,
+// on the root, not positive or not finite, an internal node without
+// children (a driver-only tree among them) and a node listed twice in
+// buffered. Slots follow ascending node ID.
 func Compile(t *Tree, buffered []NodeID, wires WireAssignment) (*Program, error) {
 	buffers := slices.Clone(buffered)
 	slices.Sort(buffers)
@@ -76,8 +78,8 @@ func Compile(t *Tree, buffered []NodeID, wires WireAssignment) (*Program, error)
 		if id == t.Root {
 			return nil, fmt.Errorf("rctree: wire assignment on the root (no parent edge)")
 		}
-		if wp.R <= 0 || wp.C <= 0 {
-			return nil, fmt.Errorf("rctree: non-positive wire override %+v at node %d", wp, id)
+		if !(wp.R > 0 && wp.C > 0) || math.IsInf(wp.R, 1) || math.IsInf(wp.C, 1) {
+			return nil, fmt.Errorf("rctree: wire override %+v at node %d not positive and finite", wp, id)
 		}
 	}
 	order := t.PostOrder()

@@ -236,15 +236,6 @@ func TestEvaluateRejectsBadAssignment(t *testing.T) {
 	}
 }
 
-func TestWireDelay(t *testing.T) {
-	tr, _, _ := chainTree(1, 1)
-	got := tr.WireDelay(100, 10)
-	want := tr.Wire.R*100*10 + 0.5*tr.Wire.R*tr.Wire.C*100*100
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("WireDelay = %g, want %g", got, want)
-	}
-}
-
 func TestElmoreAdditivityAlongPath(t *testing.T) {
 	// Splitting one wire into two segments (with a zero-size steiner in the
 	// middle and no branching) must not change the Elmore RAT.

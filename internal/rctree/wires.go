@@ -1,7 +1,5 @@
 package rctree
 
-import "fmt"
-
 // WireChoice is one routing option for an edge: a named width/layer with
 // its per-unit parasitics. Widening a wire divides its resistance and
 // multiplies its area capacitance.
@@ -35,26 +33,15 @@ type WireAssignment map[NodeID]WireParams
 
 // EvaluateSized is Evaluate with per-edge wire overrides (simultaneous
 // buffer insertion and wire sizing, after [8]). A nil wires map reduces to
-// Evaluate.
+// Evaluate. Compile decides whether the design is legal; the walk below
+// is the independent arithmetic the compiled one is tested against.
 func EvaluateSized(t *Tree, buffers Assignment, wires WireAssignment) (Evaluation, error) {
+	ids := make([]NodeID, 0, len(buffers))
 	for id := range buffers {
-		if id < 0 || int(id) >= len(t.Nodes) {
-			return Evaluation{}, fmt.Errorf("rctree: assignment references node %d outside tree", id)
-		}
-		if !t.Nodes[id].BufferOK {
-			return Evaluation{}, fmt.Errorf("rctree: node %d is not a legal buffer position", id)
-		}
+		ids = append(ids, id)
 	}
-	for id, wp := range wires {
-		if id < 0 || int(id) >= len(t.Nodes) {
-			return Evaluation{}, fmt.Errorf("rctree: wire assignment references node %d outside tree", id)
-		}
-		if id == t.Root {
-			return Evaluation{}, fmt.Errorf("rctree: wire assignment on the root (no parent edge)")
-		}
-		if wp.R <= 0 || wp.C <= 0 {
-			return Evaluation{}, fmt.Errorf("rctree: non-positive wire override %+v at node %d", wp, id)
-		}
+	if _, err := Compile(t, ids, wires); err != nil {
+		return Evaluation{}, err
 	}
 	type lt struct{ L, T float64 }
 	vals := make([]lt, len(t.Nodes))
@@ -86,9 +73,6 @@ func EvaluateSized(t *Tree, buffers Assignment, wires WireAssignment) (Evaluatio
 						cur.T = child.T
 					}
 				}
-			}
-			if first {
-				return Evaluation{}, fmt.Errorf("rctree: internal node %d has no children", id)
 			}
 		}
 		if bv, ok := buffers[id]; ok {

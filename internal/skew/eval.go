@@ -2,7 +2,6 @@ package skew
 
 import (
 	"fmt"
-	"slices"
 
 	"vabuf/internal/device"
 	"vabuf/internal/rctree"
@@ -10,91 +9,23 @@ import (
 	"vabuf/internal/yield"
 )
 
-func sortSlice(list []*cand, less func(a, b *cand) bool) {
-	slices.SortFunc(list, func(a, b *cand) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
 // Propagate evaluates a fixed buffered clock tree: it returns the
 // canonical forms of the skew (Dmax − Dmin) and the insertion latency
-// (Dmax) at the root, independently of the optimizer.
+// (Dmax) at the root, independently of the optimizer's search. It walks
+// the design yield.Compile validated and compiled with the optimizer's
+// (L, Dmax, Dmin) operations.
 func Propagate(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	model *variation.Model) (skewForm, latency variation.Form, err error) {
-	if err := tree.Validate(); err != nil {
-		return variation.Form{}, variation.Form{}, err
+	d, err := yield.Compile(tree, lib, assign, nil, model)
+	if err != nil {
+		return variation.Form{}, variation.Form{}, fmt.Errorf("skew: %w", err)
 	}
-	space := variation.NewSpace()
-	if model != nil {
-		space = model.Space
-	}
-	for id, bi := range assign {
-		if id < 0 || int(id) >= tree.Len() || !tree.Node(id).BufferOK {
-			return variation.Form{}, variation.Form{}, fmt.Errorf("skew: bad assignment node %d", id)
-		}
-		if bi < 0 || bi >= len(lib) {
-			return variation.Form{}, variation.Form{}, fmt.Errorf("skew: buffer index %d out of range", bi)
-		}
-	}
-	type state struct{ L, dmax, dmin variation.Form }
-	vals := make([]state, tree.Len())
-	r := tree.Wire.R
-	c := tree.Wire.C
-	for _, id := range tree.PostOrder() {
-		n := tree.Node(id)
-		var cur state
-		switch n.Kind {
-		case rctree.KindSink:
-			cur = state{
-				L:    variation.Const(n.CapLoad),
-				dmax: variation.Const(0),
-				dmin: variation.Const(0),
-			}
-		default:
-			first := true
-			for _, cid := range n.Children {
-				cn := tree.Node(cid)
-				child := vals[cid]
-				if l := cn.WireLen; l > 0 {
-					half := 0.5 * r * c * l * l
-					child.dmax = child.dmax.AXPY(r*l, child.L).Shift(half)
-					child.dmin = child.dmin.AXPY(r*l, child.L).Shift(half)
-					child.L = child.L.Shift(c * l)
-				}
-				if first {
-					cur = child
-					first = false
-				} else {
-					cur.L = cur.L.Add(child.L)
-					cur.dmax = variation.Max(cur.dmax, child.dmax, space).Form
-					cur.dmin = variation.Min(cur.dmin, child.dmin, space).Form
-				}
-			}
-		}
-		if bi, ok := assign[id]; ok {
-			b := lib[bi]
-			dev := variation.Form{}
-			if model != nil {
-				dev = model.Deviation(int(id), n.Loc)
-			}
-			cbForm := variation.Const(b.Cb0).Add(dev.Scale(b.Cb0))
-			d := variation.Const(b.Tb0).Add(dev.Scale(b.Tb0)).AXPY(b.Rb, cur.L)
-			cur = state{
-				L:    cbForm,
-				dmax: cur.dmax.Add(d),
-				dmin: cur.dmin.Add(d),
-			}
-		}
-		vals[id] = cur
-	}
-	root := vals[tree.Root]
+	root := yield.Walk(d, yield.FormOps[state]{
+		Sink:   func(v rctree.LT) state { return state{L: variation.Const(v.L)} },
+		Wire:   state.wired,
+		Merge:  func(acc, child state, _ []int32) state { return acc.merged(child, d.Space) },
+		Buffer: state.buffered,
+	})
 	return root.dmax.Sub(root.dmin), root.dmax, nil
 }
 
@@ -108,15 +39,15 @@ func MonteCarlo(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]
 	if n <= 0 {
 		return nil, fmt.Errorf("skew: sample count %d must be positive", n)
 	}
-	prog, err := yield.CompileMC(tree, lib, assign, nil, model)
+	d, err := yield.CompileMC(tree, lib, assign, nil, model)
 	if err != nil {
 		return nil, fmt.Errorf("skew: %w", err)
 	}
-	s := prog.Sampler(seed)
-	vals := make([]dstate, prog.Tree.Len())
+	s := d.Sampler(seed)
+	vals := make([]dstate, d.Tree.Len())
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = sampleSkew(prog.Tree, s.Sample(i), vals)
+		out[i] = sampleSkew(d.Tree, s.Sample(i), vals)
 	}
 	return out, nil
 }

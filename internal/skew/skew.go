@@ -17,7 +17,9 @@
 package skew
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"vabuf/internal/device"
@@ -73,14 +75,48 @@ type Result struct {
 	PeakList   int
 }
 
+// state is a subtree's three canonical figures of merit: downstream load
+// L and the maximum and minimum delays Dmax, Dmin from its root to any
+// sink below. Its methods are the key operations, shared by the DP and
+// Propagate.
+type state struct{ L, dmax, dmin variation.Form }
+
+// wired pushes s up edge e: the edge delay r·l·(c·l/2 + L) is added to
+// both Dmax and Dmin — the shift is identical (and identically
+// correlated) for every sink below.
+func (s state) wired(e *rctree.Edge) state {
+	return state{
+		L:    s.L.Shift(e.CL),
+		dmax: s.dmax.AXPY(e.RL, s.L).Shift(e.Half),
+		dmin: s.dmin.AXPY(e.RL, s.L).Shift(e.Half),
+	}
+}
+
+// merged joins two subtrees: loads add, Dmax takes the statistical MAX
+// and Dmin the statistical MIN.
+func (s state) merged(o state, space *variation.Space) state {
+	return state{
+		L:    s.L.Add(o.L),
+		dmax: variation.Max(s.dmax, o.dmax, space).Form,
+		dmin: variation.Min(s.dmin, o.dmin, space).Form,
+	}
+}
+
+// buffered drives s through a buffer of canonical input capacitance c and
+// intrinsic delay t and of output resistance r: the delay t + r·L is
+// added to both extremes and the upstream load becomes c.
+func (s state) buffered(c, t variation.Form, r float64) state {
+	delay := t.AXPY(r, s.L)
+	return state{L: c, dmax: s.dmax.Add(delay), dmin: s.dmin.Add(delay)}
+}
+
 type cand struct {
-	L          variation.Form
-	dmax, dmin variation.Form
-	node       rctree.NodeID
-	op         opKind
-	buf        int16
-	pred       *cand
-	pred2      *cand
+	state
+	node  rctree.NodeID
+	op    opKind
+	buf   int16
+	pred  *cand
+	pred2 *cand
 }
 
 type opKind uint8
@@ -146,11 +182,9 @@ func Minimize(tree *rctree.Tree, opts Options) (*Result, error) {
 		switch node.Kind {
 		case rctree.KindSink:
 			list = []*cand{{
-				L:    variation.Const(node.CapLoad),
-				dmax: variation.Const(0),
-				dmin: variation.Const(0),
-				node: id,
-				op:   opLeaf,
+				state: state{L: variation.Const(node.CapLoad)},
+				node:  id,
+				op:    opLeaf,
 			}}
 			e.generated++
 		default:
@@ -194,8 +228,8 @@ type skewEngine struct {
 	nodes     int
 }
 
-// wireUp adds the edge delay r·l·(c·l/2 + L) to both Dmax and Dmin — the
-// shift is identical (and identically correlated) for every sink below.
+// wireUp pushes every candidate up the wire from child to its parent,
+// with the constants of rctree.Compile's edges.
 func (e *skewEngine) wireUp(child rctree.NodeID, list []*cand) []*cand {
 	l := e.tree.Node(child).WireLen
 	if l == 0 {
@@ -203,25 +237,22 @@ func (e *skewEngine) wireUp(child rctree.NodeID, list []*cand) []*cand {
 	}
 	r := e.tree.Wire.R
 	c := e.tree.Wire.C
-	halfRC := 0.5 * r * c * l * l
+	edge := rctree.Edge{Len: l, RL: r * l, Half: 0.5 * r * c * l * l, CL: c * l}
 	out := make([]*cand, len(list))
 	for i, s := range list {
 		out[i] = &cand{
-			L:    s.L.Shift(c * l),
-			dmax: s.dmax.AXPY(r*l, s.L).Shift(halfRC),
-			dmin: s.dmin.AXPY(r*l, s.L).Shift(halfRC),
-			node: child,
-			op:   opWire,
-			pred: s,
+			state: s.wired(&edge),
+			node:  child,
+			op:    opWire,
+			pred:  s,
 		}
 	}
 	e.generated += int64(len(list))
 	return out
 }
 
-// addBuffers inserts each library buffer at the node: delay T_b + R_b·L is
-// added to both extremes and the upstream load becomes C_b (with the
-// site's shared deviation on both C_b and T_b).
+// addBuffers inserts each library buffer at the node, with the site's
+// shared deviation on both C_b and T_b.
 func (e *skewEngine) addBuffers(id rctree.NodeID, node *rctree.Node, list []*cand) []*cand {
 	var dev variation.Form
 	if e.opts.Model != nil {
@@ -235,15 +266,12 @@ func (e *skewEngine) addBuffers(id rctree.NodeID, node *rctree.Node, list []*can
 			if b.MaxLoad > 0 && s.L.Nominal > b.MaxLoad {
 				continue
 			}
-			d := tbForm.AXPY(b.Rb, s.L)
 			out = append(out, &cand{
-				L:    cbForm,
-				dmax: s.dmax.Add(d),
-				dmin: s.dmin.Add(d),
-				node: id,
-				op:   opBuffer,
-				buf:  int16(bi),
-				pred: s,
+				state: s.buffered(cbForm, tbForm, b.Rb),
+				node:  id,
+				op:    opBuffer,
+				buf:   int16(bi),
+				pred:  s,
 			})
 		}
 		e.generated += int64(len(list))
@@ -251,8 +279,7 @@ func (e *skewEngine) addBuffers(id rctree.NodeID, node *rctree.Node, list []*can
 	return out
 }
 
-// merge joins two subtree solutions: loads add, Dmax takes the statistical
-// MAX and Dmin the statistical MIN. The cross product is consumed in
+// merge joins every pair of two subtrees' candidates. The cross product is consumed in
 // blocks with ε-dominance pruning between blocks, so the working set stays
 // proportional to the Pareto front rather than to n·m.
 func (e *skewEngine) merge(id rctree.NodeID, a, b []*cand) ([]*cand, error) {
@@ -260,9 +287,7 @@ func (e *skewEngine) merge(id rctree.NodeID, a, b []*cand) ([]*cand, error) {
 	for _, ca := range a {
 		for _, cb := range b {
 			out = append(out, &cand{
-				L:     ca.L.Add(cb.L),
-				dmax:  variation.Max(ca.dmax, cb.dmax, e.space).Form,
-				dmin:  variation.Min(ca.dmin, cb.dmin, e.space).Form,
+				state: ca.merged(cb.state, e.space),
 				node:  id,
 				op:    opMerge,
 				pred:  ca,
@@ -291,7 +316,12 @@ func (e *skewEngine) prune(list []*cand) []*cand {
 	}
 	// Sort by mean L, then Dmax, then descending Dmin so preferable
 	// candidates come first.
-	sortCands(list)
+	slices.SortFunc(list, func(a, b *cand) int {
+		return cmp.Or(
+			cmp.Compare(a.L.Nominal, b.L.Nominal),
+			cmp.Compare(a.dmax.Nominal, b.dmax.Nominal),
+			cmp.Compare(b.dmin.Nominal, a.dmin.Nominal))
+	})
 	eps := e.opts.Epsilon
 	out := list[:0]
 	for _, c := range list {
@@ -309,20 +339,6 @@ func (e *skewEngine) prune(list []*cand) []*cand {
 		}
 	}
 	return out
-}
-
-func sortCands(list []*cand) {
-	// Insertion-friendly multi-key sort.
-	lessFn := func(a, b *cand) bool {
-		if a.L.Nominal != b.L.Nominal {
-			return a.L.Nominal < b.L.Nominal
-		}
-		if a.dmax.Nominal != b.dmax.Nominal {
-			return a.dmax.Nominal < b.dmax.Nominal
-		}
-		return a.dmin.Nominal > b.dmin.Nominal
-	}
-	sortSlice(list, lessFn)
 }
 
 // selectRoot minimizes the chosen quantile of skew (plus weighted

@@ -302,6 +302,17 @@ func TestMonteCarloValidation(t *testing.T) {
 	if _, err := MonteCarlo(bad, lib, nil, model, 10, 1); err == nil {
 		t.Error("MonteCarlo accepted an invalid tree")
 	}
+	// A driver-only tree passes Tree.Validate but has nothing to drive:
+	// Propagate and the sampler reject it alike.
+	driverOnly := rctree.New(rctree.DefaultWire, 0.3, geom.Point{})
+	for _, m := range []*variation.Model{model, nil} {
+		if _, _, err := Propagate(driverOnly, lib, nil, m); err == nil {
+			t.Errorf("Propagate accepted a driver-only tree (model %v)", m != nil)
+		}
+	}
+	if _, err := MonteCarlo(driverOnly, lib, nil, model, 10, 1); err == nil {
+		t.Error("MonteCarlo accepted a driver-only tree")
+	}
 	a, err := MonteCarlo(tr, lib, map[rctree.NodeID]int{1: 0}, model, 20, 9)
 	if err != nil {
 		t.Fatal(err)

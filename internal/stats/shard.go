@@ -51,27 +51,34 @@ func split(sh Shard, parts int) []Shard {
 	return out
 }
 
-// RunShards splits sh into at most workers contiguous ranges (<=0
-// selects GOMAXPROCS), runs eval on each concurrently, one on the
-// calling goroutine, and returns once every eval has returned. eval
-// calls must touch disjoint state — in the samplers, the range's own
-// slots of a preallocated result.
-func RunShards(sh Shard, workers int, eval func(Shard)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// Workers resolves a worker count: <= 0 selects GOMAXPROCS.
+func Workers(w int) int {
+	if w <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	parts := split(sh, workers)
+	return w
+}
+
+// RunShards splits sh into at most Workers(workers) contiguous ranges,
+// runs eval on each concurrently, one on the calling goroutine, and
+// returns once every eval has returned. eval gets the range's index
+// among the parts (0 for the first, which holds the lowest samples), so
+// a caller may keep per-part scratch across calls. eval calls must touch
+// disjoint state — in the samplers, the range's own slots of a
+// preallocated result and the part's own scratch.
+func RunShards(sh Shard, workers int, eval func(part int, sh Shard)) {
+	parts := split(sh, Workers(workers))
 	if len(parts) == 0 {
 		return
 	}
 	var wg sync.WaitGroup
-	for _, part := range parts[1:] {
+	for k, part := range parts[1:] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eval(part)
+			eval(k+1, part)
 		}()
 	}
-	eval(parts[0])
+	eval(0, parts[0])
 	wg.Wait()
 }

@@ -40,16 +40,22 @@ func TestShardPlan(t *testing.T) {
 type splitProbe struct {
 	sh      Shard
 	hits    []int32 // hits[s-sh.From] counts evals covering sample s
-	parts   chan Shard
+	parts   chan indexed
 	running atomic.Int32
 	peak    atomic.Int32
 }
 
-func newSplitProbe(sh Shard) *splitProbe {
-	return &splitProbe{sh: sh, hits: make([]int32, sh.Count), parts: make(chan Shard, sh.Count+1)}
+// indexed is one part RunShards passed to eval, with its index.
+type indexed struct {
+	k  int
+	sh Shard
 }
 
-func (p *splitProbe) eval(part Shard) {
+func newSplitProbe(sh Shard) *splitProbe {
+	return &splitProbe{sh: sh, hits: make([]int32, sh.Count), parts: make(chan indexed, sh.Count+1)}
+}
+
+func (p *splitProbe) eval(k int, part Shard) {
 	now := p.running.Add(1)
 	for {
 		peak := p.peak.Load()
@@ -61,13 +67,14 @@ func (p *splitProbe) eval(part Shard) {
 	for s := part.From; s < part.End(); s++ {
 		p.hits[s-p.sh.From]++
 	}
-	p.parts <- part
+	p.parts <- indexed{k, part}
 	p.running.Add(-1)
 }
 
 // TestRunShardsSplitsRange checks that every sample of the range is
 // evaluated exactly once, by at most workers evals of near-equal,
-// contiguous, non-empty parts, with none still running on return; the
+// contiguous, non-empty parts indexed 0, 1, ... in sample order, with
+// none still running on return; the
 // plain reads of hits race with any eval still in flight, which -race
 // reports. workers <= 0 selects GOMAXPROCS.
 func TestRunShardsSplitsRange(t *testing.T) {
@@ -84,9 +91,18 @@ func TestRunShardsSplitsRange(t *testing.T) {
 				}
 			}
 			close(p.parts)
-			var parts []Shard
+			parts := make([]Shard, len(p.parts))
 			for part := range p.parts {
-				parts = append(parts, part)
+				if part.k < 0 || part.k >= len(parts) || parts[part.k].Count != 0 {
+					t.Fatalf("%+v workers=%d: part index %d of %d repeated or out of range", sh, workers, part.k, len(parts))
+				}
+				parts[part.k] = part.sh
+			}
+			for k := 1; k < len(parts); k++ {
+				if parts[k].From != parts[k-1].End() {
+					t.Errorf("%+v workers=%d: part %d starts at %d, part %d ends at %d",
+						sh, workers, k, parts[k].From, k-1, parts[k-1].End())
+				}
 			}
 			limit := workers
 			if workers <= 0 {
@@ -107,5 +123,5 @@ func TestRunShardsSplitsRange(t *testing.T) {
 			}
 		}
 	}
-	RunShards(Shard{From: 3}, 4, func(Shard) { t.Error("eval called on an empty range") })
+	RunShards(Shard{From: 3}, 4, func(int, Shard) { t.Error("eval called on an empty range") })
 }

@@ -1,7 +1,7 @@
 package yield
 
-// Adaptive (early-stopping) Monte Carlo. The fixed-budget samplers burn
-// their whole sample budget even when the estimate converged orders of
+// Adaptive (early-stopping) Monte Carlo. The fixed-budget sampler burns
+// its whole sample budget even when the estimate converged orders of
 // magnitude earlier; the adaptive sampler draws the chunks of
 // stats.ShardPlan in order, each split over its workers, keeps a running
 // confidence interval of the target quantile, and stops at the first
@@ -80,7 +80,7 @@ func (o AdaptiveOptions) converged(est, halfWidth float64) bool {
 	return halfWidth <= o.Tol
 }
 
-// MonteCarloAdaptive is MonteCarloSized with the sequential stopping
+// MonteCarloAdaptive is MonteCarloParallel with the sequential stopping
 // rule of AdaptiveOptions: the chunks of stats.ShardPlan(MaxSamples) are
 // drawn in order, each split over opts.Workers, until the quantile CI
 // converges or the budget is exhausted. The returned samples are a
@@ -92,10 +92,11 @@ func MonteCarloAdaptive(tree *rctree.Tree, lib device.Library, assign map[rctree
 	if err != nil {
 		return nil, Estimate{}, fmt.Errorf("yield: %w", err)
 	}
-	prog, err := CompileMC(tree, lib, assign, wires, model)
+	d, err := CompileMC(tree, lib, assign, wires, model)
 	if err != nil {
 		return nil, Estimate{}, err
 	}
+	samplers := make([]*Sampler, stats.Workers(opts.Workers))
 	samples := make([]float64, opts.MaxSamples)
 	// sorted is the drawn prefix in ascending order; each chunk is
 	// sorted on its own and merged in, linear in the prefix per chunk.
@@ -103,8 +104,7 @@ func MonteCarloAdaptive(tree *rctree.Tree, lib device.Library, assign map[rctree
 	var run stats.Running
 	var est Estimate
 	for _, chunk := range stats.ShardPlan(opts.MaxSamples) {
-		stats.RunShards(chunk, opts.Workers,
-			func(sh stats.Shard) { prog.sample(samples, opts.Seed, sh) })
+		d.sample(samples, opts.Seed, chunk, samplers)
 		part := samples[chunk.From:chunk.End()]
 		run.AddAll(part)
 		sorted = stats.MergeSorted(sorted, part)

@@ -1,8 +1,6 @@
 package yield
 
 import (
-	"fmt"
-
 	"vabuf/internal/device"
 	"vabuf/internal/rctree"
 	"vabuf/internal/variation"
@@ -19,94 +17,37 @@ import (
 // deterministic ties).
 func Criticality(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	model *variation.Model) (map[rctree.NodeID]float64, error) {
-	if err := tree.Validate(); err != nil {
+	d, err := Compile(tree, lib, assign, nil, model)
+	if err != nil {
 		return nil, err
 	}
-	space := variation.NewSpace()
-	if model != nil {
-		space = model.Space
+	p := d.Tree
+	// share[k] is the fraction of its parent merge's mass flowing into
+	// position k (1 for single children): each merge sends t to the
+	// children merged before it and 1 − t to the new one.
+	share := make([]float64, p.Len())
+	for i := range share {
+		share[i] = 1
 	}
-	for id, bi := range assign {
-		if id < 0 || int(id) >= tree.Len() || !tree.Node(id).BufferOK {
-			return nil, fmt.Errorf("yield: bad assignment node %d", id)
+	d.rootRAT(func(kids []int32, t float64) {
+		last := len(kids) - 1
+		for _, k := range kids[:last] {
+			share[k] *= t
 		}
-		if bi < 0 || bi >= len(lib) {
-			return nil, fmt.Errorf("yield: buffer index %d out of range", bi)
-		}
-	}
-	type lt struct{ L, T variation.Form }
-	vals := make([]lt, tree.Len())
-	// childShare[id] is the probability mass fraction flowing from id's
-	// parent merge into id's subtree (1 for single children).
-	childShare := make([]float64, tree.Len())
-	for i := range childShare {
-		childShare[i] = 1
-	}
-	r := tree.Wire.R
-	c := tree.Wire.C
-	for _, id := range tree.PostOrder() {
-		n := tree.Node(id)
-		var cur lt
-		switch n.Kind {
-		case rctree.KindSink:
-			cur = lt{L: variation.Const(n.CapLoad), T: variation.Const(n.RAT)}
-		default:
-			first := true
-			// accShare tracks how the already-merged prefix of children
-			// shares mass, so a k-way merge distributes correctly.
-			var prefix []rctree.NodeID
-			for _, cid := range n.Children {
-				cn := tree.Node(cid)
-				child := vals[cid]
-				if l := cn.WireLen; l > 0 {
-					child.T = child.T.AXPY(-r*l, child.L).Shift(-0.5 * r * c * l * l)
-					child.L = child.L.Shift(c * l)
-				}
-				if first {
-					cur = child
-					first = false
-					prefix = append(prefix, cid)
-					continue
-				}
-				res := variation.Min(cur.T, child.T, space)
-				t := res.Moments.Tightness // P(prefix is the min)
-				for _, p := range prefix {
-					childShare[p] *= t
-				}
-				childShare[cid] *= 1 - t
-				prefix = append(prefix, cid)
-				cur.L = cur.L.Add(child.L)
-				cur.T = res.Form
-			}
-		}
-		if bi, ok := assign[id]; ok {
-			b := lib[bi]
-			dev := variation.Form{}
-			if model != nil {
-				dev = model.Deviation(int(id), n.Loc)
-			}
-			cbForm := variation.Const(b.Cb0).Add(dev.Scale(b.Cb0))
-			tbForm := variation.Const(b.Tb0).Add(dev.Scale(b.Tb0))
-			cur = lt{
-				L: cbForm,
-				T: cur.T.Sub(tbForm).AXPY(-b.Rb, cur.L),
-			}
-		}
-		vals[id] = cur
-	}
-	// Top-down: multiply shares along root-to-sink paths.
+		share[kids[last]] *= 1 - t
+	})
+	// Top-down in reverse post order, parents before children: multiply
+	// shares along root-to-sink paths, turning share[i] into the mass
+	// reaching position i (the root's share stays 1).
 	out := make(map[rctree.NodeID]float64, tree.NumSinks())
-	var walk func(id rctree.NodeID, mass float64)
-	walk = func(id rctree.NodeID, mass float64) {
-		n := tree.Node(id)
-		if n.Kind == rctree.KindSink {
-			out[id] = mass
-			return
+	for i := p.Len() - 1; i >= 0; i-- {
+		ks, ke := p.KidStart[i], p.KidStart[i+1]
+		if ks == ke {
+			out[p.Node[i]] = share[i]
 		}
-		for _, cid := range n.Children {
-			walk(cid, mass*childShare[cid])
+		for _, k := range p.Kids[ks:ke] {
+			share[k] = share[i] * share[k]
 		}
 	}
-	walk(tree.Root, 1)
 	return out, nil
 }

@@ -150,4 +150,10 @@ func TestCriticalityValidation(t *testing.T) {
 	if _, err := Criticality(bad, lib, nil, model); err == nil {
 		t.Error("invalid tree accepted")
 	}
+	driverOnly := rctree.New(rctree.DefaultWire, 0.3, geom.Point{})
+	for _, m := range []*variation.Model{model, nil} {
+		if _, err := Criticality(driverOnly, lib, nil, m); err == nil {
+			t.Errorf("driver-only tree accepted (model %v)", m != nil)
+		}
+	}
 }

@@ -20,21 +20,21 @@ import (
 
 func TestSamplesIndependentOfSplit(t *testing.T) {
 	for ni, p := range pinnedNets(t) {
-		ref, err := MonteCarloSized(p.tree, p.lib, p.assign, p.wires, p.model, 700, 3)
+		ref, err := MonteCarloParallel(p.tree, p.lib, p.assign, p.wires, p.model, 700, 3, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 3} {
+		for _, workers := range []int{2, 3, 8} {
 			got, err := MonteCarloParallel(p.tree, p.lib, p.assign, p.wires, p.model, 700, 3, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got, ref) {
-				t.Errorf("net %d: %d workers drew other samples than the serial run", ni, workers)
+				t.Errorf("net %d: %d workers drew other samples than one worker", ni, workers)
 			}
 		}
 		// Sample i does not depend on n.
-		short, err := MonteCarloSized(p.tree, p.lib, p.assign, p.wires, p.model, 129, 3)
+		short, err := MonteCarloParallel(p.tree, p.lib, p.assign, p.wires, p.model, 129, 3, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestSamplesIndependentOfSplit(t *testing.T) {
 // sources its deviations name.
 func TestCompiledNetsShareDraws(t *testing.T) {
 	tr, model, lib := testSetup(t, 40, 8)
-	var progs []*MCProgram
+	var progs []*Design
 	for r := range 2 {
 		assign := make(map[rctree.NodeID]int)
 		for i := range tr.Nodes {
@@ -116,14 +116,15 @@ func TestCompiledNetsShareDraws(t *testing.T) {
 }
 
 // FuzzSampleRanges cuts [0, n) into ranges at the cut points data names
-// and fills them in the order data names, each with its own sampler.
-// Property: the result is the serial vector bit for bit.
+// and fills them in the order data names, all through one sampler, as a
+// worker reuses its sampler across chunks. Property: the result is a
+// fresh sampler's in-order vector bit for bit.
 func FuzzSampleRanges(f *testing.F) {
 	f.Add([]byte{40, 3, 17, 9, 2, 1, 0}, int64(1))
 	f.Add([]byte{1}, int64(-7))
 	f.Add([]byte{255, 0, 255, 128, 64, 32, 16, 8, 4, 2, 1}, int64(99))
 	nets := pinnedNets(f)
-	var progs []*MCProgram
+	var progs []*Design
 	for _, p := range nets {
 		prog, err := CompileMC(p.tree, p.lib, p.assign, p.wires, p.model)
 		if err != nil {
@@ -139,7 +140,7 @@ func FuzzSampleRanges(f *testing.F) {
 		n := 1 + int(data[0])
 		data = data[1:]
 		want := make([]float64, n)
-		prog.sample(want, seed, stats.Shard{Count: n})
+		prog.sample(want, seed, stats.Shard{Count: n}, make([]*Sampler, 1))
 		// Cut points from the first half of data, range order from the
 		// second.
 		cuts := []int{0, n}
@@ -158,8 +159,9 @@ func FuzzSampleRanges(f *testing.F) {
 			ranges[k%len(ranges)], ranges[j] = ranges[j], ranges[k%len(ranges)]
 		}
 		got := make([]float64, n)
+		one := make([]*Sampler, 1)
 		for _, r := range ranges {
-			prog.sample(got, seed, r)
+			prog.sample(got, seed, r, one)
 		}
 		for i := range want {
 			if !sameBits(got[i], want[i]) {
@@ -172,17 +174,16 @@ func FuzzSampleRanges(f *testing.F) {
 // oldStreamSample is a test-only copy of the Monte-Carlo stream the keyed
 // one replaced: one math/rand generator per seed drawing every source of
 // the space in ID order, N(0, 1) times its sigma, sample after sample.
-func oldStreamSample(p *MCProgram, space *variation.Space, n int, seed int64) []float64 {
+func oldStreamSample(p *Design, space *variation.Space, n int, seed int64) []float64 {
 	s := p.Sampler(seed)
 	s.src = make([]float64, space.Len())
 	rng := rand.New(rand.NewSource(seed))
-	vals := make([]rctree.LT, p.Tree.Len())
 	out := make([]float64, n)
 	for i := range out {
 		for j := range s.src {
 			s.src[j] = rng.NormFloat64() * space.Sigma(variation.SourceID(j))
 		}
-		out[i] = p.Tree.RootRAT(s.realize(), vals)
+		out[i] = p.Tree.RootRAT(s.realize(), s.vals)
 	}
 	return out
 }
@@ -235,7 +236,7 @@ func ksOldAgainstKeyed(t *testing.T, bench string, heterogeneous bool, n int) (d
 		t.Fatal(err)
 	}
 	keyed := make([]float64, n)
-	stats.RunShards(stats.Shard{Count: n}, 0, func(sh stats.Shard) { prog.sample(keyed, 1, sh) })
+	prog.sample(keyed, 1, stats.Shard{Count: n}, make([]*Sampler, stats.Workers(0)))
 	old := oldStreamSample(prog, model.Space, n, 1)
 	return ksTwoSample(old, keyed), 1.949 * math.Sqrt(2/float64(n))
 }

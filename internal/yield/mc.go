@@ -1,10 +1,7 @@
 package yield
 
 import (
-	"cmp"
 	"fmt"
-	"math"
-	"slices"
 
 	"vabuf/internal/device"
 	"vabuf/internal/rctree"
@@ -12,178 +9,63 @@ import (
 	"vabuf/internal/variation"
 )
 
-// MCProgram is a buffered tree compiled once per Monte-Carlo run: the
-// flat post-order walk of rctree.Program plus, per buffer slot, the
-// library cell's nominal values and the site's resolved deviation form.
-// Compiling resolves every deviation serially, so the model is read-only
-// afterwards and workers may share one program, each drawing through its
-// own Sampler.
-type MCProgram struct {
-	// Tree is the compiled topology; Tree.Buffers[k] carries slot k.
-	Tree  *rctree.Program
-	slots []mcSlot
-	// shared holds the deviation prefixes two or more slots share: a
-	// form's nominal and all of its terms but the last. Each is
-	// evaluated once per sample.
-	shared []variation.Form
-	// sources lists, ascending, the IDs of the sources the slots'
-	// deviations reference, and sigma their standard deviations: the
-	// only sources a sample draws.
-	sources []variation.SourceID
-	sigma   []float64
-}
-
-// mcSlot is one placed buffer: cell values and the site deviation D, so
-// a sample realizes C = Cb0·(1+D), T = Tb0·(1+D), R = Rb.
-type mcSlot struct {
-	cb0, tb0, rb float64
-	dev          variation.Form
-	// pre indexes the slot's prefix in MCProgram.shared, or is -1 when no
-	// other slot shares it and the sampler evaluates dev in full.
-	pre int32
-}
-
-// CompileMC validates a buffered tree under a model once and compiles it
-// for sampling. It rejects an invalid tree, a buffer off a legal
-// position or outside the tree, a library index out of range and a bad
-// wire override. The model must be non-nil.
-func CompileMC(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
-	wires rctree.WireAssignment, model *variation.Model) (*MCProgram, error) {
-	if model == nil {
-		return nil, fmt.Errorf("yield: MonteCarlo requires a variation model")
+// MonteCarloParallel draws n realizations of the model's sources and
+// evaluates the buffered tree's root RAT with deterministic Elmore per
+// sample — the ground-truth distribution the canonical model
+// approximates (Figure 6) — with per-edge wire overrides and the
+// samples split over worker goroutines (<= 0 selects GOMAXPROCS).
+// Sample i depends only on (seed, i), so the result is the same for
+// every worker count. The model must be non-nil.
+func MonteCarloParallel(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
+	wires rctree.WireAssignment, model *variation.Model, n int, seed int64, workers int) ([]float64, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("yield: sample count %d must be positive", n)
 	}
-	if err := tree.Validate(); err != nil {
-		return nil, err
-	}
-	ids := make([]rctree.NodeID, 0, len(assign))
-	for id := range assign {
-		ids = append(ids, id)
-	}
-	prog, err := rctree.Compile(tree, ids, wires)
+	d, err := CompileMC(tree, lib, assign, wires, model)
 	if err != nil {
 		return nil, err
 	}
-	slots := make([]mcSlot, len(prog.Buffers))
-	for k, id := range prog.Buffers {
-		bi := assign[id]
-		if bi < 0 || bi >= len(lib) {
-			return nil, fmt.Errorf("yield: buffer index %d out of library range", bi)
-		}
-		b := lib[bi]
-		slots[k] = mcSlot{cb0: b.Cb0, tb0: b.Tb0, rb: b.Rb, dev: model.Deviation(int(id), tree.Node(id).Loc)}
-	}
-	p := &MCProgram{Tree: prog, slots: slots, shared: sharePrefixes(slots)}
-	p.reference(model.Space)
-	return p, nil
+	out := make([]float64, n)
+	d.sample(out, seed, stats.Shard{Count: n}, make([]*Sampler, stats.Workers(workers)))
+	return out, nil
 }
 
-// reference records, ascending, the IDs of the sources the slots' forms
-// name, with their sigmas.
-func (p *MCProgram) reference(space *variation.Space) {
-	used := make([]bool, space.Len())
-	for _, sl := range p.slots {
-		for _, t := range sl.dev.Terms {
-			used[t.ID] = true
-		}
-	}
-	for id, u := range used {
-		if u {
-			p.sources = append(p.sources, variation.SourceID(id))
-			p.sigma = append(p.sigma, space.Sigma(variation.SourceID(id)))
-		}
-	}
-}
-
-// comparePrefix orders the prefixes of two forms by term count, nominal
-// bits, then term by term on ID and coefficient bits. It returns 0 only
-// for prefixes that are equal bit for bit, which therefore evaluate to
-// the same partial sum of Form.Eval on any sample.
-func comparePrefix(f, g variation.Form) int {
-	if c := cmp.Compare(len(f.Terms), len(g.Terms)); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(math.Float64bits(f.Nominal), math.Float64bits(g.Nominal)); c != 0 {
-		return c
-	}
-	for i := range f.Terms[:max(len(f.Terms)-1, 0)] {
-		a, b := f.Terms[i], g.Terms[i]
-		if c := cmp.Compare(a.ID, b.ID); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(math.Float64bits(a.Coef), math.Float64bits(b.Coef)); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// sharePrefixes finds the deviation prefixes that two or more slots share
-// exactly, points each such slot's pre at its prefix and returns the
-// prefixes; every other slot gets pre = -1. Sorting by comparePrefix
-// puts equal prefixes next to each other. A form with no terms has no
-// prefix.
-func sharePrefixes(slots []mcSlot) []variation.Form {
-	order := make([]int32, 0, len(slots))
-	for k := range slots {
-		slots[k].pre = -1
-		if len(slots[k].dev.Terms) > 0 {
-			order = append(order, int32(k))
-		}
-	}
-	byPrefix := func(a, b int32) int { return comparePrefix(slots[a].dev, slots[b].dev) }
-	slices.SortFunc(order, byPrefix)
-	var shared []variation.Form
-	for i := 0; i < len(order); {
-		j := i + 1
-		for j < len(order) && byPrefix(order[i], order[j]) == 0 {
-			j++
-		}
-		if j-i > 1 {
-			f := slots[order[i]].dev
-			for _, k := range order[i:j] {
-				slots[k].pre = int32(len(shared))
-			}
-			shared = append(shared, variation.Form{Nominal: f.Nominal, Terms: f.Terms[:len(f.Terms)-1]})
-		}
-		i = j
-	}
-	return shared
-}
-
-// Sampler reads buffer realizations of a compiled program from the keyed
+// Sampler reads buffer realizations of a compiled design from the keyed
 // stream of one seed, with its own scratch. Sample i's values depend
 // only on (seed, i), never on which Sampler drew them or in what order.
 // It is not safe for concurrent use.
 type Sampler struct {
-	p     *MCProgram
+	d     *Design
 	draws *variation.Draws
 	src   []float64 // src[id] is the current sample's value of source id
-	pv    []float64 // pv[i] is the value of p.shared[i] on src
+	pv    []float64 // pv[i] is the value of d.shared[i] on src
 	bufs  []rctree.BufferValues
+	vals  []rctree.LT // RootRAT scratch
 }
 
 // Sampler starts a reader of the stream seeded by seed.
-func (p *MCProgram) Sampler(seed int64) *Sampler {
+func (d *Design) Sampler(seed int64) *Sampler {
 	n := 0
-	if len(p.sources) > 0 {
-		n = int(p.sources[len(p.sources)-1]) + 1
+	if len(d.sources) > 0 {
+		n = int(d.sources[len(d.sources)-1]) + 1
 	}
 	return &Sampler{
-		p:     p,
+		d:     d,
 		draws: variation.NewDraws(seed),
 		src:   make([]float64, n),
-		pv:    make([]float64, len(p.shared)),
-		bufs:  make([]rctree.BufferValues, len(p.slots)),
+		pv:    make([]float64, len(d.shared)),
+		bufs:  make([]rctree.BufferValues, len(d.slots)),
+		vals:  make([]rctree.LT, d.Tree.Len()),
 	}
 }
 
-// Sample draws sample i of every source the program references and
+// Sample draws sample i of every source the design references and
 // returns the buffer values it implies, indexed by slot. The slice is
 // reused by the next call.
 func (s *Sampler) Sample(i int) []rctree.BufferValues {
 	s.draws.Seek(i)
-	for k, id := range s.p.sources {
-		s.src[id] = s.draws.Next(id) * s.p.sigma[k]
+	for k, id := range s.d.sources {
+		s.src[id] = s.draws.Next(id) * s.d.sigma[k]
 	}
 	return s.realize()
 }
@@ -191,11 +73,11 @@ func (s *Sampler) Sample(i int) []rctree.BufferValues {
 // realize evaluates the buffer values of the source values in s.src.
 func (s *Sampler) realize() []rctree.BufferValues {
 	src, pv := s.src, s.pv
-	for i, f := range s.p.shared {
+	for i, f := range s.d.shared {
 		pv[i] = f.Eval(src)
 	}
-	for k := range s.p.slots {
-		sl := &s.p.slots[k]
+	for k := range s.d.slots {
+		sl := &s.d.slots[k]
 		d := sl.deviation(src, pv)
 		s.bufs[k] = rctree.BufferValues{C: sl.cb0 * (1 + d), T: sl.tb0 * (1 + d), R: sl.rb}
 	}
@@ -206,7 +88,7 @@ func (s *Sampler) realize() []rctree.BufferValues {
 // shared[i].Eval(src). Form.Eval is a left fold of v += c*x from the
 // nominal, so a shared prefix's value is the fold's partial sum before
 // the last term, and one more v + c*x of the same shape finishes it.
-func (sl *mcSlot) deviation(src, pv []float64) float64 {
+func (sl *slot) deviation(src, pv []float64) float64 {
 	if sl.pre < 0 {
 		return sl.dev.Eval(src)
 	}
@@ -214,13 +96,18 @@ func (sl *mcSlot) deviation(src, pv []float64) float64 {
 	return pv[sl.pre] + t.Coef*src[t.ID]
 }
 
-// sample fills dst[sh.From:sh.End()] with the root RATs of those
-// samples of the stream seeded seed. Disjoint ranges may fill one dst
-// concurrently.
-func (p *MCProgram) sample(dst []float64, seed int64, sh stats.Shard) {
-	s := p.Sampler(seed)
-	vals := make([]rctree.LT, p.Tree.Len())
-	for i := sh.From; i < sh.End(); i++ {
-		dst[i] = p.Tree.RootRAT(s.Sample(i), vals)
-	}
+// sample fills dst[sh.From:sh.End()] with the root RATs of those samples
+// of the stream seeded seed, split over len(samplers) workers. Part k
+// draws through samplers[k], built on first use and kept for the next
+// range, so a run builds one Sampler per worker.
+func (d *Design) sample(dst []float64, seed int64, sh stats.Shard, samplers []*Sampler) {
+	stats.RunShards(sh, len(samplers), func(k int, part stats.Shard) {
+		if samplers[k] == nil {
+			samplers[k] = d.Sampler(seed)
+		}
+		s := samplers[k]
+		for i := part.From; i < part.End(); i++ {
+			dst[i] = d.Tree.RootRAT(s.Sample(i), s.vals)
+		}
+	})
 }

@@ -4,18 +4,19 @@ import (
 	"math"
 	"testing"
 
+	"vabuf/internal/rctree"
 	"vabuf/internal/variation"
 )
 
-// prefixProgram compiles forms into an MCProgram without a tree, the way
-// CompileMC does. Slot k has Cb0 = 1 and Tb0 = 2.
-func prefixProgram(space *variation.Space, forms []variation.Form) *MCProgram {
-	slots := make([]mcSlot, len(forms))
+// prefixProgram compiles forms into a Design without a tree, the way
+// Compile does. Slot k has Cb0 = 1 and Tb0 = 2.
+func prefixProgram(space *variation.Space, forms []variation.Form) *Design {
+	slots := make([]slot, len(forms))
 	for k, f := range forms {
-		slots[k] = mcSlot{cb0: 1, tb0: 2, rb: 3, dev: f}
+		slots[k] = slot{cb0: 1, tb0: 2, rb: 3, dev: f}
 	}
-	p := &MCProgram{slots: slots, shared: sharePrefixes(slots)}
-	p.reference(space)
+	p := &Design{Tree: &rctree.Program{}, Space: space, slots: slots, shared: sharePrefixes(slots)}
+	p.reference()
 	return p
 }
 
@@ -48,7 +49,7 @@ func prefixBitsEqual(f, g variation.Form) bool {
 // slot's deviation, C and T equal what a plain dev.Eval(src) gives, bit
 // for bit up to NaN payloads, and unless every pair of slots with equal
 // non-empty prefixes shares one prefix.
-func checkPrefixProgram(t *testing.T, p *MCProgram, n int, seed int64) {
+func checkPrefixProgram(t *testing.T, p *Design, n int, seed int64) {
 	t.Helper()
 	for a := range p.slots {
 		sa := &p.slots[a]

@@ -92,8 +92,8 @@ func pinnedNets(t testing.TB) []pinnedNet {
 // TestMonteCarloStreamsPinned pins SHA-256 hashes of the Monte-Carlo
 // sample vectors (and adaptive estimates) for fixed (net, seed, n), so
 // any change to the sampling stream or the per-sample float operations
-// shows up as a hash mismatch. The serial sampler and every worker count
-// share one hash: sample i depends only on (seed, i).
+// shows up as a hash mismatch. Every worker count shares one hash:
+// sample i depends only on (seed, i).
 func TestMonteCarloStreamsPinned(t *testing.T) {
 	nets := pinnedNets(t)
 	type run func(p pinnedNet, wires rctree.WireAssignment, h hash.Hash) error
@@ -101,17 +101,6 @@ func TestMonteCarloStreamsPinned(t *testing.T) {
 		name string
 		run  run
 	}{
-		{"serial", func(p pinnedNet, w rctree.WireAssignment, h hash.Hash) error {
-			var s []float64
-			var err error
-			if w == nil {
-				s, err = MonteCarlo(p.tree, p.lib, p.assign, p.model, 1000, 7)
-			} else {
-				s, err = MonteCarloSized(p.tree, p.lib, p.assign, w, p.model, 1000, 7)
-			}
-			hashFloats(h, s...)
-			return err
-		}},
 		{"parallel-w1", func(p pinnedNet, w rctree.WireAssignment, h hash.Hash) error {
 			s, err := MonteCarloParallel(p.tree, p.lib, p.assign, w, p.model, 1000, 7, 1)
 			hashFloats(h, s...)
@@ -140,32 +129,26 @@ func TestMonteCarloStreamsPinned(t *testing.T) {
 		}},
 	}
 	want := map[string]string{
-		"a/serial":                 "2d2dc4694e240839",
 		"a/parallel-w1":            "2d2dc4694e240839",
 		"a/parallel-w3":            "2d2dc4694e240839",
 		"a/adaptive-tol0.01":       "e92a16dbc8d271f1",
 		"a/adaptive-tol0":          "7cda5f74e7fd4de7",
-		"a/serial+wires":           "0e1f1b38f191b473",
 		"a/parallel-w1+wires":      "0e1f1b38f191b473",
 		"a/parallel-w3+wires":      "0e1f1b38f191b473",
 		"a/adaptive-tol0.01+wires": "d9d86c82f7e5d25b",
 		"a/adaptive-tol0+wires":    "98337c45c52e9cca",
-		"b/serial":                 "4188700aecc7d4b7",
 		"b/parallel-w1":            "4188700aecc7d4b7",
 		"b/parallel-w3":            "4188700aecc7d4b7",
 		"b/adaptive-tol0.01":       "d37f2b1f1778ccc4",
 		"b/adaptive-tol0":          "4958d5ef59b59d8b",
-		"b/serial+wires":           "34e321a115d63430",
 		"b/parallel-w1+wires":      "34e321a115d63430",
 		"b/parallel-w3+wires":      "34e321a115d63430",
 		"b/adaptive-tol0.01+wires": "b3435f9521be1b0f",
 		"b/adaptive-tol0+wires":    "08d4ac93a9de7c62",
-		"c/serial":                 "99a22a0e2ab05a97",
 		"c/parallel-w1":            "99a22a0e2ab05a97",
 		"c/parallel-w3":            "99a22a0e2ab05a97",
 		"c/adaptive-tol0.01":       "17b84ecddc3d5fdc",
 		"c/adaptive-tol0":          "fe5fee98a8fc923f",
-		"c/serial+wires":           "3ab8afb41b417022",
 		"c/parallel-w1+wires":      "3ab8afb41b417022",
 		"c/parallel-w3+wires":      "3ab8afb41b417022",
 		"c/adaptive-tol0.01+wires": "66fab185f2c60097",

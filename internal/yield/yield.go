@@ -28,114 +28,11 @@ func Propagate(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]i
 // simultaneously buffered and wire-sized design (the [8] extension).
 func PropagateSized(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	wires rctree.WireAssignment, model *variation.Model) (variation.Form, error) {
-	if err := tree.Validate(); err != nil {
+	d, err := Compile(tree, lib, assign, wires, model)
+	if err != nil {
 		return variation.Form{}, err
 	}
-	space := variation.NewSpace()
-	if model != nil {
-		space = model.Space
-	}
-	for id, bi := range assign {
-		if id < 0 || int(id) >= tree.Len() {
-			return variation.Form{}, fmt.Errorf("yield: assignment node %d out of range", id)
-		}
-		if !tree.Node(id).BufferOK {
-			return variation.Form{}, fmt.Errorf("yield: node %d is not a buffer position", id)
-		}
-		if bi < 0 || bi >= len(lib) {
-			return variation.Form{}, fmt.Errorf("yield: buffer index %d out of library range", bi)
-		}
-	}
-	for id, wp := range wires {
-		if id < 0 || int(id) >= tree.Len() || id == tree.Root {
-			return variation.Form{}, fmt.Errorf("yield: wire assignment node %d invalid", id)
-		}
-		if wp.R <= 0 || wp.C <= 0 {
-			return variation.Form{}, fmt.Errorf("yield: non-positive wire override at node %d", id)
-		}
-	}
-	type lt struct{ L, T variation.Form }
-	vals := make([]lt, tree.Len())
-	for _, id := range tree.PostOrder() {
-		n := tree.Node(id)
-		var cur lt
-		switch n.Kind {
-		case rctree.KindSink:
-			cur = lt{L: variation.Const(n.CapLoad), T: variation.Const(n.RAT)}
-		default:
-			first := true
-			for _, cid := range n.Children {
-				cn := tree.Node(cid)
-				child := vals[cid]
-				wp := tree.Wire
-				if ov, ok := wires[cid]; ok {
-					wp = ov
-				}
-				r, c := wp.R, wp.C
-				if l := cn.WireLen; l > 0 {
-					child.T = child.T.AXPY(-r*l, child.L).Shift(-0.5 * r * c * l * l)
-					child.L = child.L.Shift(c * l)
-				}
-				if first {
-					cur = child
-					first = false
-				} else {
-					cur.L = cur.L.Add(child.L)
-					cur.T = variation.Min(cur.T, child.T, space).Form
-				}
-			}
-		}
-		if bi, ok := assign[id]; ok {
-			b := lib[bi]
-			dev := variation.Form{}
-			if model != nil {
-				dev = model.Deviation(int(id), n.Loc)
-			}
-			cbForm := variation.Const(b.Cb0).Add(dev.Scale(b.Cb0))
-			tbForm := variation.Const(b.Tb0).Add(dev.Scale(b.Tb0))
-			cur = lt{
-				L: cbForm,
-				T: cur.T.Sub(tbForm).AXPY(-b.Rb, cur.L),
-			}
-		}
-		vals[id] = cur
-	}
-	root := vals[tree.Root]
-	return root.T.AXPY(-tree.DriverR, root.L), nil
-}
-
-// MonteCarlo draws n realizations of the model's sources and evaluates the
-// buffered tree's root RAT with deterministic Elmore per sample — the
-// ground-truth distribution the canonical model approximates (Figure 6).
-// The model must be non-nil.
-func MonteCarlo(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
-	model *variation.Model, n int, seed int64) ([]float64, error) {
-	return MonteCarloSized(tree, lib, assign, nil, model, n, seed)
-}
-
-// MonteCarloSized is MonteCarlo with per-edge wire overrides.
-func MonteCarloSized(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
-	wires rctree.WireAssignment, model *variation.Model, n int, seed int64) ([]float64, error) {
-	return MonteCarloParallel(tree, lib, assign, wires, model, n, seed, 1)
-}
-
-// MonteCarloParallel is MonteCarloSized with the samples split over
-// worker goroutines (<= 0 selects GOMAXPROCS). Sample i depends only on
-// (seed, i), so the result is the same for every worker count.
-func MonteCarloParallel(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
-	wires rctree.WireAssignment, model *variation.Model, n int, seed int64, workers int) ([]float64, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("yield: sample count %d must be positive", n)
-	}
-	prog, err := CompileMC(tree, lib, assign, wires, model)
-	if err != nil {
-		return nil, err
-	}
-	// Workers share the read-only program and write disjoint ranges of out.
-	out := make([]float64, n)
-	stats.RunShards(stats.Shard{Count: n}, workers,
-		func(sh stats.Shard) { prog.sample(out, seed, sh) })
-	return out, nil
+	return d.rootRAT(nil), nil
 }
 
 // YieldAtTarget returns the fraction of samples meeting the target RAT
@@ -153,16 +50,15 @@ func YieldAtTarget(samples []float64, target float64) float64 {
 	return float64(ok) / float64(len(samples))
 }
 
-// NormalYieldAtTarget returns P(RAT >= target) for the canonical form.
-func NormalYieldAtTarget(rat variation.Form, space *variation.Space, target float64) float64 {
-	sigma := rat.Sigma(space)
+// NormalYieldAtTarget returns P(RAT >= target) for RAT ~ N(mean, sigma).
+func NormalYieldAtTarget(mean, sigma, target float64) float64 {
 	if sigma == 0 {
-		if rat.Nominal >= target {
+		if mean >= target {
 			return 1
 		}
 		return 0
 	}
-	return 1 - stats.Phi((target-rat.Nominal)/sigma)
+	return 1 - stats.Phi((target-mean)/sigma)
 }
 
 // Report summarizes one buffered design under a model: the figures of
@@ -184,18 +80,15 @@ func Evaluate(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]in
 	if !(q > 0 && q < 1) {
 		return Report{}, fmt.Errorf("yield: quantile %g outside (0, 1)", q)
 	}
-	rat, err := Propagate(tree, lib, assign, model)
+	d, err := Compile(tree, lib, assign, nil, model)
 	if err != nil {
 		return Report{}, err
 	}
-	space := variation.NewSpace()
-	if model != nil {
-		space = model.Space
-	}
+	rat := d.rootRAT(nil)
 	return Report{
 		Mean:       rat.Nominal,
-		Sigma:      rat.Sigma(space),
-		YieldRAT:   rat.Quantile(q, space),
+		Sigma:      rat.Sigma(d.Space),
+		YieldRAT:   rat.Quantile(q, d.Space),
 		NumBuffers: len(assign),
 	}, nil
 }

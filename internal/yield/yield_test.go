@@ -2,11 +2,11 @@ package yield
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"vabuf/internal/benchgen"
 	"vabuf/internal/device"
+	"vabuf/internal/geom"
 	"vabuf/internal/rctree"
 	"vabuf/internal/stats"
 	"vabuf/internal/variation"
@@ -80,6 +80,19 @@ func TestPropagateValidatesInput(t *testing.T) {
 	if _, err := Propagate(bad, lib, nil, model); err == nil {
 		t.Error("invalid tree accepted")
 	}
+	// A driver-only tree passes Tree.Validate but has nothing to drive.
+	driverOnly := rctree.New(rctree.DefaultWire, 0.3, geom.Point{})
+	for _, m := range []*variation.Model{model, nil} {
+		if _, err := Propagate(driverOnly, lib, nil, m); err == nil {
+			t.Errorf("driver-only tree accepted (model %v)", m != nil)
+		}
+		if _, err := Evaluate(driverOnly, lib, nil, m, 0.05); err == nil {
+			t.Errorf("Evaluate accepted a driver-only tree (model %v)", m != nil)
+		}
+	}
+	if _, err := MonteCarloParallel(driverOnly, lib, nil, nil, model, 10, 1, 1); err == nil {
+		t.Error("MonteCarloParallel accepted a driver-only tree")
+	}
 }
 
 func TestMonteCarloMatchesCanonical(t *testing.T) {
@@ -91,7 +104,7 @@ func TestMonteCarloMatchesCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := MonteCarlo(tr, lib, assign, model, 20000, 42)
+	samples, err := MonteCarloParallel(tr, lib, assign, nil, model, 20000, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +130,11 @@ func TestMonteCarloMatchesCanonical(t *testing.T) {
 func TestMonteCarloDeterministicSeed(t *testing.T) {
 	tr, model, lib := testSetup(t, 10, 4)
 	assign := someAssignment(tr)
-	a, err := MonteCarlo(tr, lib, assign, model, 50, 9)
+	a, err := MonteCarloParallel(tr, lib, assign, nil, model, 50, 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MonteCarlo(tr, lib, assign, model, 50, 9)
+	b, err := MonteCarloParallel(tr, lib, assign, nil, model, 50, 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +165,6 @@ func TestMonteCarloParallelDeterministic(t *testing.T) {
 			t.Fatalf("sample %d differs: %g vs %g", i, one[i], many[i])
 		}
 	}
-	// The serial sampler reads the same stream.
-	serial, err := MonteCarlo(tr, lib, assign, model, 1000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(serial, many) {
-		t.Error("serial and parallel samplers drew different samples")
-	}
 }
 
 func TestMonteCarloParallelValidation(t *testing.T) {
@@ -182,16 +187,16 @@ func TestMonteCarloParallelValidation(t *testing.T) {
 
 func TestMonteCarloValidation(t *testing.T) {
 	tr, model, lib := testSetup(t, 5, 1)
-	if _, err := MonteCarlo(tr, lib, nil, nil, 10, 1); err == nil {
+	if _, err := MonteCarloParallel(tr, lib, nil, nil, nil, 10, 1, 1); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := MonteCarlo(tr, lib, nil, model, 0, 1); err == nil {
+	if _, err := MonteCarloParallel(tr, lib, nil, nil, model, 0, 1, 1); err == nil {
 		t.Error("zero samples accepted")
 	}
-	if _, err := MonteCarlo(tr, lib, map[rctree.NodeID]int{1: 99}, model, 10, 1); err == nil {
+	if _, err := MonteCarloParallel(tr, lib, map[rctree.NodeID]int{1: 99}, nil, model, 10, 1, 1); err == nil {
 		t.Error("bad buffer index accepted")
 	}
-	if _, err := MonteCarlo(tr, lib, map[rctree.NodeID]int{1234: 0}, model, 10, 1); err == nil {
+	if _, err := MonteCarloParallel(tr, lib, map[rctree.NodeID]int{1234: 0}, nil, model, 10, 1, 1); err == nil {
 		t.Error("bad node accepted")
 	}
 }
@@ -216,17 +221,17 @@ func TestNormalYieldAtTarget(t *testing.T) {
 	space := variation.NewSpace()
 	id := space.Add(variation.ClassRandom, 1, "x")
 	rat := variation.NewForm(-100, []variation.Term{{ID: id, Coef: 10}})
+	mean, sigma := rat.Nominal, rat.Sigma(space)
 	// Target at the mean: 50%.
-	if got := NormalYieldAtTarget(rat, space, -100); math.Abs(got-0.5) > 1e-12 {
+	if got := NormalYieldAtTarget(mean, sigma, -100); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("yield at mean = %g", got)
 	}
 	// One sigma below the mean: ~84%.
-	if got := NormalYieldAtTarget(rat, space, -110); math.Abs(got-0.8413447460685429) > 1e-9 {
+	if got := NormalYieldAtTarget(mean, sigma, -110); math.Abs(got-0.8413447460685429) > 1e-9 {
 		t.Errorf("yield at mean-sigma = %g", got)
 	}
-	// Deterministic form: step.
-	det := variation.Const(-100)
-	if NormalYieldAtTarget(det, space, -99) != 0 || NormalYieldAtTarget(det, space, -101) != 1 {
+	// Zero sigma: step.
+	if NormalYieldAtTarget(-100, 0, -99) != 0 || NormalYieldAtTarget(-100, 0, -101) != 1 {
 		t.Error("deterministic yield not a step")
 	}
 }

@@ -230,7 +230,7 @@ func PropagateRAT(tree *Tree, lib Library, assign map[NodeID]int,
 // Elmore root RAT of the buffered tree.
 func MonteCarloRAT(tree *Tree, lib Library, assign map[NodeID]int,
 	model *VariationModel, n int, seed int64) ([]float64, error) {
-	return yield.MonteCarlo(tree, lib, assign, model, n, seed)
+	return yield.MonteCarloParallel(tree, lib, assign, nil, model, n, seed, 1)
 }
 
 // MonteCarloRATParallel is MonteCarloRAT split over worker goroutines:
