@@ -44,6 +44,11 @@ type Edge struct {
 	CL   float64 // C·l
 }
 
+// NewEdge returns the wire of length l with parasitics wp.
+func NewEdge(l float64, wp WireParams) Edge {
+	return Edge{Len: l, RL: wp.R * l, Half: 0.5 * wp.R * wp.C * l * l, CL: wp.C * l}
+}
+
 // LT is a (downstream load, required time) pair: a position's state in
 // the bottom-up walk.
 type LT struct {
@@ -52,7 +57,7 @@ type LT struct {
 
 // Compile compiles a tree, the set of buffered nodes and per-edge wire
 // overrides into a Program. It is the legality check of a buffered
-// design, EvaluateSized's too: it rejects a buffered node outside the
+// design, written apart from EvaluateSized's: it rejects a buffered node outside the
 // tree or off a legal buffer position, a wire override outside the tree,
 // on the root, not positive or not finite, an internal node without
 // children (a driver-only tree among them) and a node listed twice in
@@ -118,8 +123,7 @@ func Compile(t *Tree, buffered []NodeID, wires WireAssignment) (*Program, error)
 		if ov, ok := wires[id]; ok {
 			wp = ov
 		}
-		l := nd.WireLen
-		p.Edge[i] = Edge{Len: l, RL: wp.R * l, Half: 0.5 * wp.R * wp.C * l * l, CL: wp.C * l}
+		p.Edge[i] = NewEdge(nd.WireLen, wp)
 		p.Slot[i] = -1
 	}
 	p.KidStart[n] = int32(len(p.Kids))

@@ -1,5 +1,10 @@
 package rctree
 
+import (
+	"fmt"
+	"math"
+)
+
 // WireChoice is one routing option for an edge: a named width/layer with
 // its per-unit parasitics. Widening a wire divides its resistance and
 // multiplies its area capacitance.
@@ -33,15 +38,27 @@ type WireAssignment map[NodeID]WireParams
 
 // EvaluateSized is Evaluate with per-edge wire overrides (simultaneous
 // buffer insertion and wire sizing, after [8]). A nil wires map reduces to
-// Evaluate. Compile decides whether the design is legal; the walk below
-// is the independent arithmetic the compiled one is tested against.
+// Evaluate. Its checks and walk are written independently of Compile's,
+// so each is a reference the other is tested against.
 func EvaluateSized(t *Tree, buffers Assignment, wires WireAssignment) (Evaluation, error) {
-	ids := make([]NodeID, 0, len(buffers))
 	for id := range buffers {
-		ids = append(ids, id)
+		if id < 0 || int(id) >= len(t.Nodes) {
+			return Evaluation{}, fmt.Errorf("rctree: assignment references node %d outside tree", id)
+		}
+		if !t.Nodes[id].BufferOK {
+			return Evaluation{}, fmt.Errorf("rctree: node %d is not a legal buffer position", id)
+		}
 	}
-	if _, err := Compile(t, ids, wires); err != nil {
-		return Evaluation{}, err
+	for id, wp := range wires {
+		if id < 0 || int(id) >= len(t.Nodes) {
+			return Evaluation{}, fmt.Errorf("rctree: wire assignment references node %d outside tree", id)
+		}
+		if id == t.Root {
+			return Evaluation{}, fmt.Errorf("rctree: wire assignment on the root (no parent edge)")
+		}
+		if !(wp.R > 0 && wp.R <= math.MaxFloat64 && wp.C > 0 && wp.C <= math.MaxFloat64) {
+			return Evaluation{}, fmt.Errorf("rctree: wire override %+v at node %d not positive and finite", wp, id)
+		}
 	}
 	type lt struct{ L, T float64 }
 	vals := make([]lt, len(t.Nodes))
@@ -73,6 +90,9 @@ func EvaluateSized(t *Tree, buffers Assignment, wires WireAssignment) (Evaluatio
 						cur.T = child.T
 					}
 				}
+			}
+			if first {
+				return Evaluation{}, fmt.Errorf("rctree: internal node %d has no children", id)
 			}
 		}
 		if bv, ok := buffers[id]; ok {

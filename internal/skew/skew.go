@@ -229,15 +229,13 @@ type skewEngine struct {
 }
 
 // wireUp pushes every candidate up the wire from child to its parent,
-// with the constants of rctree.Compile's edges.
+// with the edge constants rctree.Compile uses.
 func (e *skewEngine) wireUp(child rctree.NodeID, list []*cand) []*cand {
 	l := e.tree.Node(child).WireLen
 	if l == 0 {
 		return list
 	}
-	r := e.tree.Wire.R
-	c := e.tree.Wire.C
-	edge := rctree.Edge{Len: l, RL: r * l, Half: 0.5 * r * c * l * l, CL: c * l}
+	edge := rctree.NewEdge(l, e.tree.Wire)
 	out := make([]*cand, len(list))
 	for i, s := range list {
 		out[i] = &cand{

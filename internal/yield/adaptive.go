@@ -96,7 +96,7 @@ func MonteCarloAdaptive(tree *rctree.Tree, lib device.Library, assign map[rctree
 	if err != nil {
 		return nil, Estimate{}, err
 	}
-	samplers := make([]*Sampler, stats.Workers(opts.Workers))
+	samplers := make([]*Sampler, min(stats.Workers(opts.Workers), opts.MaxSamples))
 	samples := make([]float64, opts.MaxSamples)
 	// sorted is the drawn prefix in ascending order; each chunk is
 	// sorted on its own and merged in, linear in the prefix per chunk.

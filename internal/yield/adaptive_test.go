@@ -2,6 +2,7 @@ package yield
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -108,6 +109,43 @@ func TestAdaptiveWorkerInvariance(t *testing.T) {
 				t.Fatalf("workers=%d: sample %d differs", workers, i)
 			}
 		}
+	}
+}
+
+// TestHugeWorkerCount: a worker count far above the sample count costs
+// no more than one worker per sample, in the fixed-budget and the
+// adaptive sampler alike, and leaves the samples unchanged.
+func TestHugeWorkerCount(t *testing.T) {
+	tr, model, lib := testSetup(t, 10, 4)
+	assign := someAssignment(tr)
+	const huge = 1 << 40
+	ref, err := MonteCarloParallel(tr, lib, assign, nil, model, 5, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	defer func() {
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<26 {
+			t.Errorf("%d workers allocated %d bytes", huge, grew)
+		}
+	}()
+	got, err := MonteCarloParallel(tr, lib, assign, nil, model, 5, 3, huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, ref) {
+		t.Fatalf("fixed budget with %d workers: %v, want %v", huge, got, ref)
+	}
+	got, _, err = MonteCarloAdaptive(tr, lib, assign, nil, model, AdaptiveOptions{
+		MaxSamples: 5, Seed: 3, Workers: huge, Quantile: 0.05,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, ref) {
+		t.Fatalf("adaptive with %d workers: %v, want %v", huge, got, ref)
 	}
 }
 

@@ -26,7 +26,7 @@ func MonteCarloParallel(tree *rctree.Tree, lib device.Library, assign map[rctree
 		return nil, err
 	}
 	out := make([]float64, n)
-	d.sample(out, seed, stats.Shard{Count: n}, make([]*Sampler, stats.Workers(workers)))
+	d.sample(out, seed, stats.Shard{Count: n}, make([]*Sampler, min(stats.Workers(workers), n)))
 	return out, nil
 }
 
@@ -99,7 +99,9 @@ func (sl *slot) deviation(src, pv []float64) float64 {
 // sample fills dst[sh.From:sh.End()] with the root RATs of those samples
 // of the stream seeded seed, split over len(samplers) workers. Part k
 // draws through samplers[k], built on first use and kept for the next
-// range, so a run builds one Sampler per worker.
+// range, so a run builds one Sampler per worker. A range splits into at
+// most as many parts as it has samples, so callers size samplers by
+// min(workers, samples) and a huge worker count allocates nothing.
 func (d *Design) sample(dst []float64, seed int64, sh stats.Shard, samplers []*Sampler) {
 	stats.RunShards(sh, len(samplers), func(k int, part stats.Shard) {
 		if samplers[k] == nil {
