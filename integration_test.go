@@ -156,6 +156,28 @@ func TestFacadeErrorsSurface(t *testing.T) {
 	}
 }
 
+// TestNonFiniteTreeRejected: a tree built in code with a NaN wire
+// resistance is refused by Insert and PropagateRAT instead of answering
+// a NaN RAT.
+func TestNonFiniteTreeRejected(t *testing.T) {
+	tree, err := vabuf.GenerateBenchmark("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := vabuf.DefaultLibrary()
+	good, err := vabuf.Insert(tree, vabuf.Options{Library: lib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.Wire.R = math.NaN()
+	if res, err := vabuf.Insert(tree, vabuf.Options{Library: lib}); err == nil {
+		t.Errorf("Insert accepted a NaN wire resistance: mean %v, %d buffers", res.Mean, res.NumBuffers)
+	}
+	if rat, err := vabuf.PropagateRAT(tree, lib, good.Assignment, nil); err == nil {
+		t.Errorf("PropagateRAT accepted a NaN wire resistance: mean %v", rat.Mean())
+	}
+}
+
 // TestEvaluateFacade checks the raw Elmore entry point.
 func TestEvaluateFacade(t *testing.T) {
 	tree := vabuf.NewTree(vabuf.DefaultWire, 0.5, vabuf.Point{})

@@ -69,11 +69,8 @@ func BenchmarkPrune4P1024(b *testing.B)     { benchmarkPrune(b, Rule4P, 0.9, 102
 
 // benchmarkInsert runs the full DP on a Table 1 preset. With a model it is
 // the paper's 2P variation-aware engine; parallelism 1 forces the serial
-// path, 4 exercises the worker fan-out. minPar is Options.MinParallelNodes:
-// benches pass 1 so Par4 measures the real fan-out cost even on small
-// trees (the crossover evidence), except the Auto bench which keeps the
-// default degrade.
-func benchmarkInsert(b *testing.B, bench string, withModel bool, parallelism, minPar int) {
+// path, 4 exercises the worker fan-out.
+func benchmarkInsert(b *testing.B, bench string, withModel bool, parallelism int) {
 	tr, err := benchgen.Build(bench)
 	if err != nil {
 		b.Fatal(err)
@@ -91,7 +88,7 @@ func benchmarkInsert(b *testing.B, bench string, withModel bool, parallelism, mi
 	for i := 0; i < b.N; i++ {
 		res, err := Insert(tr, Options{
 			Library: lib, Model: model,
-			Parallelism: parallelism, MinParallelNodes: minPar,
+			Parallelism: parallelism,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -102,17 +99,12 @@ func benchmarkInsert(b *testing.B, bench string, withModel bool, parallelism, mi
 	}
 }
 
-func BenchmarkInsertNOMp1Serial(b *testing.B) { benchmarkInsert(b, "p1", false, 1, 1) }
-func BenchmarkInsertNOMp1Par4(b *testing.B)   { benchmarkInsert(b, "p1", false, 4, 1) }
-func BenchmarkInsertWIDp1Serial(b *testing.B) { benchmarkInsert(b, "p1", true, 1, 1) }
-func BenchmarkInsertWIDp1Par4(b *testing.B)   { benchmarkInsert(b, "p1", true, 4, 1) }
-
-// InsertWIDp1Auto4 asks for 4 workers but keeps the default
-// MinParallelNodes degrade: p1 (~538 nodes) runs serially, so this should
-// track InsertWIDp1Serial, not InsertWIDp1Par4.
-func BenchmarkInsertWIDp1Auto4(b *testing.B)  { benchmarkInsert(b, "p1", true, 4, 0) }
-func BenchmarkInsertWIDr1Serial(b *testing.B) { benchmarkInsert(b, "r1", true, 1, 1) }
-func BenchmarkInsertWIDr1Par4(b *testing.B)   { benchmarkInsert(b, "r1", true, 4, 1) }
+func BenchmarkInsertNOMp1Serial(b *testing.B) { benchmarkInsert(b, "p1", false, 1) }
+func BenchmarkInsertNOMp1Par4(b *testing.B)   { benchmarkInsert(b, "p1", false, 4) }
+func BenchmarkInsertWIDp1Serial(b *testing.B) { benchmarkInsert(b, "p1", true, 1) }
+func BenchmarkInsertWIDp1Par4(b *testing.B)   { benchmarkInsert(b, "p1", true, 4) }
+func BenchmarkInsertWIDr1Serial(b *testing.B) { benchmarkInsert(b, "r1", true, 1) }
+func BenchmarkInsertWIDr1Par4(b *testing.B)   { benchmarkInsert(b, "r1", true, 4) }
 
 // benchmarkInsertLib is the library-scaling benchmark: the full DP on a
 // Table 1 preset with an n-cell ScaledLibrary (sized repeaters +
@@ -140,7 +132,7 @@ func benchmarkInsertLib(b *testing.B, bench string, nlib int, withModel bool, hu
 	for i := 0; i < b.N; i++ {
 		res, err := Insert(tr, Options{
 			Library: lib, Model: model,
-			Parallelism: 1, MinParallelNodes: 1,
+			Parallelism:   1,
 			HullBuffering: hull,
 		})
 		if err != nil {

@@ -7,6 +7,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -41,10 +43,13 @@ type frontier struct {
 	// ln, tn are the mean loading and mean RAT — the candidate ordering
 	// keys of the 2P rule at pbar = 0.5 (Lemma 4).
 	ln, tn []float64
-	// sl, st cache the standard deviations of L and T. They are allocated
-	// and filled only when the active pruning rule needs them (2P with
-	// pbar > 0.5, 4P); nil otherwise.
-	sl, st []float64
+	// sl, st cache the standard deviations of L and T, and vl the
+	// variance of L (sl is its square root). They are allocated and
+	// filled only when the active pruning rule needs them (2P with
+	// pbar > 0.5, 4P); nil otherwise. vl answers the covariance of two
+	// load forms that share one term slice — every buffered candidate of
+	// one type at a site — without a term walk.
+	sl, st, vl []float64
 	// lt, tt are the sparse variation terms of the L and T forms (nil
 	// entries for deterministic candidates).
 	lt, tt [][]variation.Term
@@ -64,8 +69,24 @@ func newFrontier(n int, sigmas bool) *frontier {
 	if sigmas {
 		f.sl = make([]float64, 0, n)
 		f.st = make([]float64, 0, n)
+		f.vl = make([]float64, 0, n)
 	}
 	return f
+}
+
+// reserve grows every column so that n more candidates fit without a
+// reallocation; a column with that room already is left as it is.
+func (f *frontier) reserve(n int) {
+	f.ln = slices.Grow(f.ln, n)
+	f.tn = slices.Grow(f.tn, n)
+	f.lt = slices.Grow(f.lt, n)
+	f.tt = slices.Grow(f.tt, n)
+	f.ref = slices.Grow(f.ref, n)
+	if f.sl != nil {
+		f.sl = slices.Grow(f.sl, n)
+		f.st = slices.Grow(f.st, n)
+		f.vl = slices.Grow(f.vl, n)
+	}
 }
 
 // len reports the number of candidates; a nil frontier is empty.
@@ -86,8 +107,9 @@ func (f *frontier) tform(i int) variation.Form {
 	return variation.Form{Nominal: f.tn[i], Terms: f.tt[i]}
 }
 
-// push appends one candidate, computing the cached sigmas when the
-// frontier carries them (exactly the values Form.Sigma would cache).
+// push appends one candidate, computing the cached moments when the
+// frontier carries them (exactly the values Form.Var and Form.Sigma
+// return).
 func (f *frontier) push(l, t variation.Form, ref int32, space *variation.Space) {
 	f.ln = append(f.ln, l.Nominal)
 	f.tn = append(f.tn, t.Nominal)
@@ -95,7 +117,9 @@ func (f *frontier) push(l, t variation.Form, ref int32, space *variation.Space) 
 	f.tt = append(f.tt, t.Terms)
 	f.ref = append(f.ref, ref)
 	if f.sl != nil {
-		f.sl = append(f.sl, l.Sigma(space))
+		v := l.Var(space)
+		f.vl = append(f.vl, v)
+		f.sl = append(f.sl, math.Sqrt(v))
 		f.st = append(f.st, t.Sigma(space))
 	}
 }
@@ -113,6 +137,7 @@ func (f *frontier) move(dst, src int) {
 	if f.sl != nil {
 		f.sl[dst] = f.sl[src]
 		f.st[dst] = f.st[src]
+		f.vl[dst] = f.vl[src]
 	}
 }
 
@@ -126,6 +151,7 @@ func (f *frontier) truncate(n int) {
 	if f.sl != nil {
 		f.sl = f.sl[:n]
 		f.st = f.st[:n]
+		f.vl = f.vl[:n]
 	}
 }
 
@@ -159,6 +185,13 @@ const provBlock = 4096
 
 type provChunk [provBlock]prov
 
+// provChunks recycles chunks across runs. A worker grabs one as soon as
+// it records its first candidate, so without reuse every spawned worker,
+// however small its subtree, would zero a fresh 80 KiB. A recycled
+// chunk's stale records are never read: each record is written before
+// its index is handed out.
+var provChunks = sync.Pool{New: func() any { return new(provChunk) }}
+
 // provArena stores provenance records in fixed-size chunks addressed by a
 // dense global index. Each DP worker appends through its own provWriter;
 // the chunk table is republished copy-on-write through an atomic pointer,
@@ -182,10 +215,20 @@ func (pa *provArena) grab() (int32, *provChunk) {
 	}
 	next := make([]*provChunk, len(old)+1)
 	copy(next, old)
-	c := new(provChunk)
+	c := provChunks.Get().(*provChunk)
 	next[len(old)] = c
 	pa.chunks.Store(&next)
 	return int32(len(old) * provBlock), c
+}
+
+// release parks every chunk for reuse by later runs. The arena must not
+// be used afterwards.
+func (pa *provArena) release() {
+	if p := pa.chunks.Swap(nil); p != nil {
+		for _, c := range *p {
+			provChunks.Put(c)
+		}
+	}
 }
 
 // at returns the record with the given index. Only call for indices whose

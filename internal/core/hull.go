@@ -52,6 +52,7 @@ import (
 	"sort"
 
 	"vabuf/internal/rctree"
+	"vabuf/internal/variation"
 )
 
 // hullSafety is the relative slack on the pbar > 0.5 certainty test:
@@ -77,6 +78,23 @@ type hullScratch struct {
 	// emitted collects the type-best candidates appended to each target
 	// polarity list at the current site.
 	emitted [2][]hullEmit
+	// picks lists the candidates hull2P emits at the current site, in
+	// emission order, and devs each type's device forms, so that the
+	// target lists grow once to the counted size before any push.
+	picks []hullPick
+	devs  []hullDev
+}
+
+// hullPick is one candidate hull2P emits: source candidate i of
+// polarity p, buffered with library type bi.
+type hullPick struct {
+	bi, i int32
+	p     int8
+}
+
+// hullDev holds one buffer type's load and delay forms at a site.
+type hullDev struct {
+	cb, tb variation.Form
 }
 
 // prep resets the per-site state for polarity p and builds the tn
@@ -161,6 +179,9 @@ func (w *worker) hullExactMeans(id rctree.NodeID, pl polarityLists, n0 [2]int) p
 	w.stats.HullSites++
 	hs := &w.hull
 	emitted := 0
+	// Each type emits at most one candidate into each target list, so
+	// growing a list once by the library size covers the whole site.
+	var grown [2]bool
 	for bi, b := range e.opts.Library {
 		// Materialize the device forms exactly as the exact path does, so
 		// the scan keys below are read from the very floats that will be
@@ -201,8 +222,9 @@ func (w *worker) hullExactMeans(id rctree.NodeID, pl polarityLists, n0 [2]int) p
 			w.stats.HullSkipped += int64(eligible - 1)
 			nt := src.tform(best).SubIn(w.terms, tbForm).AXPYIn(w.terms, nrb, src.lform(best))
 			ref := w.prov.alloc(prov{pred: src.ref[best], pred2: -1, node: id, aux: int32(bi), op: opBuffer})
-			if out[target] == nil {
-				out[target] = newFrontier(n0[p], w.prn.needSigmas())
+			if !grown[target] {
+				out[target] = w.room(out[target], len(e.opts.Library))
+				grown[target] = true
 			}
 			out[target].push(cbForm, nt, ref, e.space)
 			w.stats.Generated++
@@ -234,6 +256,9 @@ func (w *worker) hullExactMeans(id rctree.NodeID, pl polarityLists, n0 [2]int) p
 //     the sweep's certain-yes branch no matter the covariance — and the
 //     chain in DESIGN.md §14 shows any kept candidate that pruned the
 //     mean-best also certainly prunes i.
+//
+// The decisions are taken first and the picks materialized after, so
+// each target list grows once, to the counted size.
 func (w *worker) hull2P(id rctree.NodeID, pl polarityLists) polarityLists {
 	e := w.eng
 	dev := e.deviation(id)
@@ -241,15 +266,19 @@ func (w *worker) hull2P(id rctree.NodeID, pl polarityLists) polarityLists {
 	n0 := [2]int{pl[0].len(), pl[1].len()}
 	w.stats.HullSites++
 	zT := w.prn.zT
-	emitted := 0
+	hs := &w.hull
+	hs.picks, hs.devs = hs.picks[:0], hs.devs[:0]
+	var need [2]int
 	for bi, b := range e.opts.Library {
 		cbForm := dev.ScaleIn(w.terms, b.Cb0).Shift(b.Cb0)
 		tbForm := dev.ScaleIn(w.terms, b.Tb0).Shift(b.Tb0)
+		hs.devs = append(hs.devs, hullDev{cb: cbForm, tb: tbForm})
 		tbn := tbForm.Nominal
 		nrb := -b.Rb
-		cbSigma := cbForm.Sigma(e.space) // the sigma push will cache
+		cbVar := cbForm.Var(e.space) // the moments push will cache
+		cbSigma := math.Sqrt(cbVar)
 		tbSigma := tbForm.Sigma(e.space)
-		lOK := probAtLeast(0, cbSigma, cbSigma, w.prn.zL, cbForm, cbForm, e.space)
+		lOK := probAtLeastShared(0, cbSigma, cbSigma, w.prn.zL, cbVar)
 		for p := 0; p < 2; p++ {
 			target := p
 			if b.Inverting {
@@ -292,20 +321,31 @@ func (w *worker) hull2P(id rctree.NodeID, pl polarityLists) polarityLists {
 						continue
 					}
 				}
-				sT := src.tform(i)
-				nt := sT.SubIn(w.terms, tbForm).AXPYIn(w.terms, nrb, src.lform(i))
-				ref := w.prov.alloc(prov{pred: src.ref[i], pred2: -1, node: id, aux: int32(bi), op: opBuffer})
-				if out[target] == nil {
-					out[target] = newFrontier(n0[p], w.prn.needSigmas())
-				}
-				out[target].push(cbForm, nt, ref, e.space)
-				w.stats.Generated++
-				emitted++
+				hs.picks = append(hs.picks, hullPick{bi: int32(bi), i: int32(i), p: int8(p)})
+				need[target]++
 			}
 		}
 	}
-	if emitted > w.stats.HullPeak {
-		w.stats.HullPeak = emitted
+	for p := 0; p < 2; p++ {
+		if need[p] > 0 {
+			out[p] = w.room(out[p], need[p])
+		}
+	}
+	for _, pk := range hs.picks {
+		b := e.opts.Library[pk.bi]
+		target := int(pk.p)
+		if b.Inverting {
+			target = 1 - target
+		}
+		src, i := pl[pk.p], int(pk.i)
+		d := hs.devs[pk.bi]
+		nt := src.tform(i).SubIn(w.terms, d.tb).AXPYIn(w.terms, -b.Rb, src.lform(i))
+		ref := w.prov.alloc(prov{pred: src.ref[i], pred2: -1, node: id, aux: pk.bi, op: opBuffer})
+		out[target].push(d.cb, nt, ref, e.space)
+	}
+	w.stats.Generated += int64(len(hs.picks))
+	if len(hs.picks) > w.stats.HullPeak {
+		w.stats.HullPeak = len(hs.picks)
 	}
 	return out
 }

@@ -124,7 +124,6 @@ func TestHullDifferentialFuzz(t *testing.T) {
 				assertHullRun(t, "serial/auto", got, exact)
 				parOpts := opts
 				parOpts.Parallelism = 4
-				parOpts.MinParallelNodes = 1
 				got, err = Insert(tr, parOpts) // HullAuto is the default
 				if err != nil {
 					t.Fatal(err)

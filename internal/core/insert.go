@@ -79,9 +79,7 @@ var errAborted = errors.New("core: aborted by concurrent failure")
 // §4 under the pruning rule selected in the options.
 //
 // Independent subtrees are processed by up to Options.Parallelism workers;
-// the returned result is bit-identical for every parallelism level. Trees
-// below Options.MinParallelNodes run serially regardless — on small trees
-// the spawn/retire overhead costs more than the subtree concurrency wins.
+// the returned result is bit-identical for every parallelism level.
 func Insert(tree *rctree.Tree, opts Options) (*Result, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
@@ -92,13 +90,6 @@ func Insert(tree *rctree.Tree, opts Options) (*Result, error) {
 	}
 	if tree.NumSinks() == 0 {
 		return nil, fmt.Errorf("core: tree has no sinks")
-	}
-	minPar := o.MinParallelNodes
-	if minPar == 0 {
-		minPar = DefaultMinParallelNodes
-	}
-	if o.Parallelism > 1 && tree.Len() < minPar {
-		o.Parallelism = 1
 	}
 	e := &engine{
 		tree:    tree,
@@ -171,10 +162,11 @@ func (e *engine) retire(w *worker) {
 	e.mu.Unlock()
 }
 
-// release returns every term arena's slabs to the shared pool. Only legal
-// once nothing can touch a candidate form again (Result detaches its RAT
-// with Clone in selectRoot, and subtree-cache entries deep-copy their
-// terms when stored).
+// release returns every term arena's slabs and the provenance chunks to
+// their shared pools. Only legal once nothing can touch a candidate form
+// or provenance record again (Result detaches its RAT with Clone and
+// collects its decisions in selectRoot, and subtree-cache entries
+// deep-copy their terms and materialize their decisions when stored).
 func (e *engine) release() {
 	e.mu.Lock()
 	arenas := e.arenas
@@ -183,6 +175,7 @@ func (e *engine) release() {
 	for _, a := range arenas {
 		a.Release()
 	}
+	e.prov.release()
 }
 
 // fail records the first real failure and flips the abort flag so sibling
@@ -455,6 +448,26 @@ func (w *worker) addBuffersExact(id rctree.NodeID, node *rctree.Node, pl polarit
 	// Snapshot the input lengths: buffered candidates are appended to the
 	// same frontiers but must never be buffered again at this node.
 	n0 := [2]int{pl[0].len(), pl[1].len()}
+	// Count the candidates each target list receives and grow it once.
+	var need [2]int
+	for _, b := range w.eng.opts.Library {
+		for p := 0; p < 2; p++ {
+			target := p
+			if b.Inverting {
+				target = 1 - p
+			}
+			for i := 0; i < n0[p]; i++ {
+				if b.MaxLoad <= 0 || pl[p].ln[i] <= b.MaxLoad {
+					need[target]++
+				}
+			}
+		}
+	}
+	for p := 0; p < 2; p++ {
+		if need[p] > 0 {
+			out[p] = w.room(out[p], need[p])
+		}
+	}
 	for bi, b := range w.eng.opts.Library {
 		cbForm := dev.ScaleIn(w.terms, b.Cb0).Shift(b.Cb0)
 		tbForm := dev.ScaleIn(w.terms, b.Tb0).Shift(b.Tb0)
@@ -473,15 +486,24 @@ func (w *worker) addBuffersExact(id rctree.NodeID, node *rctree.Node, pl polarit
 				sT := src.tform(i)
 				nt := sT.SubIn(w.terms, tbForm).AXPYIn(w.terms, -b.Rb, src.lform(i))
 				ref := w.prov.alloc(prov{pred: src.ref[i], pred2: -1, node: id, aux: int32(bi), op: opBuffer})
-				if out[target] == nil {
-					out[target] = newFrontier(n0[p], w.prn.needSigmas())
-				}
 				out[target].push(cbForm, nt, ref, w.eng.space)
 				w.stats.Generated++
 			}
 		}
 	}
 	return out
+}
+
+// room returns f with space for n more candidates, or a new frontier of
+// that capacity when f is nil. The buffering paths call it once per
+// target list and site, so the wired list, whose capacity is its
+// length, is not regrown push by push.
+func (w *worker) room(f *frontier, n int) *frontier {
+	if f == nil {
+		return newFrontier(n, w.prn.needSigmas())
+	}
+	f.reserve(n)
+	return f
 }
 
 // checkBudget enforces the candidate cap.

@@ -59,12 +59,6 @@ func (p FourPParams) validate() error {
 	return nil
 }
 
-// DefaultMinParallelNodes is the tree size below which parallel runs are
-// auto-degraded to serial when Options.MinParallelNodes is zero. The
-// crossover sits between the p1/r1 nets (~535 nodes, where 4 workers lose
-// to serial) and r3 (1724 nodes, where they win); see BENCH_core.json.
-const DefaultMinParallelNodes = 1024
-
 // HullMode controls the convex-hull buffering kernel (Li–Shi, arxiv
 // 0710.4691): at each buffer site, instead of materializing one buffered
 // candidate per (candidate, buffer type) pair and letting the pruner
@@ -146,13 +140,11 @@ type Options struct {
 	// subtrees concurrently. 0 selects GOMAXPROCS; 1 forces the serial
 	// engine. The result is bit-identical for every value — the fan-out
 	// happens at multi-child Steiner nodes and the merge order is fixed.
+	// There is no tree-size floor: a small tree with expensive nodes
+	// (pbar > 0.5 on a large library) gains from the fan-out as much as a
+	// large one, and on 2 CPUs no measured tree ran slower with 2 workers
+	// than with 1 (DESIGN.md §12).
 	Parallelism int
-	// MinParallelNodes is the tree size below which Parallelism > 1 is
-	// degraded to the serial engine: on small trees the spawn/retire
-	// overhead costs more than subtree concurrency wins (the WIDp1 bench
-	// regresses 22.8 ms → 24.2 ms under 4 workers). 0 selects
-	// DefaultMinParallelNodes; 1 disables the degrade entirely.
-	MinParallelNodes int
 	// SubtreeCache, when non-nil, memoizes per-subtree DP frontiers across
 	// Insert calls keyed by canonical subtree fingerprints: re-inserts of
 	// edited trees (ECO flows, batch sweeps sharing subtrees) recompute
@@ -230,9 +222,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if opts.Parallelism == 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.MinParallelNodes < 0 {
-		return opts, fmt.Errorf("core: negative MinParallelNodes %d", opts.MinParallelNodes)
 	}
 	if opts.SubtreeCacheMinNodes < 0 {
 		return opts, fmt.Errorf("core: negative SubtreeCacheMinNodes %d", opts.SubtreeCacheMinNodes)

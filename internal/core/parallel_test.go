@@ -73,9 +73,6 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 		parallelOpts := opts
 		parallelOpts.Parallelism = 4
-		// p1/r1 sit under the auto-serial cutoff; force the fan-out so the
-		// test actually compares parallel against serial.
-		parallelOpts.MinParallelNodes = 1
 		parallel, err := Insert(tr, parallelOpts)
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +137,7 @@ func TestParallelRepeatedRunsStable(t *testing.T) {
 	}
 	opts := Options{
 		Library: device.DefaultLibrary(), Model: model,
-		Parallelism: 8, MinParallelNodes: 1,
+		Parallelism: 8,
 	}
 	first, err := Insert(tr, opts)
 	if err != nil {
@@ -152,6 +149,46 @@ func TestParallelRepeatedRunsStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertIdenticalResults(t, "repeat", first, again)
+	}
+}
+
+// TestSmallTreeFansOut: Parallelism alone decides the fan-out. p1 (538
+// nodes) at Parallelism 4 runs on more than one worker, deterministic
+// and at pbar 0.9 alike, and returns the serial solution.
+func TestSmallTreeFansOut(t *testing.T) {
+	tr, err := benchgen.Build("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := variation.NewModel(variation.DefaultConfig(tr.BoundingBox().Expand(100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := device.DefaultLibrary()
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"vG", Options{Library: lib}},
+		{"2P-pbar0.9", Options{Library: lib, Model: model, PbarL: 0.9, PbarT: 0.9}},
+	} {
+		serialOpts, parOpts := tc.opts, tc.opts
+		serialOpts.Parallelism, parOpts.Parallelism = 1, 4
+		serial, err := Insert(tr, serialOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := Insert(tr, parOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.Stats.Workers != 1 {
+			t.Errorf("%s: serial run used %d workers", tc.name, serial.Stats.Workers)
+		}
+		if par.Stats.Workers <= 1 {
+			t.Errorf("%s: Parallelism 4 on p1 used %d workers, want > 1", tc.name, par.Stats.Workers)
+		}
+		assertIdenticalResults(t, tc.name, serial, par)
 	}
 }
 
@@ -167,7 +204,7 @@ func TestContextCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already canceled: the engine must notice before finishing
 		_, err := Insert(tr, Options{
-			Library: lib, Parallelism: par, MinParallelNodes: 1, Context: ctx,
+			Library: lib, Parallelism: par, Context: ctx,
 		})
 		if !errors.Is(err, ErrCanceled) {
 			t.Errorf("Parallelism=%d: got %v, want ErrCanceled", par, err)

@@ -33,7 +33,7 @@ type pruner struct {
 	// Reusable sort/prune scratch, grown on demand and swapped with the
 	// frontier's slices when applying a permutation (no per-prune allocs).
 	perm    []int32
-	scF64   [4][]float64
+	scF64   [5][]float64
 	scTerms [2][][]variation.Term
 	scRef   []int32
 	dead    []bool
@@ -101,6 +101,7 @@ func (p *pruner) sortByMean(f *frontier) {
 	if f.sl != nil {
 		f.sl = p.gatherF64(2, f.sl, perm)
 		f.st = p.gatherF64(3, f.st, perm)
+		f.vl = p.gatherF64(4, f.vl, perm)
 	}
 	f.lt = p.gatherTerms(0, f.lt, perm)
 	f.tt = p.gatherTerms(1, f.tt, perm)
@@ -220,7 +221,16 @@ func (p *pruner) dominates2P(f *frontier, a, b int) bool {
 	// usually avoids touching the term lists (the correlation argument of
 	// §2.3 / Figure 2: solutions from the same subtree are so correlated
 	// that a small mean edge is near-certain dominance).
-	if !probAtLeast(f.ln[b]-f.ln[a], f.sl[a], f.sl[b], p.zL, f.lform(a), f.lform(b), p.space) {
+	//
+	// Two load forms that share one term slice (every buffered candidate
+	// of one type at a site carries the same cbForm) have the variance of
+	// that form as their covariance, and the frontier caches it.
+	gapL := f.ln[b] - f.ln[a]
+	if la, lb := f.lt[a], f.lt[b]; len(la) > 0 && len(la) == len(lb) && &la[0] == &lb[0] {
+		if !probAtLeastShared(gapL, f.sl[a], f.sl[b], p.zL, f.vl[a]) {
+			return false
+		}
+	} else if !probAtLeast(gapL, f.sl[a], f.sl[b], p.zL, f.lform(a), f.lform(b), p.space) {
 		return false
 	}
 	return probAtLeast(f.tn[a]-f.tn[b], f.st[a], f.st[b], p.zT, f.tform(a), f.tform(b), p.space)
@@ -230,24 +240,50 @@ func (p *pruner) dominates2P(f *frontier, a, b int) bool {
 // gap >= z*sigma(f-g), trying the sigma bounds before the exact
 // covariance. gap may be any sign; z >= 0.
 func probAtLeast(gap, sf, sg, z float64, f, g variation.Form, space *variation.Space) bool {
+	if ok, settled := sigmaSandwich(gap, sf, sg, z); settled {
+		return ok
+	}
+	return gapClears(gap, sf, sg, z, variation.Cov(f, g, space))
+}
+
+// probAtLeastShared is probAtLeast for two forms with one term list,
+// whose covariance is that list's variance v. Cov(f, g) of such forms
+// evaluates the very products Var does, in the same order, so the two
+// agree bit for bit.
+func probAtLeastShared(gap, sf, sg, z, v float64) bool {
+	if ok, settled := sigmaSandwich(gap, sf, sg, z); settled {
+		return ok
+	}
+	return gapClears(gap, sf, sg, z, v)
+}
+
+// sigmaSandwich decides gap >= z*sigma(f-g) from the sigmas alone when
+// it can, using sigma(f-g) in [|sf-sg|, sf+sg]; settled is false when
+// the answer needs the covariance.
+func sigmaSandwich(gap, sf, sg, z float64) (ok, settled bool) {
 	if z == 0 {
-		return gap >= 0
+		return gap >= 0, true
 	}
 	if gap < 0 {
-		return false
+		return false, true
 	}
 	hi := sf + sg
 	if gap >= z*hi {
-		return true // certain even at the most pessimistic correlation
+		return true, true // certain even at the most pessimistic correlation
 	}
 	lo := sf - sg
 	if lo < 0 {
 		lo = -lo
 	}
 	if gap < z*lo {
-		return false // impossible even at the most optimistic correlation
+		return false, true // impossible even at the most optimistic correlation
 	}
-	varDiff := sf*sf + sg*sg - 2*variation.Cov(f, g, space)
+	return false, false
+}
+
+// gapClears is the exact test gap >= z*sigma(f-g) given Cov(f, g).
+func gapClears(gap, sf, sg, z, cov float64) bool {
+	varDiff := sf*sf + sg*sg - 2*cov
 	if varDiff <= 0 {
 		return true // deterministic positive gap
 	}

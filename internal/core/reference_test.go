@@ -478,7 +478,6 @@ func TestSoAMatchesReference(t *testing.T) {
 				assertBitIdentical(t, "serial", got, want)
 				parOpts := opts
 				parOpts.Parallelism = 4
-				parOpts.MinParallelNodes = 1
 				parOpts.HullBuffering = HullOff
 				got, err = Insert(c.tr, parOpts)
 				if err != nil {

@@ -53,11 +53,11 @@ func (d candDecisions) clone() candDecisions {
 // term slices over a private flat backing array (safe to share read-only
 // across runs — forms are immutable), and per-candidate decisions.
 type cachedList struct {
-	ln, tn []float64
-	sl, st []float64 // nil when the config's rule needs no sigmas
-	lt, tt [][]variation.Term
-	terms  []variation.Term // flat backing of lt/tt
-	dec    []candDecisions
+	ln, tn     []float64
+	sl, st, vl []float64 // nil when the config's rule needs no sigmas
+	lt, tt     [][]variation.Term
+	terms      []variation.Term // flat backing of lt/tt
+	dec        []candDecisions
 }
 
 // subtreeEntry is one cache entry: both polarity lists for one key.
@@ -291,6 +291,7 @@ func (e *engine) storeSubtree(id rctree.NodeID, pl polarityLists) bool {
 		if f.sl != nil {
 			cl.sl = slices.Clone(f.sl)
 			cl.st = slices.Clone(f.st)
+			cl.vl = slices.Clone(f.vl)
 		}
 		nTerms := 0
 		for i := 0; i < n; i++ {
@@ -344,6 +345,7 @@ func (w *worker) restoreCached(id rctree.NodeID, ent *subtreeEntry) polarityList
 		if needSig {
 			f.sl = append(f.sl, cl.sl...)
 			f.st = append(f.st, cl.st...)
+			f.vl = append(f.vl, cl.vl...)
 		}
 		f.lt = append(f.lt, cl.lt...)
 		f.tt = append(f.tt, cl.tt...)

@@ -226,7 +226,6 @@ func TestSubtreeCacheParallel(t *testing.T) {
 	cache := NewSubtreeCache(0)
 	par := base
 	par.Parallelism = 4
-	par.MinParallelNodes = 1
 	par.SubtreeCache = cache
 	for i := 0; i < 3; i++ {
 		got, err := Insert(tr, par)
@@ -237,41 +236,5 @@ func TestSubtreeCacheParallel(t *testing.T) {
 	}
 	if cache.Stats().Hits == 0 {
 		t.Error("repeated parallel runs never hit the cache")
-	}
-}
-
-// TestAutoSerialDegrade: small trees run serially even when parallelism is
-// requested, unless the degrade is disabled.
-func TestAutoSerialDegrade(t *testing.T) {
-	tr, err := benchgen.Build("p1") // 538 nodes < DefaultMinParallelNodes
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() >= DefaultMinParallelNodes {
-		t.Fatalf("p1 has %d nodes, expected < %d", tr.Len(), DefaultMinParallelNodes)
-	}
-	lib := device.DefaultLibrary()
-	auto, err := Insert(tr, Options{Library: lib, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Stats.Workers != 1 {
-		t.Errorf("auto-degraded run used %d workers, want 1", auto.Stats.Workers)
-	}
-	forced, err := Insert(tr, Options{Library: lib, Parallelism: 4, MinParallelNodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.Stats.Workers <= 1 {
-		t.Errorf("MinParallelNodes=1 run used %d workers, want > 1", forced.Stats.Workers)
-	}
-	assertSameSolution(t, "auto-vs-forced", auto, forced)
-	// A custom threshold above the tree size also degrades.
-	high, err := Insert(tr, Options{Library: lib, Parallelism: 4, MinParallelNodes: tr.Len() + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if high.Stats.Workers != 1 {
-		t.Errorf("threshold above tree size used %d workers, want 1", high.Stats.Workers)
 	}
 }

@@ -9,6 +9,7 @@ package rctree
 
 import (
 	"fmt"
+	"math"
 
 	"vabuf/internal/geom"
 )
@@ -210,6 +211,9 @@ func (t *Tree) PostOrder() []NodeID {
 	return out
 }
 
+// nonNegFinite reports whether x is in [0, +Inf): false for NaN.
+func nonNegFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
 // Validate checks structural invariants: a single driver root, consistent
 // parent/child links, sinks as leaves, non-negative wire lengths, full
 // reachability, and sane electrical values. It returns the first problem
@@ -231,11 +235,13 @@ func (t *Tree) Validate() error {
 	if root.BufferOK {
 		return fmt.Errorf("rctree: root driver marked as buffer position")
 	}
-	if t.Wire.R <= 0 || t.Wire.C <= 0 {
-		return fmt.Errorf("rctree: non-positive wire parasitics %+v", t.Wire)
+	// Every range check below is written as !(finite and in range), so a
+	// NaN, which fails every comparison, is rejected with the infinities.
+	if !(t.Wire.R > 0 && t.Wire.C > 0) || math.IsInf(t.Wire.R, 1) || math.IsInf(t.Wire.C, 1) {
+		return fmt.Errorf("rctree: wire parasitics %+v not positive and finite", t.Wire)
 	}
-	if t.DriverR < 0 {
-		return fmt.Errorf("rctree: negative driver resistance %g", t.DriverR)
+	if !nonNegFinite(t.DriverR) {
+		return fmt.Errorf("rctree: driver resistance %g not non-negative and finite", t.DriverR)
 	}
 	drivers := 0
 	for i := range t.Nodes {
@@ -250,8 +256,11 @@ func (t *Tree) Validate() error {
 			if len(n.Children) != 0 {
 				return fmt.Errorf("rctree: sink %d has %d children", n.ID, len(n.Children))
 			}
-			if n.CapLoad < 0 {
-				return fmt.Errorf("rctree: sink %d has negative load %g", n.ID, n.CapLoad)
+			if !nonNegFinite(n.CapLoad) {
+				return fmt.Errorf("rctree: sink %d has load %g, want non-negative and finite", n.ID, n.CapLoad)
+			}
+			if math.IsNaN(n.RAT) {
+				return fmt.Errorf("rctree: sink %d has a NaN RAT", n.ID)
 			}
 		case KindSteiner:
 			if len(n.Children) == 0 {
@@ -264,8 +273,8 @@ func (t *Tree) Validate() error {
 			if n.Parent < 0 || int(n.Parent) >= len(t.Nodes) {
 				return fmt.Errorf("rctree: node %d parent %d out of range", n.ID, n.Parent)
 			}
-			if n.WireLen < 0 {
-				return fmt.Errorf("rctree: node %d has negative wire length %g", n.ID, n.WireLen)
+			if !nonNegFinite(n.WireLen) {
+				return fmt.Errorf("rctree: node %d has wire length %g, want non-negative and finite", n.ID, n.WireLen)
 			}
 			found := false
 			for _, c := range t.Nodes[n.Parent].Children {

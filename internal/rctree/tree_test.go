@@ -92,6 +92,16 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{"orphan child link", func(tr *Tree) { tr.Nodes[1].Children = nil }},
 		{"id mismatch", func(tr *Tree) { tr.Nodes[2].ID = 7 }},
 		{"leaf steiner", func(tr *Tree) { tr.Nodes[2].Kind = KindSteiner }},
+		{"NaN wire R", func(tr *Tree) { tr.Wire.R = math.NaN() }},
+		{"NaN wire C", func(tr *Tree) { tr.Wire.C = math.NaN() }},
+		{"infinite wire R", func(tr *Tree) { tr.Wire.R = math.Inf(1) }},
+		{"NaN driver R", func(tr *Tree) { tr.DriverR = math.NaN() }},
+		{"infinite driver R", func(tr *Tree) { tr.DriverR = math.Inf(1) }},
+		{"NaN load", func(tr *Tree) { tr.Nodes[2].CapLoad = math.NaN() }},
+		{"infinite load", func(tr *Tree) { tr.Nodes[2].CapLoad = math.Inf(1) }},
+		{"NaN wire length", func(tr *Tree) { tr.Nodes[1].WireLen = math.NaN() }},
+		{"infinite wire length", func(tr *Tree) { tr.Nodes[1].WireLen = math.Inf(1) }},
+		{"NaN RAT", func(tr *Tree) { tr.Nodes[2].RAT = math.NaN() }},
 	}
 	for _, c := range cases {
 		tr, _, _ := chainTree(100, 100)

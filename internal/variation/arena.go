@@ -345,7 +345,7 @@ func MinIn(a *Arena, f, g Form, space *Space) MinResult {
 	}
 	sf := f.Sigma(space)
 	sg := g.Sigma(space)
-	rho := Corr(f, g, space)
+	rho := corrFrom(f, g, sf, sg, space)
 	mom := stats.MinNormals(f.Nominal, sf, g.Nominal, sg, rho)
 	t := mom.Tightness
 	blended := blendIn(a, t, f, 1-t, g)

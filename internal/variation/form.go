@@ -136,6 +136,13 @@ func (f Form) Sigma(space *Space) float64 { return math.Sqrt(f.Var(space)) }
 func Cov(f, g Form, space *Space) float64 {
 	c := 0.0
 	i, j := 0, 0
+	// Aligned-prefix fast path; see AXPYIn.
+	for i < len(f.Terms) && i < len(g.Terms) && f.Terms[i].ID == g.Terms[i].ID {
+		s := space.Sigma(f.Terms[i].ID)
+		c += f.Terms[i].Coef * g.Terms[i].Coef * s * s
+		i++
+	}
+	j = i
 	for i < len(f.Terms) && j < len(g.Terms) {
 		a, b := f.Terms[i], g.Terms[j]
 		switch {
@@ -156,8 +163,11 @@ func Cov(f, g Form, space *Space) float64 {
 // Corr returns the correlation coefficient of f and g (eq. 43). It is 0
 // when either form is deterministic.
 func Corr(f, g Form, space *Space) float64 {
-	sf := f.Sigma(space)
-	sg := g.Sigma(space)
+	return corrFrom(f, g, f.Sigma(space), g.Sigma(space), space)
+}
+
+// corrFrom is Corr given the sigmas sf, sg of f and g already in hand.
+func corrFrom(f, g Form, sf, sg float64, space *Space) float64 {
 	if sf == 0 || sg == 0 {
 		return 0
 	}
@@ -275,7 +285,7 @@ func Min(f, g Form, space *Space) MinResult {
 	}
 	sf := f.Sigma(space)
 	sg := g.Sigma(space)
-	rho := Corr(f, g, space)
+	rho := corrFrom(f, g, sf, sg, space)
 	mom := stats.MinNormals(f.Nominal, sf, g.Nominal, sg, rho)
 	t := mom.Tightness
 	// Blend sensitivities: t·beta_f + (1-t)·beta_g (eq. 38), then set the

@@ -57,6 +57,9 @@ type Source struct {
 // into it densely.
 type Space struct {
 	sources []Source
+	// sigmas[id] is sources[id].Sigma, kept dense: every Var, Cov and
+	// varDiff walk reads it once per term.
+	sigmas []float64
 }
 
 // NewSpace returns an empty source registry.
@@ -69,6 +72,7 @@ func (s *Space) Add(class Class, sigma float64, label string) SourceID {
 	}
 	id := SourceID(len(s.sources))
 	s.sources = append(s.sources, Source{ID: id, Class: class, Sigma: sigma, Label: label})
+	s.sigmas = append(s.sigmas, sigma)
 	return id
 }
 
@@ -81,7 +85,7 @@ func (s *Space) Source(id SourceID) Source {
 }
 
 // Sigma returns the standard deviation of source id.
-func (s *Space) Sigma(id SourceID) float64 { return s.sources[id].Sigma }
+func (s *Space) Sigma(id SourceID) float64 { return s.sigmas[id] }
 
 // CountByClass returns how many sources belong to each class.
 func (s *Space) CountByClass() map[Class]int {

@@ -14,8 +14,7 @@
 #                               256/1024 over the SoA candidate frontier;
 #                               B/op tracks arena bytes per list size)
 #   * end-to-end insertion     (internal/core + root: NOM/WID presets,
-#                               Serial vs Par4 vs Auto4 for the speedup
-#                               ratio and the auto-serial degrade)
+#                               Serial vs Par4 for the speedup ratio)
 #   * library scaling          (internal/core: InsertLib{8,32} on r3 with
 #                               the n-cell ScaledLibrary; the *Exact
 #                               variants pin the pre-hull kernel so the
