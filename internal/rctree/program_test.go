@@ -31,6 +31,11 @@ func randomCase(rng *rand.Rand, tree *rctree.Tree) (rctree.Assignment, rctree.Wi
 	return bufs, wires
 }
 
+// oneLane serves vals[k] as the one lane of slot k to RootRATs.
+func oneLane(vals []rctree.BufferValues) func(k int) []rctree.BufferValues {
+	return func(k int) []rctree.BufferValues { return vals[k : k+1] }
+}
+
 // compiledRAT compiles (tree, bufs, wires) and evaluates it with the
 // assignment's values in slot order.
 func compiledRAT(tree *rctree.Tree, bufs rctree.Assignment, wires rctree.WireAssignment) (float64, error) {
@@ -46,7 +51,9 @@ func compiledRAT(tree *rctree.Tree, bufs rctree.Assignment, wires rctree.WireAss
 	for k, id := range p.Buffers {
 		vals[k] = bufs[id]
 	}
-	return p.RootRAT(vals, make([]rctree.LT, p.Len())), nil
+	out := make([]float64, 1)
+	p.RootRATs(oneLane(vals), out, p.Scratch(1))
+	return out[0], nil
 }
 
 // checkAgainstReference asserts that Compile accepts exactly what
@@ -89,7 +96,8 @@ func TestProgramMatchesEvaluateSized(t *testing.T) {
 			t.Fatal(err)
 		}
 		vals := make([]rctree.BufferValues, len(p.Buffers))
-		scratch := make([]rctree.LT, p.Len())
+		scratch := p.Scratch(1)
+		out := make([]float64, 1)
 		for draw := 0; draw < 5; draw++ {
 			for k, id := range p.Buffers {
 				v := rctree.BufferValues{C: 0.5 + 10*rng.Float64(), T: 5 + 45*rng.Float64(), R: 0.05 + 2*rng.Float64()}
@@ -100,7 +108,8 @@ func TestProgramMatchesEvaluateSized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := p.RootRAT(vals, scratch); math.Float64bits(got) != math.Float64bits(ref.RootRAT) {
+			p.RootRATs(oneLane(vals), out, scratch)
+			if got := out[0]; math.Float64bits(got) != math.Float64bits(ref.RootRAT) {
 				t.Fatalf("trial %d draw %d: compiled %v != reference %v", trial, draw, got, ref.RootRAT)
 			}
 		}

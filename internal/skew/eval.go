@@ -33,7 +33,9 @@ func Propagate(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]i
 // (max minus min source-to-sink Elmore delay) of the buffered tree. The
 // tree and assignment are validated and compiled once, through the same
 // step as the yield Monte Carlo, and sample i reads the same keyed draws
-// as the yield samplers' sample i for the same seed.
+// and deviations as the yield samplers' sample i for the same seed: the
+// blocks of one yield.Sampler, each lane's buffer values materialized
+// for the per-sample skew walk.
 func MonteCarlo(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int,
 	model *variation.Model, n int, seed int64) ([]float64, error) {
 	if n <= 0 {
@@ -45,9 +47,22 @@ func MonteCarlo(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]
 	}
 	s := d.Sampler(seed)
 	vals := make([]dstate, d.Tree.Len())
+	var lanes [yield.Lanes][]rctree.BufferValues
+	for b := range lanes {
+		lanes[b] = make([]rctree.BufferValues, len(d.Tree.Buffers))
+	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = sampleSkew(d.Tree, s.Sample(i), vals)
+	for i := 0; i < n; i += yield.Lanes {
+		m := min(yield.Lanes, n-i)
+		s.Block(i, m)
+		for k := range d.Tree.Buffers {
+			for b, v := range s.Buffers(k) {
+				lanes[b][k] = v
+			}
+		}
+		for b := range m {
+			out[i+b] = sampleSkew(d.Tree, lanes[b], vals)
+		}
 	}
 	return out, nil
 }

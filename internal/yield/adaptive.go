@@ -18,6 +18,7 @@ package yield
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"vabuf/internal/device"
 	"vabuf/internal/rctree"
@@ -97,13 +98,15 @@ func MonteCarloAdaptive(tree *rctree.Tree, lib device.Library, assign map[rctree
 		return nil, Estimate{}, err
 	}
 	samplers := make([]*Sampler, min(stats.Workers(opts.Workers), opts.MaxSamples))
-	samples := make([]float64, opts.MaxSamples)
-	// sorted is the drawn prefix in ascending order; each chunk is
-	// sorted on its own and merged in, linear in the prefix per chunk.
-	sorted := make([]float64, 0, opts.MaxSamples)
+	// samples and sorted grow chunk by chunk: most runs stop long
+	// before the cap. sorted is the drawn prefix in ascending order;
+	// each chunk is sorted on its own and merged in, linear in the
+	// prefix per chunk.
+	var samples, sorted []float64
 	var run stats.Running
 	var est Estimate
 	for _, chunk := range stats.ShardPlan(opts.MaxSamples) {
+		samples = slices.Grow(samples, chunk.Count)[:chunk.End()]
 		d.sample(samples, opts.Seed, chunk, samplers)
 		part := samples[chunk.From:chunk.End()]
 		run.AddAll(part)

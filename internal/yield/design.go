@@ -30,10 +30,11 @@ type Design struct {
 	// shared holds the deviation prefixes two or more slots share: a
 	// form's nominal and all of its terms but the last. Each is
 	// evaluated once per sample.
-	shared []variation.Form
+	shared []laneForm
 	// sources lists, ascending, the IDs of the sources the slots'
 	// deviations reference, and sigma their standard deviations: the
-	// only sources a sample draws.
+	// only sources a sample draws. A laneTerm names a source by its
+	// position here.
 	sources []variation.SourceID
 	sigma   []float64
 }
@@ -44,8 +45,28 @@ type slot struct {
 	cb0, tb0, rb float64
 	dev          variation.Form
 	// pre indexes the slot's prefix in Design.shared, or is -1 when no
-	// other slot shares it and the sampler evaluates dev in full.
-	pre int32
+	// other slot shares it. A sample's D starts at the prefix's value,
+	// or at dev's nominal when pre is -1, and folds in terms: dev's last
+	// term, or all of them.
+	pre   int32
+	terms []laneTerm
+}
+
+// values returns the buffer values the slot realizes at deviation d.
+func (sl *slot) values(d float64) rctree.BufferValues {
+	return rctree.BufferValues{C: sl.cb0 * (1 + d), T: sl.tb0 * (1 + d), R: sl.rb}
+}
+
+// laneForm is a form whose terms name sources by their position in
+// Design.sources, the layout of a Sampler's block.
+type laneForm struct {
+	nominal float64
+	terms   []laneTerm
+}
+
+type laneTerm struct {
+	src  int32
+	coef float64
 }
 
 // Compile validates a buffered tree once and compiles it. It is the
@@ -85,8 +106,7 @@ func Compile(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]int
 			}
 		}
 	}
-	d.shared = sharePrefixes(d.slots)
-	d.reference()
+	d.index()
 	return d, nil
 }
 
@@ -177,20 +197,54 @@ func (d *Design) rootRAT(tight func(kids []int32, t float64)) variation.Form {
 	return root.T.AXPY(-d.Tree.DriverR, root.L)
 }
 
-// reference records, ascending, the IDs of the sources the slots' forms
-// name, with their sigmas.
-func (d *Design) reference() {
-	used := make([]bool, d.Space.Len())
+// index records, ascending, the IDs of the sources the slots' forms
+// name, with their sigmas, finds the shared prefixes and rewrites the
+// prefixes and the slots' folds over source positions.
+func (d *Design) index() {
+	prefixes := sharePrefixes(d.slots)
+	d.sources, d.sigma = nil, nil
+	pos := make([]int32, d.Space.Len())
 	for _, sl := range d.slots {
 		for _, t := range sl.dev.Terms {
-			used[t.ID] = true
+			pos[t.ID] = 1 // referenced; numbered below
 		}
 	}
-	for id, u := range used {
-		if u {
+	for id, used := range pos {
+		if used != 0 {
+			pos[id] = int32(len(d.sources))
 			d.sources = append(d.sources, variation.SourceID(id))
 			d.sigma = append(d.sigma, d.Space.Sigma(variation.SourceID(id)))
 		}
+	}
+	// A slot folds its last term after its shared prefix, or all of
+	// its terms; every fold is a piece of one backing array.
+	fold := func(sl *slot) []variation.Term {
+		if sl.pre >= 0 {
+			return sl.dev.Terms[len(sl.dev.Terms)-1:]
+		}
+		return sl.dev.Terms
+	}
+	total := 0
+	for _, f := range prefixes {
+		total += len(f.Terms)
+	}
+	for k := range d.slots {
+		total += len(fold(&d.slots[k]))
+	}
+	all := make([]laneTerm, 0, total)
+	lane := func(terms []variation.Term) []laneTerm {
+		from := len(all)
+		for _, t := range terms {
+			all = append(all, laneTerm{src: pos[t.ID], coef: t.Coef})
+		}
+		return all[from:len(all):len(all)]
+	}
+	d.shared = make([]laneForm, len(prefixes))
+	for i, f := range prefixes {
+		d.shared[i] = laneForm{nominal: f.Nominal, terms: lane(f.Terms)}
+	}
+	for k := range d.slots {
+		d.slots[k].terms = lane(fold(&d.slots[k]))
 	}
 }
 

@@ -94,18 +94,22 @@ func TestCompiledNetsShareDraws(t *testing.T) {
 	draws := variation.NewDraws(5)
 	var all []float64
 	shared := 0
-	for _, i := range []int{0, 1, 77, 4096} {
-		a.Sample(i)
-		b.Sample(i)
-		all = model.Space.Sample(draws, i, all)
-		for _, id := range progs[0].sources {
-			if a.src[id] != all[id] {
-				t.Fatalf("sample %d source %d: %v drawn, %v in the full draw", i, id, a.src[id], all[id])
-			}
-			if _, ok := slices.BinarySearch(progs[1].sources, id); ok {
-				shared++
-				if a.src[id] != b.src[id] {
-					t.Fatalf("sample %d source %d: the two nets drew %v and %v", i, id, a.src[id], b.src[id])
+	const n = 3
+	for _, i0 := range []int{0, 1, 77, 4096} {
+		a.Block(i0, n)
+		b.Block(i0, n)
+		for lane := range n {
+			i := i0 + lane
+			all = model.Space.Sample(draws, i, all)
+			for j, id := range progs[0].sources {
+				if x := a.x[j*n+lane]; x != all[id] {
+					t.Fatalf("sample %d source %d: %v drawn, %v in the full draw", i, id, x, all[id])
+				}
+				if jb, ok := slices.BinarySearch(progs[1].sources, id); ok {
+					shared++
+					if xa, xb := a.x[j*n+lane], b.x[jb*n+lane]; xa != xb {
+						t.Fatalf("sample %d source %d: the two nets drew %v and %v", i, id, xa, xb)
+					}
 				}
 			}
 		}
@@ -123,6 +127,11 @@ func FuzzSampleRanges(f *testing.F) {
 	f.Add([]byte{40, 3, 17, 9, 2, 1, 0}, int64(1))
 	f.Add([]byte{1}, int64(-7))
 	f.Add([]byte{255, 0, 255, 128, 64, 32, 16, 8, 4, 2, 1}, int64(99))
+	// Cuts inside blocks of Lanes samples: ranges of 5, 16, 16 and 3
+	// samples from 0, 5, 21 and 37; 3, 1 and 3 samples; 17, 16 and 17.
+	f.Add([]byte{39, 5, 21, 37, 2, 0, 3, 1}, int64(4))
+	f.Add([]byte{6, 3, 4, 1, 0}, int64(5))
+	f.Add([]byte{49, 17, 33, 1, 2}, int64(6))
 	nets := pinnedNets(f)
 	var progs []*Design
 	for _, p := range nets {
@@ -176,14 +185,22 @@ func FuzzSampleRanges(f *testing.F) {
 // the space in ID order, N(0, 1) times its sigma, sample after sample.
 func oldStreamSample(p *Design, space *variation.Space, n int, seed int64) []float64 {
 	s := p.Sampler(seed)
-	s.src = make([]float64, space.Len())
+	all := make([]float64, space.Len())
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]float64, n)
-	for i := range out {
-		for j := range s.src {
-			s.src[j] = rng.NormFloat64() * space.Sigma(variation.SourceID(j))
+	for i0 := 0; i0 < n; i0 += Lanes {
+		m := min(Lanes, n-i0)
+		s.n = m
+		for b := range m {
+			for j := range all {
+				all[j] = rng.NormFloat64() * space.Sigma(variation.SourceID(j))
+			}
+			for j, id := range p.sources {
+				s.x[j*m+b] = all[id]
+			}
 		}
-		out[i] = p.Tree.RootRAT(s.realize(), s.vals)
+		s.prefixes()
+		s.rootRATs(out[i0 : i0+m])
 	}
 	return out
 }

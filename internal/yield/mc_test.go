@@ -15,8 +15,8 @@ func prefixProgram(space *variation.Space, forms []variation.Form) *Design {
 	for k, f := range forms {
 		slots[k] = slot{cb0: 1, tb0: 2, rb: 3, dev: f}
 	}
-	p := &Design{Tree: &rctree.Program{}, Space: space, slots: slots, shared: sharePrefixes(slots)}
-	p.reference()
+	p := &Design{Tree: &rctree.Program{}, Space: space, slots: slots}
+	p.index()
 	return p
 }
 
@@ -45,10 +45,11 @@ func prefixBitsEqual(f, g variation.Form) bool {
 	return true
 }
 
-// checkPrefixProgram draws n samples from p and fails unless every
-// slot's deviation, C and T equal what a plain dev.Eval(src) gives, bit
-// for bit up to NaN payloads, and unless every pair of slots with equal
-// non-empty prefixes shares one prefix.
+// checkPrefixProgram draws n samples from p in blocks of 1, 2, 4, 8 and
+// then Lanes samples, and fails unless every lane's deviation, C and T
+// equal what a plain dev.Eval gives on the full-space draw of its
+// sample, bit for bit up to NaN payloads, and unless every pair of
+// slots with equal non-empty prefixes shares one prefix.
 func checkPrefixProgram(t *testing.T, p *Design, n int, seed int64) {
 	t.Helper()
 	for a := range p.slots {
@@ -63,20 +64,31 @@ func checkPrefixProgram(t *testing.T, p *Design, n int, seed int64) {
 		}
 	}
 	s := p.Sampler(seed)
-	for i := 0; i < n; i++ {
-		bufs := s.Sample(i)
+	draws := variation.NewDraws(seed)
+	var src []float64
+	dev := make([]float64, Lanes)
+	for i0 := 0; i0 < n; {
+		m := min(n-i0, 1+i0%Lanes)
+		s.Block(i0, m)
 		for k := range p.slots {
 			sl := &p.slots[k]
-			want := sl.dev.Eval(s.src)
-			if got := sl.deviation(s.src, s.pv); !sameBits(got, want) {
-				t.Fatalf("sample %d slot %d: deviation %v (%#x), Eval %v (%#x)",
-					i, k, got, math.Float64bits(got), want, math.Float64bits(want))
-			}
-			c, tt := sl.cb0*(1+want), sl.tb0*(1+want)
-			if !sameBits(bufs[k].C, c) || !sameBits(bufs[k].T, tt) {
-				t.Fatalf("sample %d slot %d: C, T = %v, %v, want %v, %v", i, k, bufs[k].C, bufs[k].T, c, tt)
+			s.deviation(k, dev[:m])
+			bufs := s.Buffers(k)
+			for b := range m {
+				i := i0 + b
+				src = p.Space.Sample(draws, i, src)
+				want := sl.dev.Eval(src)
+				if got := dev[b]; !sameBits(got, want) {
+					t.Fatalf("sample %d slot %d: deviation %v (%#x), Eval %v (%#x)",
+						i, k, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				c, tt := sl.cb0*(1+want), sl.tb0*(1+want)
+				if !sameBits(bufs[b].C, c) || !sameBits(bufs[b].T, tt) {
+					t.Fatalf("sample %d slot %d: C, T = %v, %v, want %v, %v", i, k, bufs[b].C, bufs[b].T, c, tt)
+				}
 			}
 		}
+		i0 += m
 	}
 }
 
