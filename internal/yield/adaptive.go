@@ -18,7 +18,6 @@ package yield
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"vabuf/internal/device"
 	"vabuf/internal/rctree"
@@ -98,19 +97,19 @@ func MonteCarloAdaptive(tree *rctree.Tree, lib device.Library, assign map[rctree
 		return nil, Estimate{}, err
 	}
 	samplers := make([]*Sampler, min(stats.Workers(opts.Workers), opts.MaxSamples))
-	// samples and sorted grow chunk by chunk: most runs stop long
-	// before the cap. sorted is the drawn prefix in ascending order;
-	// each chunk is sorted on its own and merged in, linear in the
-	// prefix per chunk.
+	// samples and sorted grow with the chunks, since most runs stop
+	// long before the cap. sorted is the drawn prefix in ascending
+	// order; each chunk is sorted on its own and merged in, linear in
+	// the prefix per chunk.
 	var samples, sorted []float64
 	var run stats.Running
 	var est Estimate
 	for _, chunk := range stats.ShardPlan(opts.MaxSamples) {
-		samples = slices.Grow(samples, chunk.Count)[:chunk.End()]
+		samples = reserve(samples, chunk.End(), opts.MaxSamples)[:chunk.End()]
 		d.sample(samples, opts.Seed, chunk, samplers)
 		part := samples[chunk.From:chunk.End()]
 		run.AddAll(part)
-		sorted = stats.MergeSorted(sorted, part)
+		sorted = stats.MergeSorted(reserve(sorted, chunk.End(), opts.MaxSamples), part)
 		q, hw, err := stats.QuantileEstimate(sorted, opts.Quantile, conf)
 		if err != nil {
 			return nil, Estimate{}, err
@@ -129,4 +128,16 @@ func MonteCarloAdaptive(tree *rctree.Tree, lib device.Library, assign map[rctree
 		}
 	}
 	return samples[:est.Samples:est.Samples], est, nil
+}
+
+// reserve returns s with capacity for n values, moving it to an array
+// of twice its capacity, capped at limit, when it is too small. A run
+// to the cap therefore allocates about twice its final vector.
+func reserve(s []float64, n, limit int) []float64 {
+	if n <= cap(s) {
+		return s
+	}
+	t := make([]float64, len(s), min(max(n, 2*cap(s)), limit))
+	copy(t, s)
+	return t
 }
