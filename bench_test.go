@@ -291,6 +291,20 @@ func benchMCr3(b *testing.B, tol float64, heterogeneous bool) {
 	b.ReportMetric(float64(samples), "samples")
 }
 
+// BenchmarkEvaluateYieldR3 times the canonical yield of r3's WID
+// solution: compiling the design and propagating its root RAT form
+// (yield.Evaluate), the canonical half of a yield-mc operation.
+func BenchmarkEvaluateYieldR3(b *testing.B) {
+	tree, model, lib, assign := mcSetup(b, "r3", false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := vabuf.EvaluateYield(tree, lib, assign, model, 0.05); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMCR3Adaptive(b *testing.B)         { benchMCr3(b, 0.01, true) }
 func BenchmarkMCR3Fixed(b *testing.B)            { benchMCr3(b, 0, true) }
 func BenchmarkMCR3FixedHomogeneous(b *testing.B) { benchMCr3(b, 0, false) }

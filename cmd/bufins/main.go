@@ -10,8 +10,6 @@
 //	bufins -bench r1 -json    # machine-readable, the vabufd /v1/insert DTO
 //	bufins -batch reqs.json -server http://localhost:8577
 //	                          # POST a JSON array of requests as one batch
-//	bufins -batch reqs.json -server http://h1:8577,http://h2:8577
-//	                          # rotate to the next address on connect error/503
 //	bufins -bench r3 -stream -mc 32768 -mc-tol 0.01
 //	                          # stream adaptive Monte-Carlo yield analysis
 //
@@ -127,7 +125,7 @@ func run() error {
 		mcTol     = flag.Float64("mc-tol", 0, "adaptive MC: stop once the quantile CI half-width is within this relative tolerance (0 = burn the full -mc budget)")
 		seed      = flag.Int64("seed", 0, "Monte-Carlo seed for -stream mode (0 = server default)")
 		serverURL = flag.String("server", "http://localhost:8577",
-			"comma-separated vabufd (or vabufr) base URLs for -batch and -stream modes; rotates to the next address on connect error or 503")
+			"vabufd (or vabufr) base URL for -batch and -stream modes; put vabufr in front of several backends")
 		retries   = flag.Int("retries", 4, "batch-mode retries on 429/503/transport errors (0 disables)")
 		retryBase = flag.Duration("retry-base", 250*time.Millisecond, "initial retry backoff (doubles per attempt, with jitter)")
 		retryMax  = flag.Duration("retry-max", 5*time.Second, "backoff cap; Retry-After overrides the computed delay")
@@ -154,7 +152,7 @@ func run() error {
 		if *stream {
 			return fmt.Errorf("-batch and -stream are exclusive")
 		}
-		servers, err := parseServerList(*serverURL)
+		base, err := baseURL(*serverURL)
 		if err != nil {
 			return err
 		}
@@ -162,7 +160,7 @@ func run() error {
 		if *timeout > 0 {
 			pol.deadline = time.Now().Add(*timeout)
 		}
-		return runBatch(*batchFile, servers, pol)
+		return runBatch(*batchFile, base, pol)
 	}
 
 	if *stream {
@@ -207,7 +205,7 @@ func run() error {
 		case *bench == "":
 			return fmt.Errorf("one of -bench or -tree is required")
 		}
-		servers, err := parseServerList(*serverURL)
+		base, err := baseURL(*serverURL)
 		if err != nil {
 			return err
 		}
@@ -215,7 +213,7 @@ func run() error {
 		if *timeout > 0 {
 			pol.deadline = time.Now().Add(*timeout)
 		}
-		return runStream(req, servers, pol, *jsonOut)
+		return runStream(req, base, pol, *jsonOut)
 	}
 
 	if err := server.CheckUnitInterval("-pbar", *pbar); err != nil {
@@ -361,44 +359,18 @@ func run() error {
 	return nil
 }
 
-// serverList is the set of candidate base URLs behind -server. The
-// client talks to one address at a time and rotates to the next on a
-// connect error or 503 — 429 means the *current* server's queue is full
-// and its Retry-After is specific to it, so 429 retries stay put.
-type serverList struct {
-	addrs []string
-	cur   int
-}
-
-// parseServerList splits a comma-separated -server value, trimming
-// whitespace and trailing slashes.
-func parseServerList(s string) (*serverList, error) {
-	var addrs []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, strings.TrimRight(a, "/"))
-		}
+// baseURL checks the -server value and trims its trailing slashes. One
+// address only: spreading load or failing over across backends is
+// vabufr's job (health probes, breakers and a retry budget).
+func baseURL(s string) (string, error) {
+	s = strings.TrimRight(strings.TrimSpace(s), "/")
+	switch {
+	case s == "":
+		return "", fmt.Errorf("-server needs a base URL")
+	case strings.Contains(s, ","):
+		return "", fmt.Errorf("-server takes one base URL; put vabufr in front of several backends")
 	}
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("-server needs at least one base URL")
-	}
-	return &serverList{addrs: addrs}, nil
-}
-
-// url joins the current address with an endpoint path.
-func (s *serverList) url(path string) string { return s.addrs[s.cur] + path }
-
-// current returns the current base URL (for log messages).
-func (s *serverList) current() string { return s.addrs[s.cur] }
-
-// rotate advances to the next address, reporting whether it moved
-// (a single-address list has nowhere to rotate to).
-func (s *serverList) rotate() bool {
-	if len(s.addrs) < 2 {
-		return false
-	}
-	s.cur = (s.cur + 1) % len(s.addrs)
-	return true
+	return s, nil
 }
 
 // retryPolicy is the batch-mode retry schedule: capped exponential
@@ -453,17 +425,14 @@ func retryableStatus(code int) bool {
 	return code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable
 }
 
-// postWithRetry posts payload to path on the server list, retrying
-// transport errors and retryable statuses per the policy. Connect
-// errors and 503 rotate to the next -server address before retrying
-// (the failed box may be down or draining while a sibling is fine);
-// 429 stays on the same address and honors its Retry-After. It returns
-// the final response (which may still carry a retryable status once
-// attempts are exhausted).
-func postWithRetry(servers *serverList, path string, payload []byte, pol retryPolicy) (*http.Response, error) {
+// postWithRetry posts payload to path on the base URL, retrying
+// transport errors and retryable statuses per the policy and honoring a
+// 429's or 503's Retry-After. It returns the final response (which may
+// still carry a retryable status once attempts are exhausted).
+func postWithRetry(base, path string, payload []byte, pol retryPolicy) (*http.Response, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequest(http.MethodPost, servers.url(path), bytes.NewReader(payload))
+		req, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader(payload))
 		if err != nil {
 			return nil, err
 		}
@@ -481,10 +450,8 @@ func postWithRetry(servers *serverList, path string, payload []byte, pol retryPo
 			return resp, nil
 		}
 		retryAfter := ""
-		rotated := false
 		if err != nil {
 			lastErr = err
-			rotated = servers.rotate()
 		} else {
 			retryAfter = resp.Header.Get("Retry-After")
 			if attempt >= pol.retries {
@@ -493,13 +460,6 @@ func postWithRetry(servers *serverList, path string, payload []byte, pol retryPo
 			// Discard the overload body; the retried call answers afresh.
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode == http.StatusServiceUnavailable {
-				if rotated = servers.rotate(); rotated {
-					// The sibling is a different box; its load has
-					// nothing to do with the Retry-After we just got.
-					retryAfter = ""
-				}
-			}
 		}
 		if attempt >= pol.retries {
 			return nil, lastErr
@@ -513,13 +473,8 @@ func postWithRetry(servers *serverList, path string, payload []byte, pol retryPo
 			}
 			return nil, fmt.Errorf("-timeout budget spent after %d attempts (server busy)", attempt+1)
 		}
-		if rotated {
-			fmt.Fprintf(os.Stderr, "bufins: server unavailable (attempt %d/%d), rotating to %s in %s\n",
-				attempt+1, pol.retries, servers.current(), d.Round(time.Millisecond))
-		} else {
-			fmt.Fprintf(os.Stderr, "bufins: server busy (attempt %d/%d), retrying in %s\n",
-				attempt+1, pol.retries, d.Round(time.Millisecond))
-		}
+		fmt.Fprintf(os.Stderr, "bufins: server busy (attempt %d/%d), retrying in %s\n",
+			attempt+1, pol.retries, d.Round(time.Millisecond))
 		time.Sleep(d)
 	}
 }
@@ -531,7 +486,7 @@ func postWithRetry(servers *serverList, path string, payload []byte, pol retryPo
 // aggregate status or any failed item is reported on stderr; per-item
 // errors do not abort the batch (exit is non-zero only when the call
 // itself failed).
-func runBatch(file string, servers *serverList, pol retryPolicy) error {
+func runBatch(file, base string, pol retryPolicy) error {
 	var raw []byte
 	var err error
 	if file == "-" {
@@ -550,7 +505,7 @@ func runBatch(file string, servers *serverList, pol retryPolicy) error {
 	if err != nil {
 		return err
 	}
-	resp, err := postWithRetry(servers, "/v1/insert:batch", payload, pol)
+	resp, err := postWithRetry(base, "/v1/insert:batch", payload, pol)
 	if err != nil {
 		return err
 	}
@@ -576,12 +531,12 @@ func runBatch(file string, servers *serverList, pol retryPolicy) error {
 // NDJSON event stream: progress events tick on stderr, the final result
 // prints on stdout (the full /v1/yield DTO with -json), and an error
 // event carries the status the plain endpoint would have answered.
-func runStream(req server.YieldRequest, servers *serverList, pol retryPolicy, jsonOut bool) error {
+func runStream(req server.YieldRequest, base string, pol retryPolicy, jsonOut bool) error {
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	resp, err := postWithRetry(servers, "/v1/yield:stream", payload, pol)
+	resp, err := postWithRetry(base, "/v1/yield:stream", payload, pol)
 	if err != nil {
 		return err
 	}

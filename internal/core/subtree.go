@@ -317,7 +317,14 @@ func (e *engine) storeSubtree(id rctree.NodeID, pl polarityLists) bool {
 			cl.dec[i] = scratch.clone()
 			bytes += int64(len(cl.dec[i].bufs)+len(cl.dec[i].wires)) * 8
 		}
-		bytes += int64(nTerms)*16 + int64(n)*(4*8+4*24+32)
+		// Per candidate: its float64 columns (ln, tn, and sl, st, vl
+		// when the rule needs sigmas) and four slice headers (lt, tt and
+		// its decisions' two lists).
+		cols := int64(2)
+		if cl.sl != nil {
+			cols = 5
+		}
+		bytes += int64(nTerms)*16 + int64(n)*(cols*8+4*24)
 		ent.lists[p] = cl
 	}
 	ent.bytes = bytes

@@ -20,7 +20,7 @@ func Propagate(tree *rctree.Tree, lib device.Library, assign map[rctree.NodeID]i
 	if err != nil {
 		return variation.Form{}, variation.Form{}, fmt.Errorf("skew: %w", err)
 	}
-	root := yield.Walk(d, yield.FormOps[state]{
+	root := yield.Walk(d, nil, yield.FormOps[state]{
 		Sink:   func(v rctree.LT) state { return state{L: variation.Const(v.L)} },
 		Wire:   state.wired,
 		Merge:  func(acc, child state, _ []int32) state { return acc.merged(child, d.Space) },

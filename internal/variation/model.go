@@ -62,16 +62,23 @@ type Model struct {
 	// cached spatial weight stencils keyed by grid cell, since every site
 	// inside one cell sees the same neighbourhood weights.
 	stencil map[int][]Term
-	// devs memoizes Deviation per site key. An entry is reused only when
-	// the location matches too, so a model shared by trees that place one
-	// key at different points still answers each as a fresh model would.
-	devs map[int]siteDeviation
+	// devs memoizes Deviation per (site key, location): up to
+	// deviationLocs locations per key, oldest first; see Deviation.
+	devs map[int][]siteDeviation
 	// token identifies this model instance process-wide. Source allocation
 	// is lazy and per-instance, so forms (and anything derived from them,
 	// like cached DP frontiers) are only comparable within one instance;
 	// caches key on the token to never mix instances.
 	token uint64
 }
+
+// deviationLocs bounds how many locations the Deviation memo keeps per
+// site key. Several nets placed on one die share one model, and each
+// net numbers its nodes from 0, so one key names a site in every net
+// that has that node: a block of up to deviationLocs nets resolved in
+// turn is answered from the memo alone. The bound keeps a long-lived
+// shared model whose sites keep moving from growing without limit.
+const deviationLocs = 8
 
 // siteDeviation is one memoized Deviation result.
 type siteDeviation struct {
@@ -111,7 +118,7 @@ func NewModel(cfg ModelConfig) (*Model, error) {
 		Grid:    grid,
 		random:  make(map[int]SourceID),
 		stencil: make(map[int][]Term),
-		devs:    make(map[int]siteDeviation),
+		devs:    make(map[int][]siteDeviation),
 		token:   modelTokens.Add(1),
 	}
 	m.interDie = m.Space.Add(ClassInterDie, 1, "G")
@@ -191,13 +198,19 @@ func (m *Model) spatialStencil(cell int) []Term {
 // be stable per physical location so identical sites share their random
 // source across candidate solutions.
 //
-// The form is memoized per (siteKey, loc): a repeated call returns the
-// same form, whose terms the caller must treat as read-only (as every
-// Form operation does), and touches no model state. A model on which
-// every site has been resolved is therefore safe for concurrent readers.
+// The form is memoized per (siteKey, loc), for up to deviationLocs
+// locations per key: a repeated call returns the same form, whose terms
+// the caller must treat as read-only (as every Form operation does), and
+// touches no model state. Only a miss writes, replacing the key's oldest
+// location once it holds deviationLocs, so resolving one tree never
+// evicts that tree's own sites, and a model on which every site has been
+// resolved is safe for concurrent readers.
 func (m *Model) Deviation(siteKey int, loc geom.Point) Form {
-	if d, ok := m.devs[siteKey]; ok && d.loc == loc {
-		return d.form
+	memo := m.devs[siteKey]
+	for _, d := range memo {
+		if d.loc == loc {
+			return d.form
+		}
 	}
 	terms := make([]Term, 0, 16)
 	if f := m.Config.RandomFrac; f > 0 {
@@ -216,7 +229,12 @@ func (m *Model) Deviation(siteKey int, loc geom.Point) Form {
 		terms = append(terms, Term{ID: m.interDie, Coef: f})
 	}
 	form := NewForm(0, terms)
-	m.devs[siteKey] = siteDeviation{loc: loc, form: form}
+	if len(memo) == deviationLocs {
+		copy(memo, memo[1:])
+		memo[len(memo)-1] = siteDeviation{loc: loc, form: form}
+	} else {
+		m.devs[siteKey] = append(memo, siteDeviation{loc: loc, form: form})
+	}
 	return form
 }
 

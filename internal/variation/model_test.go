@@ -2,6 +2,7 @@ package variation
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"vabuf/internal/geom"
@@ -240,5 +241,135 @@ func TestDeviationMemo(t *testing.T) {
 	}
 	if again := m.Deviation(7, a); !formsEqual(again, d1) {
 		t.Errorf("Deviation(7, %v) changed after a moved lookup: %v, want %v", a, again, d1)
+	}
+}
+
+// sitePlacements returns nets trees' worth of locations for the site keys
+// 0..keys-1: net i places key k at its own point on the die, so every
+// key has a different location in every net, as node IDs do on a die
+// several nets share.
+func sitePlacements(nets, keys int) [][]geom.Point {
+	out := make([][]geom.Point, nets)
+	for i := range out {
+		out[i] = make([]geom.Point, keys)
+		for k := range out[i] {
+			out[i][k] = geom.Point{
+				X: float64((k*733 + i*2917) % 9900),
+				Y: float64((k*389 + i*4111) % 9900),
+			}
+		}
+	}
+	return out
+}
+
+// TestDeviationMemoAlternatingTrees resolves trees that place the same
+// site keys at different locations on one model, in turn, more times
+// than the memo's bound; every answer must equal what a fresh model
+// resolving that tree alone answers. With two trees the second pass is
+// all hits and allocates nothing.
+func TestDeviationMemoAlternatingTrees(t *testing.T) {
+	const keys = 40
+	cfg := DefaultConfig(die10mm())
+	cfg.Heterogeneous = true
+	for _, nets := range []int{2, deviationLocs, deviationLocs + 3} {
+		trees := sitePlacements(nets, keys)
+		want := make([][]Form, nets)
+		for i, locs := range trees {
+			fresh, err := NewModel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, loc := range locs {
+				want[i] = append(want[i], fresh.Deviation(k, loc))
+			}
+		}
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 3; pass++ {
+			for i, locs := range trees {
+				for k, loc := range locs {
+					if got := m.Deviation(k, loc); !formsEqual(got, want[i][k]) {
+						t.Fatalf("%d nets, pass %d, tree %d key %d: %v, fresh model %v", nets, pass, i, k, got, want[i][k])
+					}
+				}
+			}
+		}
+		if nets == deviationLocs+3 {
+			continue // past the bound: correct answers, not all hits
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			for _, locs := range trees {
+				for k, loc := range locs {
+					m.Deviation(k, loc)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d nets: an alternating pass over resolved trees allocated %v times", nets, allocs)
+		}
+	}
+}
+
+// TestDeviationMemoKeepsOwnSites: once a key holds deviationLocs
+// locations, resolving a tree replaces the oldest one, never a site of
+// the tree being resolved, so the tree's repeated lookups stay hits.
+func TestDeviationMemoKeepsOwnSites(t *testing.T) {
+	m, err := NewModel(DefaultConfig(die10mm()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := sitePlacements(deviationLocs+1, 1)
+	first := m.Deviation(0, trees[0][0])
+	for _, locs := range trees[1:] {
+		m.Deviation(0, locs[0])
+	}
+	last := trees[deviationLocs][0]
+	held := m.Deviation(0, last)
+	if again := m.Deviation(0, last); &again.Terms[0] != &held.Terms[0] {
+		t.Error("a repeated lookup of the newest location missed")
+	}
+	if again := m.Deviation(0, trees[0][0]); &again.Terms[0] == &first.Terms[0] {
+		t.Error("the oldest location survived a full memo's miss")
+	}
+}
+
+// TestDeviationConcurrentReaders: many goroutines reading a model on
+// which two trees' sites are resolved get the memoized forms and, since a
+// hit never writes, pass the race detector.
+func TestDeviationConcurrentReaders(t *testing.T) {
+	m, err := NewModel(DefaultConfig(die10mm()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := sitePlacements(2, 64)
+	want := make([][]Form, len(trees))
+	for i, locs := range trees {
+		for k, loc := range locs {
+			want[i] = append(want[i], m.Deviation(k, loc))
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				i := (g + rep) % len(trees)
+				for k, loc := range trees[i] {
+					if got := m.Deviation(k, loc); &got.Terms[0] != &want[i][k].Terms[0] {
+						errs <- "a reader got a form other than the memoized one"
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

@@ -137,8 +137,10 @@ type FormOps[S any] struct {
 }
 
 // Walk pushes states bottom-up through the design in post order and
-// returns the root's, before the driver.
-func Walk[S any](d *Design, ops FormOps[S]) S {
+// returns the root's, before the driver. The slot forms Buffer receives
+// take their terms from a, or from the heap when a is nil; arena-backed
+// forms are valid until a is released.
+func Walk[S any](d *Design, a *variation.Arena, ops FormOps[S]) S {
 	p := d.Tree
 	vals := make([]S, p.Len())
 	for i := range p.Node {
@@ -161,8 +163,8 @@ func Walk[S any](d *Design, ops FormOps[S]) S {
 		}
 		if s := p.Slot[i]; s >= 0 {
 			sl := &d.slots[s]
-			cb := variation.Const(sl.cb0).Add(sl.dev.Scale(sl.cb0))
-			tb := variation.Const(sl.tb0).Add(sl.dev.Scale(sl.tb0))
+			cb := variation.Const(sl.cb0).AddIn(a, sl.dev.ScaleIn(a, sl.cb0))
+			tb := variation.Const(sl.tb0).AddIn(a, sl.dev.ScaleIn(a, sl.tb0))
 			cur = ops.Buffer(cur, cb, tb, sl.rb)
 		}
 		vals[i] = cur
@@ -176,25 +178,29 @@ type lt struct{ L, T variation.Form }
 // rootRAT walks the design with the (L, T) operations of §4.2 and
 // returns the root RAT form including the driver delay. tight, when
 // non-nil, observes every merge: kids as in FormOps.Merge and t the
-// probability that the earlier kids realize the minimum.
+// probability that the earlier kids realize the minimum. The walk's
+// forms live on one arena, released on return; only the root form is
+// copied out.
 func (d *Design) rootRAT(tight func(kids []int32, t float64)) variation.Form {
-	root := Walk(d, FormOps[lt]{
+	a := variation.NewArena()
+	defer a.Release()
+	root := Walk(d, a, FormOps[lt]{
 		Sink: func(v rctree.LT) lt { return lt{L: variation.Const(v.L), T: variation.Const(v.T)} },
 		Wire: func(s lt, e *rctree.Edge) lt {
-			return lt{L: s.L.Shift(e.CL), T: s.T.AXPY(-e.RL, s.L).Shift(-e.Half)}
+			return lt{L: s.L.Shift(e.CL), T: s.T.AXPYIn(a, -e.RL, s.L).Shift(-e.Half)}
 		},
 		Merge: func(acc, child lt, kids []int32) lt {
-			res := variation.Min(acc.T, child.T, d.Space)
+			res := variation.MinIn(a, acc.T, child.T, d.Space)
 			if tight != nil {
 				tight(kids, res.Moments.Tightness)
 			}
-			return lt{L: acc.L.Add(child.L), T: res.Form}
+			return lt{L: acc.L.AddIn(a, child.L), T: res.Form}
 		},
 		Buffer: func(s lt, c, t variation.Form, r float64) lt {
-			return lt{L: c, T: s.T.Sub(t).AXPY(-r, s.L)}
+			return lt{L: c, T: s.T.SubIn(a, t).AXPYIn(a, -r, s.L)}
 		},
 	})
-	return root.T.AXPY(-d.Tree.DriverR, root.L)
+	return root.T.AXPYIn(a, -d.Tree.DriverR, root.L).Clone()
 }
 
 // index records, ascending, the IDs of the sources the slots' forms

@@ -279,3 +279,34 @@ func TestD2DAssignmentEvaluatedUnderWIDModel(t *testing.T) {
 		t.Error("5th-percentile RAT above the mean")
 	}
 }
+
+// TestPropagateOutlivesItsWalk: the canonical walk runs on an arena it
+// releases on return, so the root form it hands back must not share the
+// arena's storage: later walks, which reuse the released slabs, leave an
+// earlier result unchanged.
+func TestPropagateOutlivesItsWalk(t *testing.T) {
+	tr, model, lib := testSetup(t, 40, 5)
+	assign := someAssignment(tr)
+	rat, err := Propagate(tr, lib, assign, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rat.IsDeterministic() {
+		t.Fatal("WID propagation has no variation terms")
+	}
+	want := rat.Clone()
+	other, _, _ := testSetup(t, 60, 6)
+	for range 4 {
+		if _, err := Propagate(other, lib, someAssignment(other), model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if math.Float64bits(rat.Nominal) != math.Float64bits(want.Nominal) || len(rat.Terms) != len(want.Terms) {
+		t.Fatalf("root form changed after later walks: %v, was %v", rat, want)
+	}
+	for i := range rat.Terms {
+		if rat.Terms[i] != want.Terms[i] {
+			t.Fatalf("root form term %d changed after later walks: %v, was %v", i, rat.Terms[i], want.Terms[i])
+		}
+	}
+}

@@ -33,6 +33,8 @@
 #                               deviation prefixes are shared;
 #                               MonteCarloParallel, 2000 r1
 #                               samples)
+#   * canonical yield          (root: EvaluateYieldR3, compiling r3's WID
+#                               design and propagating its root RAT form)
 set -eu
 
 COUNT=5
@@ -60,7 +62,7 @@ run() { # run <pkg> <bench-regex>
 run ./internal/variation/ 'AXPY|Min|SigmaDiff'
 run ./internal/core/ 'Prune|Insert'
 run ./internal/server/ 'ServeInsert'
-run . 'InsertWIDr[35](Serial|Par4)$|MCR3|MonteCarloParallel$'
+run . 'InsertWIDr[35](Serial|Par4)$|MCR3|MonteCarloParallel$|EvaluateYieldR3$'
 
 # Fold the `go test -bench` lines into a JSON array, one object per
 # benchmark with the median of each metric across the COUNT repetitions.
