@@ -15,7 +15,7 @@ import (
 func benchFrontier(n int, sigmas bool) (*frontier, *variation.Space) {
 	space := variation.NewSpace()
 	rng := rand.New(rand.NewSource(7))
-	f := newFrontier(n, sigmas)
+	f := newFrontier(new(colPool), n, sigmas)
 	for i := 0; i < n; i++ {
 		pushStatCand(f, space, rng.Float64()*50, rng.Float64(),
 			-rng.Float64()*50, rng.Float64())
@@ -33,8 +33,9 @@ func (f *frontier) copyFrom(src *frontier) {
 	if src.sl != nil {
 		f.sl = append(f.sl[:0], src.sl...)
 		f.st = append(f.st[:0], src.st...)
+		f.vl = append(f.vl[:0], src.vl...)
 	} else {
-		f.sl, f.st = nil, nil
+		f.sl, f.st, f.vl = nil, nil, nil
 	}
 }
 
@@ -43,8 +44,8 @@ func benchmarkPrune(b *testing.B, rule Rule, pbar float64, n int) {
 	needSig := rule == Rule4P || pbar != 0.5
 	base, space := benchFrontier(n, needSig)
 	var st Stats
-	p := newPruner(space, opts, &st)
-	work := newFrontier(n, needSig)
+	p := newPruner(space, opts, &st, new(colPool))
+	work := newFrontier(new(colPool), n, needSig)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

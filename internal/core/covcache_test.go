@@ -119,8 +119,8 @@ func checkSharedCov(t *testing.T, seed uint64, gap float64) {
 			continue // the exact-means sweep never calls dominates2P
 		}
 		var st Stats
-		p := newPruner(space, Options{PbarL: pbar, PbarT: pbar, FourP: DefaultFourP()}, &st)
-		fr := newFrontier(2, p.needSigmas())
+		p := newPruner(space, Options{PbarL: pbar, PbarT: pbar, FourP: DefaultFourP()}, &st, new(colPool))
+		fr := newFrontier(new(colPool), 2, p.needSigmas())
 		ta := variation.Form{Nominal: 50 + r.Float64(), Terms: randTerms(r, n)}
 		tb := variation.Form{Nominal: 50 - r.Float64(), Terms: randTerms(r, n)}
 		la, lb := lf, lg

@@ -8,7 +8,7 @@ package core
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -57,36 +57,48 @@ type frontier struct {
 	ref []int32
 }
 
-// newFrontier returns an empty frontier with room for n candidates.
-func newFrontier(n int, sigmas bool) *frontier {
-	f := &frontier{
-		ln:  make([]float64, 0, n),
-		tn:  make([]float64, 0, n),
-		lt:  make([][]variation.Term, 0, n),
-		tt:  make([][]variation.Term, 0, n),
-		ref: make([]int32, 0, n),
-	}
+// newFrontier returns an empty frontier with room for n candidates, its
+// columns taken from cp (see colPool).
+func newFrontier(cp *colPool, n int, sigmas bool) *frontier {
+	f := cp.frontier()
+	f.ln = cp.f64.get(n)
+	f.tn = cp.f64.get(n)
+	f.lt = cp.terms.get(n)
+	f.tt = cp.terms.get(n)
+	f.ref = cp.i32.get(n)
 	if sigmas {
-		f.sl = make([]float64, 0, n)
-		f.st = make([]float64, 0, n)
-		f.vl = make([]float64, 0, n)
+		f.sl = cp.f64.get(n)
+		f.st = cp.f64.get(n)
+		f.vl = cp.f64.get(n)
 	}
 	return f
 }
 
-// reserve grows every column so that n more candidates fit without a
-// reallocation; a column with that room already is left as it is.
-func (f *frontier) reserve(n int) {
-	f.ln = slices.Grow(f.ln, n)
-	f.tn = slices.Grow(f.tn, n)
-	f.lt = slices.Grow(f.lt, n)
-	f.tt = slices.Grow(f.tt, n)
-	f.ref = slices.Grow(f.ref, n)
+// reserve makes room for n more candidates in every column. A column
+// without that room moves to a larger one from cp, and its old backing
+// goes back to cp.
+func (f *frontier) reserve(cp *colPool, n int) {
+	f.ln = grow(&cp.f64, f.ln, n)
+	f.tn = grow(&cp.f64, f.tn, n)
+	f.lt = grow(&cp.terms, f.lt, n)
+	f.tt = grow(&cp.terms, f.tt, n)
+	f.ref = grow(&cp.i32, f.ref, n)
 	if f.sl != nil {
-		f.sl = slices.Grow(f.sl, n)
-		f.st = slices.Grow(f.st, n)
-		f.vl = slices.Grow(f.vl, n)
+		f.sl = grow(&cp.f64, f.sl, n)
+		f.st = grow(&cp.f64, f.st, n)
+		f.vl = grow(&cp.f64, f.vl, n)
 	}
+}
+
+// grow returns s with room for n more elements, moving it to a column
+// from fl when it has less.
+func grow[T any](fl *freeList[T], s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	d := append(fl.get(len(s)+n), s...)
+	fl.put(s)
+	return d
 }
 
 // len reports the number of candidates; a nil frontier is empty.
@@ -111,15 +123,26 @@ func (f *frontier) tform(i int) variation.Form {
 // frontier carries them (exactly the values Form.Var and Form.Sigma
 // return).
 func (f *frontier) push(l, t variation.Form, ref int32, space *variation.Space) {
+	v := 0.0
+	if f.sl != nil {
+		v = l.Var(space)
+	}
+	f.pushVar(l, t, v, ref, space)
+}
+
+// pushVar is push for a caller that already holds vl = l.Var(space):
+// every buffered candidate of one type at a site carries that type's
+// load form, and a wired candidate keeps its load terms. vl is ignored
+// when the frontier carries no moments.
+func (f *frontier) pushVar(l, t variation.Form, vl float64, ref int32, space *variation.Space) {
 	f.ln = append(f.ln, l.Nominal)
 	f.tn = append(f.tn, t.Nominal)
 	f.lt = append(f.lt, l.Terms)
 	f.tt = append(f.tt, t.Terms)
 	f.ref = append(f.ref, ref)
 	if f.sl != nil {
-		v := l.Var(space)
-		f.vl = append(f.vl, v)
-		f.sl = append(f.sl, math.Sqrt(v))
+		f.vl = append(f.vl, vl)
+		f.sl = append(f.sl, math.Sqrt(vl))
 		f.st = append(f.st, t.Sigma(space))
 	}
 }
@@ -153,6 +176,90 @@ func (f *frontier) truncate(n int) {
 		f.st = f.st[:n]
 		f.vl = f.vl[:n]
 	}
+}
+
+// colPool recycles the frontier columns of one DP worker. Every
+// candidate list lives only from the DP step that builds it to the step
+// that consumes it (a merge, a sort gather, a wire library's union), so
+// a worker that hands the consumed columns back here takes its next
+// columns from them instead of from the heap. Columns come in
+// power-of-two capacity classes, one free list per element type.
+//
+// A pool is touched only by its worker's goroutine. A spawned worker's
+// lists reach its parent after the join and are recycled into the
+// parent's pool; the spawned worker's own free lists die with it. Pools
+// die with the run.
+type colPool struct {
+	f64    freeList[float64]
+	terms  freeList[[]variation.Term]
+	i32    freeList[int32]
+	fronts []*frontier
+}
+
+// colMinShift is the log2 capacity of the smallest column class.
+const colMinShift = 3
+
+// freeList holds free columns of one element type; class k holds
+// columns of capacity 1<<(k+colMinShift).
+type freeList[T any] [bits.UintSize - colMinShift][][]T
+
+// colClass returns the smallest class whose capacity holds n elements.
+func colClass(n int) int {
+	return max(bits.Len(uint(max(n, 1)-1)), colMinShift) - colMinShift
+}
+
+// get returns an empty column with room for at least n elements.
+func (fl *freeList[T]) get(n int) []T {
+	k := colClass(n)
+	if l := fl[k]; len(l) > 0 {
+		fl[k] = l[:len(l)-1]
+		return l[len(l)-1]
+	}
+	return make([]T, 0, 1<<(k+colMinShift))
+}
+
+// put files s under the largest class its capacity covers. A column of
+// term lists is cleared first, up to its capacity, so a free column
+// pins no arena slab.
+func (fl *freeList[T]) put(s []T) {
+	k := bits.Len(uint(cap(s))) - 1 - colMinShift
+	if k < 0 {
+		return
+	}
+	if ts, ok := any(s).([][]variation.Term); ok {
+		clear(ts[:cap(ts)])
+	}
+	fl[k] = append(fl[k], s[:0:1<<(k+colMinShift)])
+}
+
+// frontier returns a frontier header with no columns.
+func (cp *colPool) frontier() *frontier {
+	if len(cp.fronts) == 0 {
+		return &frontier{}
+	}
+	f := cp.fronts[len(cp.fronts)-1]
+	cp.fronts = cp.fronts[:len(cp.fronts)-1]
+	return f
+}
+
+// release hands every column of f, and f itself, back to cp. Neither
+// may be used afterwards; a nil f is a no-op.
+func (cp *colPool) release(f *frontier) {
+	if f == nil {
+		return
+	}
+	cp.f64.put(f.ln)
+	cp.f64.put(f.tn)
+	cp.terms.put(f.lt)
+	cp.terms.put(f.tt)
+	cp.i32.put(f.ref)
+	if f.sl != nil {
+		cp.f64.put(f.sl)
+		cp.f64.put(f.st)
+		cp.f64.put(f.vl)
+	}
+	*f = frontier{}
+	cp.fronts = append(cp.fronts, f)
 }
 
 // polarityLists holds the candidate frontiers per required signal polarity:

@@ -92,9 +92,11 @@ type hullPick struct {
 	p     int8
 }
 
-// hullDev holds one buffer type's load and delay forms at a site.
+// hullDev holds one buffer type's load and delay forms at a site, and
+// the load form's variance, which every pick of the type caches.
 type hullDev struct {
 	cb, tb variation.Form
+	cbVar  float64
 }
 
 // prep resets the per-site state for polarity p and builds the tn
@@ -272,10 +274,10 @@ func (w *worker) hull2P(id rctree.NodeID, pl polarityLists) polarityLists {
 	for bi, b := range e.opts.Library {
 		cbForm := dev.ScaleIn(w.terms, b.Cb0).Shift(b.Cb0)
 		tbForm := dev.ScaleIn(w.terms, b.Tb0).Shift(b.Tb0)
-		hs.devs = append(hs.devs, hullDev{cb: cbForm, tb: tbForm})
+		cbVar := cbForm.Var(e.space) // the moments every pick caches
+		hs.devs = append(hs.devs, hullDev{cb: cbForm, tb: tbForm, cbVar: cbVar})
 		tbn := tbForm.Nominal
 		nrb := -b.Rb
-		cbVar := cbForm.Var(e.space) // the moments push will cache
 		cbSigma := math.Sqrt(cbVar)
 		tbSigma := tbForm.Sigma(e.space)
 		lOK := probAtLeastShared(0, cbSigma, cbSigma, w.prn.zL, cbVar)
@@ -341,7 +343,7 @@ func (w *worker) hull2P(id rctree.NodeID, pl polarityLists) polarityLists {
 		d := hs.devs[pk.bi]
 		nt := src.tform(i).SubIn(w.terms, d.tb).AXPYIn(w.terms, -b.Rb, src.lform(i))
 		ref := w.prov.alloc(prov{pred: src.ref[i], pred2: -1, node: id, aux: pk.bi, op: opBuffer})
-		out[target].push(d.cb, nt, ref, e.space)
+		out[target].pushVar(d.cb, nt, d.cbVar, ref, e.space)
 	}
 	w.stats.Generated += int64(len(hs.picks))
 	if len(hs.picks) > w.stats.HullPeak {

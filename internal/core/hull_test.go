@@ -80,58 +80,104 @@ func assertHullRun(t *testing.T, label string, hull, exact *Result) {
 	}
 }
 
+// hullConfigs are the regimes of the hull differential check, by name.
+var hullConfigs = []string{"det", "2P-0.5", "2P-0.9", "2P-L0.9-T0.5", "2P-L0.5-T0.9", "wiresize"}
+
+// checkHullDifferential solves a random net with a random library in the
+// named regime and holds the hull kernel to the exact kernel's serial
+// run: serially, and at par workers (2–4) through a cold subtree cache,
+// whose Generated, Pruned, Merges and ArenaUsedBytes must also equal
+// the serial hull run's. It then edits one sink's RAT and re-solves at
+// par workers from that cache, so restored lists flow through the
+// recycled frontier columns too; the warm run must equal a fresh exact
+// serial solve of the edited net. It returns the warm run's cache hits.
+func checkHullDifferential(t *testing.T, seed int64, cfg string, par int) int64 {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed * 977))
+	tr, err := benchgen.Random(benchgen.Spec{Sinks: 6 + rng.Intn(35), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := randomLibrary(rng)
+	model, err := variation.NewModel(variation.DefaultConfig(tr.BoundingBox().Expand(100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wireLib := []rctree.WireChoice{
+		{Name: "w1", Params: tr.Wire},
+		{Name: "w2", Params: rctree.WireParams{R: tr.Wire.R * 0.55, C: tr.Wire.C * 1.7}},
+	}
+	opts := map[string]Options{
+		"det":          {Library: lib},
+		"2P-0.5":       {Library: lib, Model: model},
+		"2P-0.9":       {Library: lib, Model: model, PbarL: 0.9, PbarT: 0.9},
+		"2P-L0.9-T0.5": {Library: lib, Model: model, PbarL: 0.9, PbarT: 0.5},
+		"2P-L0.5-T0.9": {Library: lib, Model: model, PbarL: 0.5, PbarT: 0.9},
+		"wiresize":     {Library: lib, Model: model, WireLibrary: wireLib},
+	}[cfg]
+	run := func(tr *rctree.Tree, hull HullMode, par int, cache *SubtreeCache) *Result {
+		t.Helper()
+		o := opts
+		o.HullBuffering, o.Parallelism = hull, par
+		if cache != nil {
+			o.SubtreeCache, o.SubtreeCacheMinNodes = cache, 4
+		}
+		res, err := Insert(tr, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	exact := run(tr, HullOff, 1, nil)
+	serial := run(tr, HullAuto, 1, nil)
+	assertHullRun(t, "serial/auto", serial, exact)
+	cache := NewSubtreeCache(0)
+	got := run(tr, HullAuto, par, cache)
+	assertHullRun(t, "parallel", got, exact)
+	g, s := got.Stats, serial.Stats
+	if g.Generated != s.Generated || g.Pruned != s.Pruned || g.Merges != s.Merges || g.ArenaUsedBytes != s.ArenaUsedBytes {
+		t.Errorf("parallel at %d workers: gen %d pruned %d merges %d arena %d B, serial %d %d %d %d B",
+			par, g.Generated, g.Pruned, g.Merges, g.ArenaUsedBytes, s.Generated, s.Pruned, s.Merges, s.ArenaUsedBytes)
+	}
+
+	edited := tr.Clone()
+	sinks := edited.Sinks()
+	edited.Node(sinks[rng.Intn(len(sinks))]).RAT -= 5 + 50*rng.Float64()
+	warm := run(edited, HullAuto, par, cache)
+	assertSameSolution(t, "warm", warm, run(edited, HullOff, 1, nil))
+	return warm.Stats.SubtreeHits
+}
+
 // TestHullDifferentialFuzz is the randomized half of the bit-identity
 // contract: random trees × random libraries × every 2P pbar flavor, hull
-// on vs. off, serial and parallel.
+// on vs. off, serial and at 2–4 workers, cold and from a warm subtree
+// cache. Some warm re-solve must restore a cached subtree.
 func TestHullDifferentialFuzz(t *testing.T) {
+	hits := int64(0)
 	for seed := int64(1); seed <= 12; seed++ {
-		rng := rand.New(rand.NewSource(seed * 977))
-		tr, err := benchgen.Random(benchgen.Spec{Sinks: 6 + rng.Intn(35), Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lib := randomLibrary(rng)
-		model, err := variation.NewModel(variation.DefaultConfig(tr.BoundingBox().Expand(100)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wireLib := []rctree.WireChoice{
-			{Name: "w1", Params: tr.Wire},
-			{Name: "w2", Params: rctree.WireParams{R: tr.Wire.R * 0.55, C: tr.Wire.C * 1.7}},
-		}
-		configs := map[string]Options{
-			"det":          {Library: lib},
-			"2P-0.5":       {Library: lib, Model: model},
-			"2P-0.9":       {Library: lib, Model: model, PbarL: 0.9, PbarT: 0.9},
-			"2P-L0.9-T0.5": {Library: lib, Model: model, PbarL: 0.9, PbarT: 0.5},
-			"2P-L0.5-T0.9": {Library: lib, Model: model, PbarL: 0.5, PbarT: 0.9},
-			"wiresize":     {Library: lib, Model: model, WireLibrary: wireLib},
-		}
-		for name, opts := range configs {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, name), func(t *testing.T) {
-				exactOpts := opts
-				exactOpts.HullBuffering = HullOff
-				exact, err := Insert(tr, exactOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hullOpts := opts
-				hullOpts.HullBuffering = HullAuto
-				got, err := Insert(tr, hullOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertHullRun(t, "serial/auto", got, exact)
-				parOpts := opts
-				parOpts.Parallelism = 4
-				got, err = Insert(tr, parOpts) // HullAuto is the default
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertHullRun(t, "parallel", got, exact)
+		for _, cfg := range hullConfigs {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, cfg), func(t *testing.T) {
+				hits += checkHullDifferential(t, seed, cfg, 2+int(seed)%3)
 			})
 		}
 	}
+	if hits == 0 {
+		t.Error("no warm re-solve restored a cached subtree")
+	}
+}
+
+// FuzzFrontierReuse drives the hull differential check with fuzzed
+// nets, regimes and worker counts. Every frontier column of these runs
+// comes from and goes back to a worker's column pool, so a column
+// recycled while still read, or handed out twice, shows up as a
+// differing float or counter.
+func FuzzFrontierReuse(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(2), uint8(1))
+	f.Add(int64(3), uint8(5), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, cfg, par uint8) {
+		checkHullDifferential(t, seed, hullConfigs[int(cfg)%len(hullConfigs)], 2+int(par%3))
+	})
 }
 
 // TestHullFallbackUnsorted drives the certification guard directly: an
@@ -192,8 +238,8 @@ func TestMaxLoadNominalSemantics(t *testing.T) {
 		e := &engine{opts: opts, space: space, hull: mode != HullOff}
 		w := &worker{eng: e, terms: variation.NewArena()}
 		w.prov = provWriter{pa: &e.prov}
-		w.prn = newPruner(space, opts, &w.stats)
-		f := newFrontier(2, w.prn.needSigmas())
+		w.prn = newPruner(space, opts, &w.stats, &w.cols)
+		f := newFrontier(new(colPool), 2, w.prn.needSigmas())
 		// Mean load under the cap, +1σ load far over it: must be buffered.
 		pushStatCand(f, space, nominal, sigma, -20, 1)
 		// Mean load over the cap: must be filtered, however small its σ.

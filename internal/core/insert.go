@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"vabuf/internal/rctree"
+	"vabuf/internal/stats"
 	"vabuf/internal/variation"
 )
 
@@ -66,6 +68,8 @@ type worker struct {
 	prov  provWriter
 	terms *variation.Arena
 	hull  hullScratch
+	// cols recycles the worker's frontier columns (see colPool).
+	cols colPool
 }
 
 // errAborted is the sentinel a worker returns when it stops because a
@@ -141,7 +145,7 @@ func Insert(tree *rctree.Tree, opts Options) (*Result, error) {
 func (e *engine) newWorker() *worker {
 	w := &worker{eng: e, terms: variation.NewArena()}
 	w.prov = provWriter{pa: &e.prov}
-	w.prn = newPruner(e.space, e.opts, &w.stats)
+	w.prn = newPruner(e.space, e.opts, &w.stats, &w.cols)
 	w.prn.ctx = e.ctx
 	e.mu.Lock()
 	e.arenas = append(e.arenas, w.terms)
@@ -306,6 +310,8 @@ func (w *worker) dpCompute(id rctree.NodeID) (polarityLists, error) {
 		}
 		// Join: wire each subtree up to this node and merge in child
 		// order — the same operation sequence as the serial engine.
+		// A spawned worker's lists belong to this worker from the join
+		// on, so the columns of every consumed list go to w.cols.
 		for i, child := range kids {
 			var wired polarityLists
 			for p := 0; p < 2; p++ {
@@ -320,6 +326,8 @@ func (w *worker) dpCompute(id rctree.NodeID) (polarityLists, error) {
 			// polarity; a polarity unavailable on either side dies.
 			for p := 0; p < 2; p++ {
 				if pl[p].len() == 0 || wired[p].len() == 0 {
+					w.cols.release(pl[p])
+					w.cols.release(wired[p])
 					pl[p] = nil
 					continue
 				}
@@ -327,6 +335,8 @@ func (w *worker) dpCompute(id rctree.NodeID) (polarityLists, error) {
 				if err != nil {
 					return polarityLists{}, e.fail(err)
 				}
+				w.cols.release(pl[p])
+				w.cols.release(wired[p])
 				pl[p] = w.prn.prune(merged)
 			}
 		}
@@ -360,7 +370,7 @@ func (w *worker) dpCompute(id rctree.NodeID) (polarityLists, error) {
 
 // leaf builds the sink frontier (eq. "L = CapLoad, T = RAT").
 func (w *worker) leaf(id rctree.NodeID, node *rctree.Node) *frontier {
-	f := newFrontier(1, w.prn.needSigmas())
+	f := newFrontier(&w.cols, 1, w.prn.needSigmas())
 	ref := w.prov.alloc(prov{pred: -1, pred2: -1, node: id, aux: -1, op: opLeaf})
 	f.push(variation.Const(node.CapLoad), variation.Const(node.RAT), ref, w.eng.space)
 	w.stats.Generated++
@@ -371,26 +381,30 @@ func (w *worker) leaf(id rctree.NodeID, node *rctree.Node) *frontier {
 // (eq. 25–26 / 33–34). Without wire sizing the transformation is
 // order-preserving, so a pruned, sorted input stays pruned and sorted;
 // with a wire library every choice is generated and the union pruned.
+// Either way the wired list is new and the input's columns are recycled.
 func (w *worker) wireUp(parent, child rctree.NodeID, f *frontier) *frontier {
 	l := w.eng.tree.Node(child).WireLen
-	if l == 0 {
+	if l == 0 || f == nil {
 		return f
 	}
 	if len(w.eng.opts.WireLibrary) == 0 {
-		out := newFrontier(f.len(), w.prn.needSigmas())
+		out := newFrontier(&w.cols, f.len(), w.prn.needSigmas())
 		w.wireChoice(out, child, f, w.eng.tree.Wire, -1)
+		w.cols.release(f)
 		return out
 	}
-	out := newFrontier(f.len()*len(w.eng.opts.WireLibrary), w.prn.needSigmas())
+	out := newFrontier(&w.cols, f.len()*len(w.eng.opts.WireLibrary), w.prn.needSigmas())
 	for wi, wc := range w.eng.opts.WireLibrary {
 		w.wireChoice(out, child, f, wc.Params, int32(wi))
 	}
+	w.cols.release(f)
 	return w.prn.prune(out)
 }
 
 // wireChoice applies one wire option along the edge child → parent,
 // appending to out. The provenance records the child node so backtracking
-// can attribute the sizing decision to its edge.
+// can attribute the sizing decision to its edge. A wire shifts the load's
+// nominal and keeps its terms, so the input's load variance carries over.
 func (w *worker) wireChoice(out *frontier, child rctree.NodeID, f *frontier, wp rctree.WireParams, wi int32) {
 	l := w.eng.tree.Node(child).WireLen
 	halfRC := 0.5 * wp.R * wp.C * l * l
@@ -400,7 +414,11 @@ func (w *worker) wireChoice(out *frontier, child rctree.NodeID, f *frontier, wp 
 		nl := sL.Shift(wp.C * l)
 		nt := f.tform(i).AXPYIn(w.terms, -wp.R*l, sL).Shift(-halfRC)
 		ref := w.prov.alloc(prov{pred: f.ref[i], pred2: -1, node: child, aux: wi, op: opWire})
-		out.push(nl, nt, ref, w.eng.space)
+		vl := 0.0
+		if f.vl != nil {
+			vl = f.vl[i]
+		}
+		out.pushVar(nl, nt, vl, ref, w.eng.space)
 	}
 	w.stats.Generated += int64(n)
 }
@@ -468,9 +486,14 @@ func (w *worker) addBuffersExact(id rctree.NodeID, node *rctree.Node, pl polarit
 			out[p] = w.room(out[p], need[p])
 		}
 	}
+	needSig := w.prn.needSigmas()
 	for bi, b := range w.eng.opts.Library {
 		cbForm := dev.ScaleIn(w.terms, b.Cb0).Shift(b.Cb0)
 		tbForm := dev.ScaleIn(w.terms, b.Tb0).Shift(b.Tb0)
+		cbVar := 0.0
+		if needSig {
+			cbVar = cbForm.Var(w.eng.space) // shared by every pick of the type
+		}
 		for p := 0; p < 2; p++ {
 			target := p
 			if b.Inverting {
@@ -486,7 +509,7 @@ func (w *worker) addBuffersExact(id rctree.NodeID, node *rctree.Node, pl polarit
 				sT := src.tform(i)
 				nt := sT.SubIn(w.terms, tbForm).AXPYIn(w.terms, -b.Rb, src.lform(i))
 				ref := w.prov.alloc(prov{pred: src.ref[i], pred2: -1, node: id, aux: int32(bi), op: opBuffer})
-				out[target].push(cbForm, nt, ref, w.eng.space)
+				out[target].pushVar(cbForm, nt, cbVar, ref, w.eng.space)
 				w.stats.Generated++
 			}
 		}
@@ -496,13 +519,12 @@ func (w *worker) addBuffersExact(id rctree.NodeID, node *rctree.Node, pl polarit
 
 // room returns f with space for n more candidates, or a new frontier of
 // that capacity when f is nil. The buffering paths call it once per
-// target list and site, so the wired list, whose capacity is its
-// length, is not regrown push by push.
+// target list and site, so the wired list is not regrown push by push.
 func (w *worker) room(f *frontier, n int) *frontier {
 	if f == nil {
-		return newFrontier(n, w.prn.needSigmas())
+		return newFrontier(&w.cols, n, w.prn.needSigmas())
 	}
-	f.reserve(n)
+	f.reserve(&w.cols, n)
 	return f
 }
 
@@ -536,28 +558,33 @@ func (w *worker) contextErr(cause error) error {
 // selectRoot applies the driver delay to every surviving root candidate
 // and picks the one maximizing the objective: nominal RAT for
 // deterministic runs, the SelectQuantile RAT quantile (e.g. the 95%-yield
-// RAT at 0.05) for variation-aware runs.
+// RAT at 0.05) for variation-aware runs. A candidate is scored from its
+// RAT's nominal and variance, walked without building the form
+// (Form.AXPYVar); only the winner's form is built.
 func (e *engine) selectRoot(rootList *frontier) (*Result, error) {
 	if rootList.len() == 0 {
 		return nil, fmt.Errorf("core: no true-polarity candidates survived to the root" +
 			" (an inverter-only library cannot always deliver even inversion counts)")
 	}
 	deterministic := e.opts.Model == nil
+	s := -e.tree.DriverR
 	best := -1
-	var bestRAT variation.Form
 	bestObj := 0.0
 	for i := 0; i < rootList.len(); i++ {
-		rat := rootList.tform(i).AXPY(-e.tree.DriverR, rootList.lform(i))
-		obj := rat.Nominal
+		// The nominal of tform(i).AXPY(s, lform(i)).
+		obj := rootList.tn[i] + s*rootList.ln[i]
 		if !deterministic {
-			obj = rat.Quantile(e.opts.SelectQuantile, e.space)
+			v := rootList.tform(i).AXPYVar(s, rootList.lform(i), e.space)
+			obj = stats.NormalQuantile(e.opts.SelectQuantile, obj, math.Sqrt(v))
 		}
 		if best < 0 || obj > bestObj {
 			best = i
 			bestObj = obj
-			bestRAT = rat
 		}
 	}
+	// Detach the RAT from the (pooled) term arenas before they are
+	// released: the fast path of AXPY can alias a candidate's terms.
+	bestRAT := rootList.tform(best).AXPY(s, rootList.lform(best)).Clone()
 	var dec candDecisions
 	e.collectDecisions(rootList.ref[best], &dec)
 	assignment := make(map[rctree.NodeID]int, len(dec.bufs))
@@ -572,9 +599,6 @@ func (e *engine) selectRoot(rootList *frontier) (*Result, error) {
 		}
 	}
 	e.stats.Elapsed = time.Since(e.start)
-	// Detach the RAT from the (pooled) term arenas before they are
-	// released: the fast path of AXPY can alias a candidate's terms.
-	bestRAT = bestRAT.Clone()
 	return &Result{
 		Assignment:     assignment,
 		WireAssignment: wires,

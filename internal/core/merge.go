@@ -29,7 +29,7 @@ func (w *worker) mergeCand(dst *frontier, node rctree.NodeID, a *frontier, i int
 // the combination. The walk itself touches only the contiguous mean-T
 // slices; term lists are read just for the emitted combinations.
 func (w *worker) mergeLinear(node rctree.NodeID, a, b *frontier) (*frontier, error) {
-	out := newFrontier(a.len()+b.len(), w.prn.needSigmas())
+	out := newFrontier(&w.cols, a.len()+b.len(), w.prn.needSigmas())
 	at, bt := a.tn, b.tn
 	i, j := 0, 0
 	for i < len(at) && j < len(bt) {
@@ -58,7 +58,7 @@ func (w *worker) mergeCross(node rctree.NodeID, a, b *frontier) (*frontier, erro
 	if w.eng.maxCand > 0 && a.len()*b.len() > w.eng.maxCand {
 		return nil, w.capacityErr(a.len() * b.len())
 	}
-	out := newFrontier(a.len()*b.len(), w.prn.needSigmas())
+	out := newFrontier(&w.cols, a.len()*b.len(), w.prn.needSigmas())
 	for i := 0; i < a.len(); i++ {
 		for j := 0; j < b.len(); j++ {
 			w.mergeCand(out, node, a, i, b, j)
@@ -68,7 +68,8 @@ func (w *worker) mergeCross(node rctree.NodeID, a, b *frontier) (*frontier, erro
 	return out, nil
 }
 
-// merge dispatches on the active rule.
+// merge dispatches on the active rule. Both inputs stay intact; the
+// caller recycles them once the merged list is built.
 func (w *worker) merge(node rctree.NodeID, a, b *frontier) (*frontier, error) {
 	if w.eng.opts.Rule == Rule4P {
 		return w.mergeCross(node, a, b)

@@ -13,14 +13,14 @@ func testWorker(rule Rule) *worker {
 	e := &engine{opts: opts, space: variation.NewSpace()}
 	w := &worker{eng: e, terms: variation.NewArena()}
 	w.prov = provWriter{pa: &e.prov}
-	w.prn = newPruner(w.eng.space, opts, &w.stats)
+	w.prn = newPruner(w.eng.space, opts, &w.stats, &w.cols)
 	return w
 }
 
 // mkLeafFrontier builds a frontier of deterministic (L, T) candidates with
 // real opLeaf provenance records, so merges can be backtracked.
 func (w *worker) mkLeafFrontier(pairs ...[2]float64) *frontier {
-	f := newFrontier(len(pairs), w.prn.needSigmas())
+	f := newFrontier(new(colPool), len(pairs), w.prn.needSigmas())
 	for _, c := range pairs {
 		ref := w.prov.alloc(prov{pred: -1, pred2: -1, aux: -1, op: opLeaf})
 		f.push(variation.Const(c[0]), variation.Const(c[1]), ref, w.eng.space)
@@ -145,13 +145,13 @@ func TestMergeStatisticalCorrelation(t *testing.T) {
 	// smaller input (no Clark penalty).
 	w := testWorker(Rule2P)
 	src := w.eng.space.Add(variation.ClassInterDie, 1, "G")
-	a := newFrontier(1, false)
+	a := newFrontier(new(colPool), 1, false)
 	a.push(variation.Const(5),
 		variation.NewForm(-10, []variation.Term{{ID: src, Coef: 2}}), -1, w.eng.space)
-	b := newFrontier(1, false)
+	b := newFrontier(new(colPool), 1, false)
 	b.push(variation.Const(5),
 		variation.NewForm(-12, []variation.Term{{ID: src, Coef: 2}}), -1, w.eng.space)
-	m := newFrontier(1, false)
+	m := newFrontier(new(colPool), 1, false)
 	w.mergeCand(m, 0, a, 0, b, 0)
 	if m.tn[0] != -12 {
 		t.Errorf("correlated min mean = %g, want -12 exactly", m.tn[0])
@@ -160,15 +160,15 @@ func TestMergeStatisticalCorrelation(t *testing.T) {
 		t.Errorf("merged load = %g, want 10", m.ln[0])
 	}
 	// Independent inputs do get the Clark penalty (mean below both).
-	c := newFrontier(1, false)
+	c := newFrontier(new(colPool), 1, false)
 	c.push(variation.Const(5),
 		variation.NewForm(-10, []variation.Term{{ID: w.eng.space.Add(variation.ClassRandom, 1, "x"), Coef: 2}}),
 		-1, w.eng.space)
-	d := newFrontier(1, false)
+	d := newFrontier(new(colPool), 1, false)
 	d.push(variation.Const(5),
 		variation.NewForm(-10, []variation.Term{{ID: w.eng.space.Add(variation.ClassRandom, 1, "y"), Coef: 2}}),
 		-1, w.eng.space)
-	m2 := newFrontier(1, false)
+	m2 := newFrontier(new(colPool), 1, false)
 	w.mergeCand(m2, 0, c, 0, d, 0)
 	if !(m2.tn[0] < -10) {
 		t.Errorf("independent equal-mean min = %g, want below -10", m2.tn[0])

@@ -30,22 +30,23 @@ type pruner struct {
 	// stats sink
 	stats *Stats
 
-	// Reusable sort/prune scratch, grown on demand and swapped with the
-	// frontier's slices when applying a permutation (no per-prune allocs).
-	perm    []int32
-	scF64   [5][]float64
-	scTerms [2][][]variation.Term
-	scRef   []int32
-	dead    []bool
+	// cols supplies the columns the mean-sort gathers into and the 4P
+	// quantile keys; the columns a gather replaces go back to it.
+	cols *colPool
+	// perm and dead are reusable sort and 4P-prune scratch.
+	perm []int32
+	dead []bool
 }
 
-func newPruner(space *variation.Space, opts Options, st *Stats) *pruner {
+// newPruner builds the pruner of one worker, drawing columns from cols.
+func newPruner(space *variation.Space, opts Options, st *Stats, cols *colPool) *pruner {
 	p := &pruner{
 		space: space,
 		rule:  opts.Rule,
 		pbarL: opts.PbarL,
 		pbarT: opts.PbarT,
 		stats: st,
+		cols:  cols,
 	}
 	p.exactMeans = opts.PbarL == 0.5 && opts.PbarT == 0.5
 	if !p.exactMeans {
@@ -93,51 +94,29 @@ func (p *pruner) sortByMean(f *frontier) {
 		}
 		return cmp.Compare(tn[b], tn[a])
 	})
-	// Apply the permutation by gathering into scratch, then swapping the
-	// slice headers — the frontier adopts the scratch backing arrays and
-	// the old arrays become next prune's scratch.
-	f.ln = p.gatherF64(0, f.ln, perm)
-	f.tn = p.gatherF64(1, f.tn, perm)
+	// Apply the permutation by gathering each column into a fresh one
+	// from the pool; the old column goes back to the pool.
+	cp := p.cols
+	f.ln = gather(&cp.f64, f.ln, perm)
+	f.tn = gather(&cp.f64, f.tn, perm)
 	if f.sl != nil {
-		f.sl = p.gatherF64(2, f.sl, perm)
-		f.st = p.gatherF64(3, f.st, perm)
-		f.vl = p.gatherF64(4, f.vl, perm)
+		f.sl = gather(&cp.f64, f.sl, perm)
+		f.st = gather(&cp.f64, f.st, perm)
+		f.vl = gather(&cp.f64, f.vl, perm)
 	}
-	f.lt = p.gatherTerms(0, f.lt, perm)
-	f.tt = p.gatherTerms(1, f.tt, perm)
-	if cap(p.scRef) < n {
-		p.scRef = make([]int32, n)
-	}
-	dst := p.scRef[:n]
-	for i, j := range perm {
-		dst[i] = f.ref[j]
-	}
-	p.scRef = f.ref[:0]
-	f.ref = dst
+	f.lt = gather(&cp.terms, f.lt, perm)
+	f.tt = gather(&cp.terms, f.tt, perm)
+	f.ref = gather(&cp.i32, f.ref, perm)
 }
 
-func (p *pruner) gatherF64(slot int, src []float64, perm []int32) []float64 {
-	if cap(p.scF64[slot]) < len(perm) {
-		p.scF64[slot] = make([]float64, len(perm))
-	}
-	dst := p.scF64[slot][:len(perm)]
+// gather returns src permuted by perm in a column from fl and hands src
+// back to fl.
+func gather[T any](fl *freeList[T], src []T, perm []int32) []T {
+	dst := fl.get(len(perm))[:len(perm)]
 	for i, j := range perm {
 		dst[i] = src[j]
 	}
-	p.scF64[slot] = src[:0]
-	return dst
-}
-
-func (p *pruner) gatherTerms(slot int, src [][]variation.Term, perm []int32) [][]variation.Term {
-	if cap(p.scTerms[slot]) < len(perm) {
-		p.scTerms[slot] = make([][]variation.Term, len(perm))
-	}
-	dst := p.scTerms[slot][:len(perm)]
-	for i, j := range perm {
-		dst[i] = src[j]
-	}
-	clear(src) // drop term-slice references so the old backing array pins nothing
-	p.scTerms[slot] = src[:0]
+	fl.put(src)
 	return dst
 }
 
@@ -299,12 +278,11 @@ func gapClears(gap, sf, sg, z, cov float64) bool {
 func (p *pruner) prune4P(f *frontier) {
 	p.sortByMean(f) // helps locality; correctness does not depend on order
 	n := f.len()
-	// Quantile bounds, reusing the float64 scratch slots (the sort above
-	// left the previous key arrays there).
-	lLo := p.gatherQuad(0, f.ln, f.sl, p.zAlphaL)
-	lHi := p.gatherQuad(1, f.ln, f.sl, p.zAlphaU)
-	tLo := p.gatherQuad(2, f.tn, f.st, p.zBetaL)
-	tHi := p.gatherQuad(3, f.tn, f.st, p.zBetaU)
+	// Quantile bounds in pool columns, handed back after the pass.
+	lLo := p.quad(f.ln, f.sl, p.zAlphaL)
+	lHi := p.quad(f.ln, f.sl, p.zAlphaU)
+	tLo := p.quad(f.tn, f.st, p.zBetaL)
+	tHi := p.quad(f.tn, f.st, p.zBetaU)
 	if cap(p.dead) < n {
 		p.dead = make([]bool, n)
 	}
@@ -339,19 +317,14 @@ func (p *pruner) prune4P(f *frontier) {
 		}
 	}
 	f.truncate(kept)
-	// The quad arrays borrowed the scratch slots; hand them back so the
-	// next sort reuses the capacity.
-	p.scF64[0], p.scF64[1], p.scF64[2], p.scF64[3] = lLo[:0], lHi[:0], tLo[:0], tHi[:0]
+	for _, q := range [...][]float64{lLo, lHi, tLo, tHi} {
+		p.cols.f64.put(q)
+	}
 }
 
-// gatherQuad fills one quantile-bound array nominal + z*sigma in scratch
-// slot i, taking the slot's backing array.
-func (p *pruner) gatherQuad(slot int, nom, sig []float64, z float64) []float64 {
-	if cap(p.scF64[slot]) < len(nom) {
-		p.scF64[slot] = make([]float64, len(nom))
-	}
-	dst := p.scF64[slot][:len(nom)]
-	p.scF64[slot] = nil
+// quad returns the quantile-bound column nominal + z*sigma.
+func (p *pruner) quad(nom, sig []float64, z float64) []float64 {
+	dst := p.cols.f64.get(len(nom))[:len(nom)]
 	for i := range nom {
 		dst[i] = nom[i] + z*sig[i]
 	}

@@ -10,7 +10,7 @@ import (
 // mkFrontier builds a frontier of deterministic (L, T) candidates with no
 // provenance (ref -1); sigmas are carried when needSigmas is set.
 func mkFrontier(space *variation.Space, needSigmas bool, pairs ...[2]float64) *frontier {
-	f := newFrontier(len(pairs), needSigmas)
+	f := newFrontier(new(colPool), len(pairs), needSigmas)
 	for _, c := range pairs {
 		f.push(variation.Const(c[0]), variation.Const(c[1]), -1, space)
 	}
@@ -29,7 +29,7 @@ func pushStatCand(f *frontier, space *variation.Space, l, sl, t, st float64) {
 func defaultPruner(space *variation.Space) *pruner {
 	var st Stats
 	opts := Options{PbarL: 0.5, PbarT: 0.5, FourP: DefaultFourP()}
-	return newPruner(space, opts, &st)
+	return newPruner(space, opts, &st, new(colPool))
 }
 
 // assertStaircase checks the frontier is strictly ascending in both means.
@@ -94,7 +94,7 @@ func TestPrune2PInvariantsRandom(t *testing.T) {
 		space := variation.NewSpace()
 		p := defaultPruner(space)
 		n := 2 + rng.Intn(60)
-		f := newFrontier(n, false)
+		f := newFrontier(new(colPool), n, false)
 		for i := 0; i < n; i++ {
 			f.push(variation.Const(rng.Float64()*100), variation.Const(-rng.Float64()*100), -1, space)
 		}
@@ -122,11 +122,11 @@ func TestPrune2PHigherPbarKeepsMore(t *testing.T) {
 	// candidates are pruned than at pbar = 0.5 when variances overlap.
 	space := variation.NewSpace()
 	var stLow, stHigh Stats
-	low := newPruner(space, Options{PbarL: 0.5, PbarT: 0.5, FourP: DefaultFourP()}, &stLow)
-	high := newPruner(space, Options{PbarL: 0.95, PbarT: 0.95, FourP: DefaultFourP()}, &stHigh)
+	low := newPruner(space, Options{PbarL: 0.5, PbarT: 0.5, FourP: DefaultFourP()}, &stLow, new(colPool))
+	high := newPruner(space, Options{PbarL: 0.95, PbarT: 0.95, FourP: DefaultFourP()}, &stHigh, new(colPool))
 	mk := func(sigmas bool) *frontier {
 		// Overlapping distributions: means differ by less than a sigma.
-		f := newFrontier(8, sigmas)
+		f := newFrontier(new(colPool), 8, sigmas)
 		for i := 0; i < 8; i++ {
 			pushStatCand(f, space, 10+0.2*float64(i), 2.0, -50-0.2*float64(i), 2.0)
 		}
@@ -148,9 +148,9 @@ func TestPrune4PPartialOrder(t *testing.T) {
 	var st Stats
 	p := newPruner(space, Options{
 		Rule: Rule4P, PbarL: 0.5, PbarT: 0.5, FourP: DefaultFourP(),
-	}, &st)
+	}, &st, new(colPool))
 	// Clearly separated candidates: 4P dominance applies.
-	sep := newFrontier(2, true)
+	sep := newFrontier(new(colPool), 2, true)
 	pushStatCand(sep, space, 1, 0.01, -5, 0.01)   // tiny load, great RAT
 	pushStatCand(sep, space, 50, 0.01, -80, 0.01) // huge load, poor RAT
 	out := p.prune(sep)
@@ -158,7 +158,7 @@ func TestPrune4PPartialOrder(t *testing.T) {
 		t.Fatalf("4P failed to prune a clearly dominated candidate: kept %d", out.len())
 	}
 	// Overlapping quantile bands: no pruning (the partial-order weakness).
-	ovl := newFrontier(2, true)
+	ovl := newFrontier(new(colPool), 2, true)
 	pushStatCand(ovl, space, 10, 5, -50, 5)
 	pushStatCand(ovl, space, 11, 5, -51, 5)
 	out = p.prune(ovl)
@@ -191,14 +191,14 @@ func TestDominates2PMatchesDirectProbability(t *testing.T) {
 	}
 	for _, pbar := range []float64{0.6, 0.8, 0.95} {
 		var st Stats
-		p := newPruner(space, Options{PbarL: pbar, PbarT: pbar, FourP: DefaultFourP()}, &st)
+		p := newPruner(space, Options{PbarL: pbar, PbarT: pbar, FourP: DefaultFourP()}, &st, new(colPool))
 		for trial := 0; trial < 2000; trial++ {
 			aL, aT := mkForms()
 			bL, bT := mkForms()
 			if aL.Nominal > bL.Nominal {
 				aL, aT, bL, bT = bL, bT, aL, aT // the sweep guarantees this order
 			}
-			f := newFrontier(2, true)
+			f := newFrontier(new(colPool), 2, true)
 			f.push(aL, aT, -1, space)
 			f.push(bL, bT, -1, space)
 			got := p.dominates2P(f, 0, 1)
@@ -215,13 +215,13 @@ func TestDominates2PMatchesDirectProbability(t *testing.T) {
 func TestNeedSigmas(t *testing.T) {
 	space := variation.NewSpace()
 	var st Stats
-	if newPruner(space, Options{PbarL: 0.5, PbarT: 0.5, FourP: DefaultFourP()}, &st).needSigmas() {
+	if newPruner(space, Options{PbarL: 0.5, PbarT: 0.5, FourP: DefaultFourP()}, &st, new(colPool)).needSigmas() {
 		t.Error("mean-path pruner claims to need sigmas")
 	}
-	if !newPruner(space, Options{PbarL: 0.7, PbarT: 0.5, FourP: DefaultFourP()}, &st).needSigmas() {
+	if !newPruner(space, Options{PbarL: 0.7, PbarT: 0.5, FourP: DefaultFourP()}, &st, new(colPool)).needSigmas() {
 		t.Error("pbar>0.5 pruner does not need sigmas")
 	}
-	if !newPruner(space, Options{Rule: Rule4P, PbarL: 0.5, PbarT: 0.5, FourP: DefaultFourP()}, &st).needSigmas() {
+	if !newPruner(space, Options{Rule: Rule4P, PbarL: 0.5, PbarT: 0.5, FourP: DefaultFourP()}, &st, new(colPool)).needSigmas() {
 		t.Error("4P pruner does not need sigmas")
 	}
 }

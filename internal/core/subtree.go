@@ -346,7 +346,7 @@ func (w *worker) restoreCached(id rctree.NodeID, ent *subtreeEntry) polarityList
 		}
 		ridx := w.eng.addReplay(cl)
 		n := len(cl.ln)
-		f := newFrontier(n, needSig)
+		f := newFrontier(&w.cols, n, needSig)
 		f.ln = append(f.ln, cl.ln...)
 		f.tn = append(f.tn, cl.tn...)
 		if needSig {

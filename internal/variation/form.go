@@ -128,6 +128,46 @@ func (f Form) Var(space *Space) float64 {
 	return v
 }
 
+// AXPYVar returns the variance of f + s·g under space without building
+// the form: the walk emits AXPY's coefficients, with its expressions and
+// in its order, and sums them as Var does, so the result equals
+// f.AXPY(s, g).Var(space) bit for bit.
+func (f Form) AXPYVar(s float64, g Form, space *Space) float64 {
+	if s == 0 || len(g.Terms) == 0 {
+		return f.Var(space)
+	}
+	v := 0.0
+	add := func(id SourceID, c float64) {
+		sg := space.Sigma(id)
+		v += c * c * sg * sg
+	}
+	i, j := 0, 0
+	for i < len(f.Terms) && j < len(g.Terms) {
+		a, b := f.Terms[i], g.Terms[j]
+		switch {
+		case a.ID < b.ID:
+			add(a.ID, a.Coef)
+			i++
+		case a.ID > b.ID:
+			add(b.ID, s*b.Coef)
+			j++
+		default:
+			if c := a.Coef + s*b.Coef; c != 0 {
+				add(a.ID, c)
+			}
+			i++
+			j++
+		}
+	}
+	for ; i < len(f.Terms); i++ {
+		add(f.Terms[i].ID, f.Terms[i].Coef)
+	}
+	for ; j < len(g.Terms); j++ {
+		add(g.Terms[j].ID, s*g.Terms[j].Coef)
+	}
+	return v
+}
+
 // Sigma returns the standard deviation of the form under space.
 func (f Form) Sigma(space *Space) float64 { return math.Sqrt(f.Var(space)) }
 

@@ -230,6 +230,55 @@ func TestSigmaDiffDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestAXPYVarMatchesAXPY pins AXPYVar to the form it skips building:
+// over random forms with shared, disjoint and cancelling sources, every
+// scale sign and the s = 0 and empty-g fast path, the variance must
+// equal AXPY(s, g).Var bit for bit, without allocating.
+func TestAXPYVarMatchesAXPY(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	space := NewSpace()
+	for i := 0; i < 24; i++ {
+		space.Add(ClassRandom, 0.1+rng.Float64()*3, "x")
+	}
+	randForm := func() Form {
+		var ts []Term
+		for id := 0; id < space.Len(); id++ {
+			if rng.Intn(3) == 0 {
+				ts = append(ts, Term{SourceID(id), rng.NormFloat64() * 20})
+			}
+		}
+		return NewForm(rng.NormFloat64()*100, ts)
+	}
+	scales := []float64{0, 1, -1, -0.37, 2.5e-3, 1e9}
+	for trial := 0; trial < 500; trial++ {
+		f, g := randForm(), randForm()
+		if trial%7 == 0 {
+			g = Form{Nominal: g.Nominal}
+		}
+		for _, s := range scales {
+			if trial%5 == 0 && s != 0 {
+				// Cancel every shared source exactly: f's coefficient on
+				// it is -s times g's.
+				h := Form{Nominal: f.Nominal}
+				for _, gt := range g.Terms {
+					h.Terms = append(h.Terms, Term{gt.ID, -s * gt.Coef})
+				}
+				f = h
+			}
+			want := f.AXPY(s, g).Var(space)
+			if got := f.AXPYVar(s, g, space); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d s %g: AXPYVar %v != AXPY.Var %v", trial, s, got, want)
+			}
+		}
+	}
+	f, g, space := benchForms(64)
+	if allocs := testing.AllocsPerRun(100, func() {
+		sinkFloat = f.AXPYVar(-0.5, g, space)
+	}); allocs != 0 {
+		t.Errorf("AXPYVar allocates %g objects per call, want 0", allocs)
+	}
+}
+
 func TestProbGreaterForms(t *testing.T) {
 	space := testSpace(3)
 	f := NewForm(1, []Term{{0, 1}})

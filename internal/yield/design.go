@@ -142,17 +142,23 @@ type FormOps[S any] struct {
 // forms are valid until a is released.
 func Walk[S any](d *Design, a *variation.Arena, ops FormOps[S]) S {
 	p := d.Tree
-	vals := make([]S, p.Len())
+	// Only the parent reads a position's state, and in post order the
+	// parent comes right after its children's subtrees, so the states
+	// waiting for their parent form a stack whose top entries are the
+	// current position's children, in order. It holds about one state
+	// per branching level, not one per position.
+	var buf [64]S
+	stack := buf[:0]
 	for i := range p.Node {
 		var cur S
 		ks, ke := p.KidStart[i], p.KidStart[i+1]
 		if ks == ke {
 			cur = ops.Sink(p.Leaf[i])
 		}
+		base := len(stack) - int(ke-ks)
 		for j := ks; j < ke; j++ {
-			k := p.Kids[j]
-			child := vals[k]
-			if e := &p.Edge[k]; e.Len > 0 {
+			child := stack[base+int(j-ks)]
+			if e := &p.Edge[p.Kids[j]]; e.Len > 0 {
 				child = ops.Wire(child, e)
 			}
 			if j == ks {
@@ -161,15 +167,16 @@ func Walk[S any](d *Design, a *variation.Arena, ops FormOps[S]) S {
 				cur = ops.Merge(cur, child, p.Kids[ks:j+1])
 			}
 		}
+		stack = stack[:base]
 		if s := p.Slot[i]; s >= 0 {
 			sl := &d.slots[s]
 			cb := variation.Const(sl.cb0).AddIn(a, sl.dev.ScaleIn(a, sl.cb0))
 			tb := variation.Const(sl.tb0).AddIn(a, sl.dev.ScaleIn(a, sl.tb0))
 			cur = ops.Buffer(cur, cb, tb, sl.rb)
 		}
-		vals[i] = cur
+		stack = append(stack, cur)
 	}
-	return vals[len(vals)-1]
+	return stack[0]
 }
 
 // lt is a canonical (downstream load, required time) walk state.

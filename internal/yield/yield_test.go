@@ -310,3 +310,99 @@ func TestPropagateOutlivesItsWalk(t *testing.T) {
 		}
 	}
 }
+
+// walkPerPosition is the straightforward form of Walk: one state per
+// post-order position, each read by its parent.
+func walkPerPosition[S any](d *Design, ops FormOps[S]) S {
+	p := d.Tree
+	vals := make([]S, p.Len())
+	for i := range p.Node {
+		var cur S
+		ks, ke := p.KidStart[i], p.KidStart[i+1]
+		if ks == ke {
+			cur = ops.Sink(p.Leaf[i])
+		}
+		for j := ks; j < ke; j++ {
+			k := p.Kids[j]
+			child := vals[k]
+			if e := &p.Edge[k]; e.Len > 0 {
+				child = ops.Wire(child, e)
+			}
+			if j == ks {
+				cur = child
+			} else {
+				cur = ops.Merge(cur, child, p.Kids[ks:j+1])
+			}
+		}
+		if s := p.Slot[i]; s >= 0 {
+			sl := &d.slots[s]
+			cb := variation.Const(sl.cb0).Add(sl.dev.Scale(sl.cb0))
+			tb := variation.Const(sl.tb0).Add(sl.dev.Scale(sl.tb0))
+			cur = ops.Buffer(cur, cb, tb, sl.rb)
+		}
+		vals[i] = cur
+	}
+	return vals[len(vals)-1]
+}
+
+// caterpillar builds a spine of n Steiner nodes, each with a sink as its
+// first child and the rest of the spine as its second, so every sink's
+// state waits while the spine below it is walked: n states at once.
+func caterpillar(n int) *rctree.Tree {
+	tr := rctree.New(rctree.DefaultWire, 0.4, geom.Point{})
+	spine := tr.AddSteiner(tr.Root, geom.Point{X: 10}, 10)
+	for k := 0; k < n; k++ {
+		x := float64(20 * (k + 1))
+		tr.AddSink(spine, geom.Point{X: x, Y: 30}, 30+float64(k%7), 5+float64(k%3), -float64(k%11))
+		spine = tr.AddSteiner(spine, geom.Point{X: x}, 20)
+	}
+	tr.AddSink(spine, geom.Point{X: float64(20*n + 20)}, 15, 8, 0)
+	return tr
+}
+
+// TestWalkStackMatchesPerPosition checks the post-order stack of Walk
+// against one state per position, bit for bit, on random nets and on
+// caterpillars whose waiting states overflow the stack's fixed buffer.
+func TestWalkStackMatchesPerPosition(t *testing.T) {
+	var trees []*rctree.Tree
+	for seed := int64(1); seed <= 4; seed++ {
+		tr, _, _ := testSetup(t, 20+25*int(seed), seed)
+		trees = append(trees, tr)
+	}
+	trees = append(trees, caterpillar(3), caterpillar(200))
+	lib := device.DefaultLibrary()
+	for ti, tr := range trees {
+		model, err := variation.NewModel(variation.DefaultConfig(tr.BoundingBox().Expand(100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Compile(tr, lib, someAssignment(tr), nil, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := FormOps[lt]{
+			Sink: func(v rctree.LT) lt { return lt{L: variation.Const(v.L), T: variation.Const(v.T)} },
+			Wire: func(s lt, e *rctree.Edge) lt {
+				return lt{L: s.L.Shift(e.CL), T: s.T.AXPY(-e.RL, s.L).Shift(-e.Half)}
+			},
+			Merge: func(acc, child lt, kids []int32) lt {
+				return lt{L: acc.L.Add(child.L), T: variation.Min(acc.T, child.T, d.Space).Form}
+			},
+			Buffer: func(s lt, c, tb variation.Form, r float64) lt {
+				return lt{L: c, T: s.T.Sub(tb).AXPY(-r, s.L)}
+			},
+		}
+		got, want := Walk(d, nil, ops), walkPerPosition(d, ops)
+		for _, pair := range [][2]variation.Form{{got.L, want.L}, {got.T, want.T}} {
+			g, w := pair[0], pair[1]
+			if math.Float64bits(g.Nominal) != math.Float64bits(w.Nominal) || len(g.Terms) != len(w.Terms) {
+				t.Fatalf("tree %d: stack walk %v, per-position walk %v", ti, g, w)
+			}
+			for i := range g.Terms {
+				if g.Terms[i] != w.Terms[i] {
+					t.Fatalf("tree %d: term %d differs: %v vs %v", ti, i, g.Terms[i], w.Terms[i])
+				}
+			}
+		}
+	}
+}
