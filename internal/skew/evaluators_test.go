@@ -120,3 +120,60 @@ func TestCanonicalEvaluatorsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestMinimizePinned pins SHA-256 hashes of skew.Minimize's result — the
+// assignment, the skew form, SkewMean, SkewSigma, SkewQ, LatencyMean,
+// NumBuffers, Candidates and PeakList — on two benchgen nets under the
+// heterogeneous and homogeneous models. The DP's merges run the
+// statistical MAX and MIN of every pair of delay forms, so any change to
+// their arithmetic, to pruning or to the order of site resolution shows.
+func TestMinimizePinned(t *testing.T) {
+	want := map[string]string{
+		"s12/hetero": "fc8930a4babd6002",
+		"s12/homo":   "03a698167aa6cc5a",
+		"s20/hetero": "ae62c856a8dbbe58",
+		"s20/homo":   "5e3e64b13f0afe9d",
+	}
+	for _, net := range []struct {
+		name string
+		spec benchgen.Spec
+	}{
+		{"s12", benchgen.Spec{Sinks: 12, Seed: 9}},
+		{"s20", benchgen.Spec{Sinks: 20, Seed: 6}},
+	} {
+		tr, err := benchgen.Random(net.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []string{"hetero", "homo"} {
+			cfg := variation.DefaultConfig(tr.BoundingBox().Expand(100))
+			cfg.Heterogeneous = m == "hetero"
+			model, err := variation.NewModel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Minimize(tr, Options{Library: skewLib(), Model: model})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			ids := make([]rctree.NodeID, 0, len(res.Assignment))
+			for id := range res.Assignment {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			for _, id := range ids {
+				hashWords(h, uint64(id), uint64(res.Assignment[id]))
+			}
+			hashForm(h, res.Skew)
+			hashWords(h, math.Float64bits(res.SkewMean), math.Float64bits(res.SkewSigma),
+				math.Float64bits(res.SkewQ), math.Float64bits(res.LatencyMean),
+				uint64(res.NumBuffers), uint64(res.Candidates), uint64(res.PeakList))
+			key := net.name + "/" + m
+			if got := hex.EncodeToString(h.Sum(nil))[:16]; got != want[key] {
+				t.Errorf("%s: Minimize hash %s, want %s (%d buffers, %d candidates, peak %d)",
+					key, got, want[key], res.NumBuffers, res.Candidates, res.PeakList)
+			}
+		}
+	}
+}
