@@ -68,43 +68,69 @@ func (f Form) Shift(d float64) Form {
 }
 
 // Scale returns s·f.
-func (f Form) Scale(s float64) Form {
+func (f Form) Scale(s float64) Form { return f.ScaleIn(nil, s) }
+
+// Add returns f + g.
+func (f Form) Add(g Form) Form { return f.AXPYIn(nil, 1, g) }
+
+// Sub returns f - g.
+func (f Form) Sub(g Form) Form { return f.AXPYIn(nil, -1, g) }
+
+// AXPY returns f + s·g.
+func (f Form) AXPY(s float64, g Form) Form { return f.AXPYIn(nil, s, g) }
+
+// ScaleIn returns s·f with its terms taken from a (the heap when a is
+// nil). The terms are always fresh, never aliased to f's.
+func (f Form) ScaleIn(a *Arena, s float64) Form {
 	if s == 0 {
 		return Form{}
 	}
-	terms := make([]Term, len(f.Terms))
-	for i, t := range f.Terms {
-		terms[i] = Term{t.ID, s * t.Coef}
+	terms := a.take(len(f.Terms))
+	for _, t := range f.Terms {
+		terms = append(terms, Term{t.ID, s * t.Coef})
 	}
 	return Form{Nominal: s * f.Nominal, Terms: terms}
 }
 
-// Add returns f + g.
-func (f Form) Add(g Form) Form { return f.AXPY(1, g) }
+// AddIn returns f + g with its terms taken from a.
+func (f Form) AddIn(a *Arena, g Form) Form { return f.AXPYIn(a, 1, g) }
 
-// Sub returns f - g.
-func (f Form) Sub(g Form) Form { return f.AXPY(-1, g) }
+// SubIn returns f - g with its terms taken from a.
+func (f Form) SubIn(a *Arena, g Form) Form { return f.AXPYIn(a, -1, g) }
 
-// AXPY returns f + s·g, merging the two sorted term lists in one pass.
-// This is the workhorse of the three key DP operations (eq. 33–37).
-func (f Form) AXPY(s float64, g Form) Form {
+// AXPYIn returns f + s·g, merging the two sorted term lists in one pass,
+// with the result terms taken from a (the heap when a is nil). This is
+// the workhorse of the three key DP operations (eq. 33–37). When s is 0
+// or g has no terms the result aliases f's terms.
+func (f Form) AXPYIn(a *Arena, s float64, g Form) Form {
 	if s == 0 || len(g.Terms) == 0 {
 		return Form{Nominal: f.Nominal + s*g.Nominal, Terms: f.Terms}
 	}
-	terms := make([]Term, 0, len(f.Terms)+len(g.Terms))
+	terms := a.take(len(f.Terms) + len(g.Terms))
 	i, j := 0, 0
+	// Fast path: forms produced by the same DP node usually carry the
+	// same source set, so the two sorted lists align index-for-index.
+	// Walking the aligned prefix with one predictable branch per term
+	// computes exactly the shared-ID expression of the merge below.
+	for i < len(f.Terms) && i < len(g.Terms) && f.Terms[i].ID == g.Terms[i].ID {
+		if c := f.Terms[i].Coef + s*g.Terms[i].Coef; c != 0 {
+			terms = append(terms, Term{f.Terms[i].ID, c})
+		}
+		i++
+	}
+	j = i
 	for i < len(f.Terms) && j < len(g.Terms) {
-		a, b := f.Terms[i], g.Terms[j]
+		x, y := f.Terms[i], g.Terms[j]
 		switch {
-		case a.ID < b.ID:
-			terms = append(terms, a)
+		case x.ID < y.ID:
+			terms = append(terms, x)
 			i++
-		case a.ID > b.ID:
-			terms = append(terms, Term{b.ID, s * b.Coef})
+		case x.ID > y.ID:
+			terms = append(terms, Term{y.ID, s * y.Coef})
 			j++
 		default:
-			if c := a.Coef + s*b.Coef; c != 0 {
-				terms = append(terms, Term{a.ID, c})
+			if c := x.Coef + s*y.Coef; c != 0 {
+				terms = append(terms, Term{x.ID, c})
 			}
 			i++
 			j++
@@ -114,7 +140,7 @@ func (f Form) AXPY(s float64, g Form) Form {
 	for ; j < len(g.Terms); j++ {
 		terms = append(terms, Term{g.Terms[j].ID, s * g.Terms[j].Coef})
 	}
-	return Form{Nominal: f.Nominal + s*g.Nominal, Terms: terms}
+	return Form{Nominal: f.Nominal + s*g.Nominal, Terms: a.trim(terms)}
 }
 
 // Var returns the variance of the form under space: Σ coef²·sigma²
@@ -129,7 +155,7 @@ func (f Form) Var(space *Space) float64 {
 }
 
 // AXPYVar returns the variance of f + s·g under space without building
-// the form: the walk emits AXPY's coefficients, with its expressions and
+// the form: the walk emits AXPYIn's coefficients, with its expressions and
 // in its order, and sums them as Var does, so the result equals
 // f.AXPY(s, g).Var(space) bit for bit.
 func (f Form) AXPYVar(s float64, g Form, space *Space) float64 {
@@ -142,18 +168,26 @@ func (f Form) AXPYVar(s float64, g Form, space *Space) float64 {
 		v += c * c * sg * sg
 	}
 	i, j := 0, 0
+	// Aligned-prefix fast path; see AXPYIn.
+	for i < len(f.Terms) && i < len(g.Terms) && f.Terms[i].ID == g.Terms[i].ID {
+		if c := f.Terms[i].Coef + s*g.Terms[i].Coef; c != 0 {
+			add(f.Terms[i].ID, c)
+		}
+		i++
+	}
+	j = i
 	for i < len(f.Terms) && j < len(g.Terms) {
-		a, b := f.Terms[i], g.Terms[j]
+		x, y := f.Terms[i], g.Terms[j]
 		switch {
-		case a.ID < b.ID:
-			add(a.ID, a.Coef)
+		case x.ID < y.ID:
+			add(x.ID, x.Coef)
 			i++
-		case a.ID > b.ID:
-			add(b.ID, s*b.Coef)
+		case x.ID > y.ID:
+			add(y.ID, s*y.Coef)
 			j++
 		default:
-			if c := a.Coef + s*b.Coef; c != 0 {
-				add(a.ID, c)
+			if c := x.Coef + s*y.Coef; c != 0 {
+				add(x.ID, c)
 			}
 			i++
 			j++
@@ -217,44 +251,10 @@ func corrFrom(f, g Form, sf, sg float64, space *Space) float64 {
 }
 
 // SigmaDiff returns the standard deviation of f - g computed directly from
-// the term lists, i.e. sqrt(Var(f) - 2Cov + Var(g)) without cancellation
-// issues (eq. 9 / eq. 40). The variance of the difference is accumulated
-// in a single merge walk over the two sorted term lists — no intermediate
-// form is materialized, so the hot pruning paths stay allocation-free.
-func SigmaDiff(f, g Form, space *Space) float64 {
-	v := 0.0
-	i, j := 0, 0
-	for i < len(f.Terms) && j < len(g.Terms) {
-		a, b := f.Terms[i], g.Terms[j]
-		switch {
-		case a.ID < b.ID:
-			s := space.Sigma(a.ID)
-			v += a.Coef * a.Coef * s * s
-			i++
-		case a.ID > b.ID:
-			s := space.Sigma(b.ID)
-			v += b.Coef * b.Coef * s * s
-			j++
-		default:
-			c := a.Coef - b.Coef
-			s := space.Sigma(a.ID)
-			v += c * c * s * s
-			i++
-			j++
-		}
-	}
-	for ; i < len(f.Terms); i++ {
-		t := f.Terms[i]
-		s := space.Sigma(t.ID)
-		v += t.Coef * t.Coef * s * s
-	}
-	for ; j < len(g.Terms); j++ {
-		t := g.Terms[j]
-		s := space.Sigma(t.ID)
-		v += t.Coef * t.Coef * s * s
-	}
-	return math.Sqrt(v)
-}
+// the term lists (eq. 9 / eq. 40): the variance of the difference is
+// accumulated in AXPYVar's single merge walk, so no intermediate form is
+// materialized and the hot pruning paths stay allocation-free.
+func SigmaDiff(f, g Form, space *Space) float64 { return math.Sqrt(f.AXPYVar(-1, g, space)) }
 
 // ProbGreater returns P(f > g) under the joint normal interpretation of
 // the two forms (eq. 8).
@@ -303,12 +303,29 @@ type MinResult struct {
 // Min computes the statistical minimum of two forms (eq. 38–40), keeping
 // the result in canonical first-order shape. When one input is smaller
 // with certainty the exact input form is returned unchanged.
-func Min(f, g Form, space *Space) MinResult {
-	sd := SigmaDiff(f, g, space)
-	if sd == 0 {
-		// The difference is deterministic: min is exactly one of the inputs.
+func Min(f, g Form, space *Space) MinResult { return MinIn(nil, f, g, space) }
+
+// MinIn is Min with the result terms taken from a (the heap when a is nil).
+func MinIn(a *Arena, f, g Form, space *Space) MinResult { return extremeIn(a, 1, f, g, space) }
+
+// Max computes the statistical maximum of two forms, max(f, g) =
+// -min(-f, -g): Clark-exact mean and variance with tightness-blended
+// sensitivities. The returned Tightness is P(f > g), the probability that
+// f dominates the MAX.
+func Max(f, g Form, space *Space) MinResult { return extremeIn(nil, -1, f, g, space) }
+
+// extremeIn is the statistical MIN (sign 1) or MAX (sign -1) of f and g.
+// The MAX is -min(-f, -g) without the negated copies: the difference's
+// sigma, the sigmas and the correlation are unchanged by negating both
+// inputs, so only the nominals handed to Clark's formulas and the
+// resulting mean change sign. Negation is exact, so the result equals the
+// MIN of the negated forms, negated, bit for bit.
+func extremeIn(a *Arena, sign float64, f, g Form, space *Space) MinResult {
+	if SigmaDiff(f, g, space) == 0 {
+		// The difference is deterministic: the extreme is exactly one of
+		// the inputs.
 		m := stats.MinMoments{SigmaDiff: 0}
-		if f.Nominal <= g.Nominal {
+		if sign*f.Nominal <= sign*g.Nominal {
 			if f.Nominal == g.Nominal {
 				m.Tightness = 0.5
 			} else {
@@ -326,17 +343,18 @@ func Min(f, g Form, space *Space) MinResult {
 	sf := f.Sigma(space)
 	sg := g.Sigma(space)
 	rho := corrFrom(f, g, sf, sg, space)
-	mom := stats.MinNormals(f.Nominal, sf, g.Nominal, sg, rho)
+	mom := stats.MinNormals(sign*f.Nominal, sf, sign*g.Nominal, sg, rho)
+	mom.Mean *= sign
 	t := mom.Tightness
 	// Blend sensitivities: t·beta_f + (1-t)·beta_g (eq. 38), then set the
 	// nominal to Clark's exact mean (the -sigma·phi(...) correction).
-	blended := f.Scale(t).Add(g.Scale(1 - t))
+	blended := blendIn(a, t, f, 1-t, g)
 	blended.Nominal = mom.Mean
 	// Moment matching: the tightness blend preserves the mean but
-	// understates the variance of the min; rescale the sensitivities so
-	// the form carries Clark's exact second moment while keeping the
-	// blended correlation structure. (Both Scale and Add allocated fresh
-	// term storage, so the in-place rescale cannot alias the inputs.)
+	// understates the variance of the extreme; rescale the sensitivities
+	// so the form carries Clark's exact second moment while keeping the
+	// blended correlation structure. blendIn's terms are fresh, so the
+	// in-place rescale cannot alias the inputs.
 	if vb := blended.Var(space); vb > 0 && mom.Var > 0 {
 		s := math.Sqrt(mom.Var / vb)
 		for i := range blended.Terms {
@@ -346,15 +364,61 @@ func Min(f, g Form, space *Space) MinResult {
 	return MinResult{Form: blended, Moments: mom}
 }
 
-// Max computes the statistical maximum of two forms, mirroring Min via
-// max(f, g) = -min(-f, -g): Clark-exact mean and variance with
-// tightness-blended sensitivities. The returned Tightness is P(f > g),
-// the probability that f dominates the MAX.
-func Max(f, g Form, space *Space) MinResult {
-	res := Min(f.Scale(-1), g.Scale(-1), space)
-	out := res.Form.Scale(-1)
-	res.Moments.Mean = -res.Moments.Mean
-	return MinResult{Form: out, Moments: res.Moments}
+// blendIn computes tf·f + tg·g in one merge pass with the terms taken from
+// a, with the floating-point behaviour of f.Scale(tf).Add(g.Scale(tg)): a
+// zero blend weight drops that side entirely (Scale(0) returns the empty
+// form), and only coefficients that cancel on shared sources are dropped.
+// The result terms are always fresh (never aliased), so callers may
+// rescale them in place.
+func blendIn(a *Arena, tf float64, f Form, tg float64, g Form) Form {
+	fts, gts := f.Terms, g.Terms
+	if tf == 0 {
+		fts = nil
+	}
+	if tg == 0 {
+		gts = nil
+	}
+	terms := a.take(len(fts) + len(gts))
+	i, j := 0, 0
+	// Aligned-prefix fast path; see AXPYIn.
+	for i < len(fts) && i < len(gts) && fts[i].ID == gts[i].ID {
+		if c := (tf * fts[i].Coef) + (tg * gts[i].Coef); c != 0 {
+			terms = append(terms, Term{fts[i].ID, c})
+		}
+		i++
+	}
+	j = i
+	for i < len(fts) && j < len(gts) {
+		x, y := fts[i], gts[j]
+		switch {
+		case x.ID < y.ID:
+			terms = append(terms, Term{x.ID, tf * x.Coef})
+			i++
+		case x.ID > y.ID:
+			terms = append(terms, Term{y.ID, tg * y.Coef})
+			j++
+		default:
+			if c := (tf * x.Coef) + (tg * y.Coef); c != 0 {
+				terms = append(terms, Term{x.ID, c})
+			}
+			i++
+			j++
+		}
+	}
+	for ; i < len(fts); i++ {
+		terms = append(terms, Term{fts[i].ID, tf * fts[i].Coef})
+	}
+	for ; j < len(gts); j++ {
+		terms = append(terms, Term{gts[j].ID, tg * gts[j].Coef})
+	}
+	nominal := 0.0
+	if tf != 0 {
+		nominal += tf * f.Nominal
+	}
+	if tg != 0 {
+		nominal += tg * g.Nominal
+	}
+	return Form{Nominal: nominal, Terms: a.trim(terms)}
 }
 
 // String renders the form compactly for debugging.
