@@ -24,6 +24,11 @@ type engine struct {
 	ctx     context.Context
 	maxCand int
 	start   time.Time
+	// deadline is ctx's deadline, read once per run (zero: none). The
+	// context reports it passed only once its timer fires, which can lag
+	// by milliseconds while every P runs a DP worker, so dp also compares
+	// the clock with it.
+	deadline time.Time
 	// hull routes buffering through the convex-hull kernel (hull.go).
 	// Resolved once per run: HullBuffering != off and a 2P-family rule
 	// (the 4P partial order has no per-type single-survivor property).
@@ -102,6 +107,9 @@ func Insert(tree *rctree.Tree, opts Options) (*Result, error) {
 		maxCand: o.MaxCandidates,
 		start:   time.Now(),
 		hull:    o.HullBuffering != HullOff && o.Rule != Rule4P,
+	}
+	if e.ctx != nil {
+		e.deadline, _ = e.ctx.Deadline()
 	}
 	if o.Model != nil {
 		e.space = o.Model.Space
@@ -229,7 +237,11 @@ func (w *worker) dp(id rctree.NodeID) (polarityLists, error) {
 		return polarityLists{}, errAborted
 	}
 	if e.ctx != nil {
-		if cerr := e.ctx.Err(); cerr != nil {
+		cerr := e.ctx.Err()
+		if cerr == nil && !e.deadline.IsZero() && !time.Now().Before(e.deadline) {
+			cerr = context.DeadlineExceeded
+		}
+		if cerr != nil {
 			return polarityLists{}, e.fail(w.contextErr(cerr))
 		}
 	}

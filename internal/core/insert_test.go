@@ -518,9 +518,17 @@ func Test4PCapacityExceeded(t *testing.T) {
 	}
 }
 
+// lateTimer is a context whose deadline has passed but whose timer has not
+// fired: Err is still nil, as a real context's can stay for milliseconds
+// while every P runs a DP worker.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
 // TestTimeout: the run's context is its only cancellation input. A passed
-// deadline is the Table 2 time limit (ErrTimeout); any other cancellation
-// is ErrCanceled. Both wrap the context's own error.
+// deadline is the Table 2 time limit (ErrTimeout), also before the
+// context's timer reports it; any other cancellation is ErrCanceled. Both
+// wrap the context's own error.
 func TestTimeout(t *testing.T) {
 	tr, err := benchgen.Random(benchgen.Spec{Sinks: 300, Seed: 6})
 	if err != nil {
@@ -538,6 +546,7 @@ func TestTimeout(t *testing.T) {
 		cause         error
 	}{
 		{"deadline", expired, ErrTimeout, ErrCanceled, context.DeadlineExceeded},
+		{"deadline, timer not fired", lateTimer{context.Background()}, ErrTimeout, ErrCanceled, context.DeadlineExceeded},
 		{"canceled", canceled, ErrCanceled, ErrTimeout, context.Canceled},
 	}
 	for _, c := range cases {
