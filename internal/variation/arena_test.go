@@ -108,61 +108,75 @@ func mirrorForms(seed uint64, shape uint8, gap float64) (f, g Form, space *Space
 	return f, g, space
 }
 
-// checkArenaMirrors runs every arena mirror and its heap operation on the
-// same inputs and requires equal results bit for bit: nominal, every
-// term, and the MIN's moments. The arena results are all taken first and
-// compared afterwards, so one result overwriting another's terms in the
-// arena shows; the inputs must come out unchanged. A nil arena must give
-// the heap operation's result too.
+// checkArenaMirrors runs every form operation with an arena and on the
+// heap (a nil arena) on the same inputs and requires equal results bit for
+// bit: nominal, every term, and the MIN's moments. The arena results are
+// all taken first and compared afterwards, so one result overwriting
+// another's terms in the arena shows; the inputs must come out unchanged.
+// Max must equal -Min(-f, -g) built from negated copies.
 func checkArenaMirrors(t *testing.T, seed uint64, shape uint8, s, gap float64) {
 	t.Helper()
 	f, g, space := mirrorForms(seed, shape, gap)
 	f0, g0 := f.Clone(), g.Clone()
 	type pair struct {
-		name      string
-		heap, got func(*Arena) Form
+		name string
+		heap func() Form
+		got  func(*Arena) Form
 	}
 	ops := []pair{
-		{"AXPY", func(*Arena) Form { return f.AXPY(s, g) }, func(a *Arena) Form { return f.AXPYIn(a, s, g) }},
-		{"AXPY g,f", func(*Arena) Form { return g.AXPY(s, f) }, func(a *Arena) Form { return g.AXPYIn(a, s, f) }},
-		{"Add", func(*Arena) Form { return f.Add(g) }, func(a *Arena) Form { return f.AddIn(a, g) }},
-		{"Sub", func(*Arena) Form { return f.Sub(g) }, func(a *Arena) Form { return f.SubIn(a, g) }},
-		{"Sub f,f", func(*Arena) Form { return f.Sub(f) }, func(a *Arena) Form { return f.SubIn(a, f) }},
-		{"Scale", func(*Arena) Form { return f.Scale(s) }, func(a *Arena) Form { return f.ScaleIn(a, s) }},
-		{"Scale 0", func(*Arena) Form { return g.Scale(0) }, func(a *Arena) Form { return g.ScaleIn(a, 0) }},
+		{"AXPY", func() Form { return f.AXPY(s, g) }, func(a *Arena) Form { return f.AXPYIn(a, s, g) }},
+		{"AXPY g,f", func() Form { return g.AXPY(s, f) }, func(a *Arena) Form { return g.AXPYIn(a, s, f) }},
+		{"Add", func() Form { return f.Add(g) }, func(a *Arena) Form { return f.AddIn(a, g) }},
+		{"Sub", func() Form { return f.Sub(g) }, func(a *Arena) Form { return f.SubIn(a, g) }},
+		{"Sub f,f", func() Form { return f.Sub(f) }, func(a *Arena) Form { return f.SubIn(a, f) }},
+		{"Scale", func() Form { return f.Scale(s) }, func(a *Arena) Form { return f.ScaleIn(a, s) }},
+		{"Scale 0", func() Form { return g.Scale(0) }, func(a *Arena) Form { return g.ScaleIn(a, 0) }},
 	}
 	mins := [][2]Form{{f, g}, {g, f}, {f, f}}
-	for _, a := range []*Arena{NewArena(), nil} {
-		got := make([]Form, len(ops))
-		for i, op := range ops {
-			got[i] = op.got(a)
+	a := NewArena()
+	defer a.Release()
+	got := make([]Form, len(ops))
+	for i, op := range ops {
+		got[i] = op.got(a)
+	}
+	gotMin := make([]MinResult, len(mins))
+	for i, in := range mins {
+		gotMin[i] = MinIn(a, in[0], in[1], space)
+	}
+	for i, op := range ops {
+		if want := op.heap(); !formsBitEqual(got[i], want) {
+			t.Fatalf("%s (shape %d, s %v): arena %v, heap %v", op.name, shape%5, s, got[i], want)
 		}
-		gotMin := make([]MinResult, len(mins))
-		for i, in := range mins {
-			gotMin[i] = MinIn(a, in[0], in[1], space)
+	}
+	for i, in := range mins {
+		if want := Min(in[0], in[1], space); !minBitEqual(gotMin[i], want) {
+			t.Fatalf("Min #%d (shape %d, gap %v): arena %v %+v, heap %v %+v",
+				i, shape%5, gap, gotMin[i].Form, gotMin[i].Moments, want.Form, want.Moments)
 		}
-		for i, op := range ops {
-			if want := op.heap(nil); !formsBitEqual(got[i], want) {
-				t.Fatalf("%s (arena %v, shape %d, s %v): mirror %v, heap %v", op.name, a != nil, shape%5, s, got[i], want)
-			}
+		if got, want := Max(in[0], in[1], space), negatedMin(in[0], in[1], space); !minBitEqual(got, want) {
+			t.Fatalf("Max #%d (shape %d, gap %v): %v %+v, -Min(-f, -g) %v %+v",
+				i, shape%5, gap, got.Form, got.Moments, want.Form, want.Moments)
 		}
-		for i, in := range mins {
-			want := Min(in[0], in[1], space)
-			if !formsBitEqual(gotMin[i].Form, want.Form) || !momentsBitEqual(gotMin[i], want) {
-				t.Fatalf("Min #%d (arena %v, shape %d, gap %v): mirror %v %+v, heap %v %+v",
-					i, a != nil, shape%5, gap, gotMin[i].Form, gotMin[i].Moments, want.Form, want.Moments)
-			}
-		}
-		if !formsBitEqual(f, f0) || !formsBitEqual(g, g0) {
-			t.Fatalf("an operation changed its inputs (arena %v, shape %d)", a != nil, shape%5)
-		}
-		if a != nil {
-			a.Release()
-		}
+	}
+	if !formsBitEqual(f, f0) || !formsBitEqual(g, g0) {
+		t.Fatalf("an operation changed its inputs (shape %d)", shape%5)
 	}
 }
 
-// TestArenaMirrorsMatchHeapOps runs the mirror check over every shape,
+// minBitEqual reports whether two MIN/MAX results are equal bit for bit,
+// form and moments.
+func minBitEqual(a, b MinResult) bool { return formsBitEqual(a.Form, b.Form) && momentsBitEqual(a, b) }
+
+// negatedMin is max(f, g) = -min(-f, -g) built from negated copies of the
+// inputs and of the MIN's form.
+func negatedMin(f, g Form, space *Space) MinResult {
+	res := Min(f.Scale(-1), g.Scale(-1), space)
+	res.Form = res.Form.Scale(-1)
+	res.Moments.Mean = -res.Moments.Mean
+	return res
+}
+
+// TestArenaMirrorsMatchHeapOps runs the arena check over every shape,
 // scale signs, zero scale, and gaps that leave the MIN's tightness
 // strictly inside (0, 1), at exactly 0 or 1, and at a deterministic tie.
 func TestArenaMirrorsMatchHeapOps(t *testing.T) {
@@ -178,8 +192,8 @@ func TestArenaMirrorsMatchHeapOps(t *testing.T) {
 }
 
 // TestArenaMirrorsTightnessEdges pins that the seeds above reach the MIN
-// edge cases the mirrors must agree on: a blended result at tightness
-// exactly 0 and 1, and the deterministic difference.
+// edge cases the arena and heap runs must agree on: a blended result at
+// tightness exactly 0 and 1, and the deterministic difference.
 func TestArenaMirrorsTightnessEdges(t *testing.T) {
 	seen := map[string]bool{}
 	for seed := uint64(0); seed < 50; seed++ {
@@ -201,9 +215,9 @@ func TestArenaMirrorsTightnessEdges(t *testing.T) {
 	}
 }
 
-// FuzzArenaMirrors: AXPYIn, AddIn, SubIn, ScaleIn and MinIn equal AXPY,
-// Add, Sub, Scale and Min bit for bit on fuzzer-chosen forms, scales and
-// nominal gaps, with an arena and with a nil one.
+// FuzzArenaMirrors: AXPYIn, AddIn, SubIn, ScaleIn and MinIn with an arena
+// equal AXPY, Add, Sub, Scale and Min on the heap bit for bit, and Max
+// equals -Min(-f, -g), on fuzzer-chosen forms, scales and nominal gaps.
 func FuzzArenaMirrors(f *testing.F) {
 	f.Add(uint64(1), uint8(0), 1.0, 0.0)
 	f.Add(uint64(2), uint8(1), -1.0, 0.25)

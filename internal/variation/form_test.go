@@ -429,9 +429,10 @@ func TestMaxMirrorsMin(t *testing.T) {
 	f := NewForm(5, []Term{{0, 1}, {1, 2}})
 	g := NewForm(5.5, []Term{{1, 2}, {2, 1.5}})
 	mx := Max(f, g, space)
-	mn := Min(f.Scale(-1), g.Scale(-1), space)
-	if math.Abs(mx.Form.Nominal+mn.Form.Nominal) > 1e-12 {
-		t.Errorf("Max mean %g != -Min(-f,-g) mean %g", mx.Form.Nominal, mn.Form.Nominal)
+	// Negation is exact, so Max equals -Min(-f, -g) bit for bit: form,
+	// mean, variance and tightness.
+	if want := negatedMin(f, g, space); !minBitEqual(mx, want) {
+		t.Errorf("Max = %v %+v, -Min(-f,-g) = %v %+v", mx.Form, mx.Moments, want.Form, want.Moments)
 	}
 	// E[max] is at least the larger mean.
 	if mx.Form.Nominal < math.Max(f.Nominal, g.Nominal)-1e-12 {
