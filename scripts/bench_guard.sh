@@ -7,24 +7,27 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# pkg:benchmark pairs under guard:
+# pkg:benchmark:benchtime triples under guard:
 #   * the end-to-end serial WID r3 insertion (the headline number),
 #   * the 1024-candidate 2P frontier scan (the SoA prune hot loop),
 #   * the warm subtree-cache re-insert (a silently dead cache would
-#     regress this one ~8x back to the cold time),
+#     regress this one ~8x back to the cold time); at ~2 ms an op, two
+#     iterations are mostly timer and GC noise, so it runs 200,
 #   * the 32-cell-library r3 insertion (a silently disabled convex-hull
 #     buffering kernel would regress this one ~5.7x to the exact time).
 GUARDS="
-.:BenchmarkInsertWIDr3Serial
-./internal/core/:BenchmarkPrune2P1024
-./internal/core/:BenchmarkInsertSubtreeWarmWIDr3
-./internal/core/:BenchmarkInsertLib32NOMr3Serial
+.:BenchmarkInsertWIDr3Serial:2x
+./internal/core/:BenchmarkPrune2P1024:2x
+./internal/core/:BenchmarkInsertSubtreeWarmWIDr3:200x
+./internal/core/:BenchmarkInsertLib32NOMr3Serial:2x
 "
 
 FAIL=0
 for G in $GUARDS; do
   PKG=${G%%:*}
-  BENCH=${G#*:}
+  REST=${G#*:}
+  BENCH=${REST%%:*}
+  BENCHTIME=${REST#*:}
 
   # The snapshot holds one object per line; take the last match so the
   # current results section wins over the frozen baseline block.
@@ -34,7 +37,7 @@ for G in $GUARDS; do
     exit 2
   fi
 
-  NOW=$(go test "$PKG" -run '^$' -bench "${BENCH#Benchmark}\$" -benchtime 2x \
+  NOW=$(go test "$PKG" -run '^$' -bench "${BENCH#Benchmark}\$" -benchtime "$BENCHTIME" \
     | awk -v b="$BENCH" 'index($1, b) == 1 { for (i = 2; i <= NF; i++) if ($i == "ns/op") print $(i-1) }')
   NOW=${NOW%%.*}
   if [ -z "$NOW" ]; then
@@ -43,7 +46,7 @@ for G in $GUARDS; do
   fi
 
   LIMIT=$((BASE * 2))
-  echo "bench_guard: $BENCH now $NOW ns/op, snapshot $BASE ns/op, limit $LIMIT ns/op"
+  echo "bench_guard: $BENCH ($BENCHTIME) now $NOW ns/op, snapshot $BASE ns/op, limit $LIMIT ns/op"
   if [ "$NOW" -gt "$LIMIT" ]; then
     echo "bench_guard: perf regression: $BENCH $NOW ns/op > 2x the committed snapshot" >&2
     FAIL=1
