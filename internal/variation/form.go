@@ -177,17 +177,17 @@ func (f Form) AXPYVar(s float64, g Form, space *Space) float64 {
 	}
 	j = i
 	for i < len(f.Terms) && j < len(g.Terms) {
-		x, y := f.Terms[i], g.Terms[j]
+		a, b := f.Terms[i], g.Terms[j]
 		switch {
-		case x.ID < y.ID:
-			add(x.ID, x.Coef)
+		case a.ID < b.ID:
+			add(a.ID, a.Coef)
 			i++
-		case x.ID > y.ID:
-			add(y.ID, s*y.Coef)
+		case a.ID > b.ID:
+			add(b.ID, s*b.Coef)
 			j++
 		default:
-			if c := x.Coef + s*y.Coef; c != 0 {
-				add(x.ID, c)
+			if c := a.Coef + s*b.Coef; c != 0 {
+				add(a.ID, c)
 			}
 			i++
 			j++
@@ -348,8 +348,7 @@ func extremeIn(a *Arena, sign float64, f, g Form, space *Space) MinResult {
 	t := mom.Tightness
 	// Blend sensitivities: t·beta_f + (1-t)·beta_g (eq. 38), then set the
 	// nominal to Clark's exact mean (the -sigma·phi(...) correction).
-	blended := blendIn(a, t, f, 1-t, g)
-	blended.Nominal = mom.Mean
+	blended := Form{Nominal: mom.Mean, Terms: blendIn(a, t, f.Terms, 1-t, g.Terms)}
 	// Moment matching: the tightness blend preserves the mean but
 	// understates the variance of the extreme; rescale the sensitivities
 	// so the form carries Clark's exact second moment while keeping the
@@ -364,14 +363,13 @@ func extremeIn(a *Arena, sign float64, f, g Form, space *Space) MinResult {
 	return MinResult{Form: blended, Moments: mom}
 }
 
-// blendIn computes tf·f + tg·g in one merge pass with the terms taken from
-// a, with the floating-point behaviour of f.Scale(tf).Add(g.Scale(tg)): a
-// zero blend weight drops that side entirely (Scale(0) returns the empty
-// form), and only coefficients that cancel on shared sources are dropped.
-// The result terms are always fresh (never aliased), so callers may
+// blendIn returns the terms of tf·f + tg·g, taken from a, in one merge
+// pass with the floating-point behaviour of f.Scale(tf).Add(g.Scale(tg)):
+// a zero blend weight drops that side entirely (Scale(0) returns the
+// empty form), and only coefficients that cancel on shared sources are
+// dropped. The terms are always fresh (never aliased), so callers may
 // rescale them in place.
-func blendIn(a *Arena, tf float64, f Form, tg float64, g Form) Form {
-	fts, gts := f.Terms, g.Terms
+func blendIn(a *Arena, tf float64, fts []Term, tg float64, gts []Term) []Term {
 	if tf == 0 {
 		fts = nil
 	}
@@ -411,14 +409,7 @@ func blendIn(a *Arena, tf float64, f Form, tg float64, g Form) Form {
 	for ; j < len(gts); j++ {
 		terms = append(terms, Term{gts[j].ID, tg * gts[j].Coef})
 	}
-	nominal := 0.0
-	if tf != 0 {
-		nominal += tf * f.Nominal
-	}
-	if tg != 0 {
-		nominal += tg * g.Nominal
-	}
-	return Form{Nominal: nominal, Terms: a.trim(terms)}
+	return a.trim(terms)
 }
 
 // String renders the form compactly for debugging.
