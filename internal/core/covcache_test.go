@@ -71,7 +71,7 @@ func checkSharedCov(t *testing.T, seed uint64, gap float64) {
 		if r.IntN(8) == 0 {
 			sigma = 0
 		}
-		space.Add(variation.ClassRandom, sigma, "")
+		space.Add(variation.ClassRandom, sigma)
 	}
 	lf := variation.Form{Nominal: r.Float64() * 100, Terms: randTerms(r, n)}
 	kind := r.IntN(3)

@@ -1,50 +1,52 @@
-// Convex-hull buffering kernel for b-type libraries (Li & Shi, "An
-// O(bn²) Time Algorithm for Optimal Buffer Insertion with b Buffer
-// Types", arxiv 0710.4691), extended to the paper's 2P variation-aware
-// frontier.
+// Buffering at a legal site (eq. 27–28 / 35–36), with the convex-hull
+// kernel for b-type libraries (Li & Shi, "An O(bn²) Time Algorithm for
+// Optimal Buffer Insertion with b Buffer Types", arxiv 0710.4691)
+// extended to the paper's 2P variation-aware frontier.
 //
-// The exact path materializes one buffered candidate per (candidate,
-// buffer type) pair — b·m forms, provenance records and frontier slots
-// per site — and lets the next prune discard the dominated ones. But a
-// buffer decouples the upstream tree from the downstream load: every
-// buffered candidate of one type presents the same load C_b, so at most
-// one of them (the one maximizing Q − R_b·C over the frontier) can
-// survive the sweep, and that optimum lies on the upper convex hull of
-// the (C, Q) staircase. The kernel exploits this:
+// addBuffers is one routine in two passes. The pick pass decides which
+// (candidate, buffer type) pairs become buffered candidates; the build
+// pass grows each target list once to the counted size and materializes
+// the picks in (type, polarity, candidate) order. Only the pick rule
+// differs between regimes, and it is resolved once per site:
 //
-//   - Deterministic / exact-means runs (pbar = 0.5): for each type, a
-//     flat scan over the staircase picks the argmax of the exactly
-//     mirrored buffered objective; Li–Shi predictive pruning then skips
-//     the type entirely when an existing candidate or an
-//     already-selected stronger type dominates it on arrival. The scan
-//     visits every staircase point rather than only hull vertices — the
-//     argmax must be computed with bit-exact float semantics to honor
-//     the bit-identity contract, and at realistic frontier sizes the
-//     O(b·m) flat scan over two contiguous float64 columns costs less
-//     than the hull bookkeeping it would avoid. The win is not the scan,
-//     it is what the scan makes unnecessary: O(b + m) materialized
-//     candidates (forms, provenance, sort keys) per site instead of
-//     O(b·m).
+//   - exact: every candidate the type can drive — one buffered candidate
+//     per pair, b·m forms, provenance records and frontier slots per
+//     site, for the next prune to thin out. It is the reference, and it
+//     runs under HullOff, under 4P (whose partial order has no per-type
+//     single-survivor property), and at sites whose originals are not
+//     load-sorted (Stats.HullFallbacks).
 //
-//   - 2P runs at pbar > 0.5: probabilistic dominance is no longer the
-//     mean order, so per-type reduction to one candidate is unsound.
-//     Instead a per-type pre-prune drops a candidate only when the
-//     type's mean-best candidate *certainly* dominates it under the
-//     existing probAtLeast sandwich: identical load forms make the
-//     L-test a bitwise replica of the sweep's own test, and the T-test
-//     is certified against the pessimistic sigma bound
-//     σ(Tj − Ti) ≤ σTj + σTi with a relative safety margin.
+//   - exact-means (deterministic runs and pbar = 0.5): a buffer decouples
+//     the upstream tree from the downstream load, so every buffered
+//     candidate of one type presents the same load C_b and at most one of
+//     them — the one maximizing Q − R_b·C, on the upper convex hull of
+//     the (C, Q) staircase — can survive the sweep. A flat scan picks
+//     that argmax with the exactly mirrored buffered objective, and Li–Shi
+//     predictive pruning skips even the argmax when an original candidate
+//     or an already-picked stronger type dominates it on arrival. The scan
+//     visits every staircase point rather than only hull vertices: the
+//     argmax must be computed with bit-exact float semantics, and at
+//     realistic frontier sizes the O(b·m) scan over two contiguous float64
+//     columns costs less than the hull bookkeeping it would avoid. The win
+//     is what the scan makes unnecessary: O(b + m) materialized candidates
+//     per site instead of O(b·m).
 //
-//   - 4P runs and uncertifiable frontiers fall back to the exact path
-//     (Stats.HullFallbacks).
+//   - certain-dominance (2P at pbar > 0.5): probabilistic dominance is no
+//     longer the mean order, so reduction to one candidate per type is
+//     unsound. The rule picks the type's mean-best candidate and every
+//     other one it does not *certainly* dominate under the probAtLeast
+//     sandwich: identical load forms make the L-test a bitwise replica of
+//     the sweep's own test, and the T-test is certified against the
+//     pessimistic sigma bound σ(Tj − Ti) ≤ σTj + σTi with a relative
+//     safety margin.
 //
 // Soundness rests on a property of both sweep rules: a candidate that
 // gets pruned never enters the kept set, so it never influences any
-// other prune decision. Removing a provably-pruned candidate from the
-// input therefore leaves every surviving candidate — keys, forms,
-// provenance — bit-identical. DESIGN.md §14 carries the full argument,
-// including the chain covering a pre-pruned candidate whose certifying
-// dominator is itself pruned.
+// other prune decision. Leaving out a provably-pruned candidate therefore
+// leaves every surviving candidate — keys, forms, provenance —
+// bit-identical. DESIGN.md §14 carries the full argument, including the
+// chain covering a pre-pruned candidate whose certifying dominator is
+// itself pruned.
 package core
 
 import (
@@ -63,47 +65,57 @@ import (
 const hullSafety = 1e-6
 
 // hullEmit is the arrival key (mean load, mean RAT) of a type-best
-// candidate already emitted at this site, kept for predictive pruning
-// of later types.
+// candidate already picked at this site, kept for predictive pruning of
+// later types.
 type hullEmit struct {
 	ln, tn float64
 }
 
-// hullScratch is the kernel's per-worker reusable state.
+// hullScratch is the buffering pass's per-worker reusable state.
 type hullScratch struct {
 	// pmax[p][i] is max(tn[0..i]) over the polarity-p originals — the
 	// running maximum the exact-means sweep would have seen before any
 	// candidate with a larger load.
 	pmax [2][]float64
-	// emitted collects the type-best candidates appended to each target
+	// emitted collects the type-best candidates picked for each target
 	// polarity list at the current site.
 	emitted [2][]hullEmit
-	// picks lists the candidates hull2P emits at the current site, in
-	// emission order, and devs each type's device forms, so that the
-	// target lists grow once to the counted size before any push.
+	// picks lists the candidates picked at the current site, in build
+	// order, and devs each type's device forms.
 	picks []hullPick
 	devs  []hullDev
 }
 
-// hullPick is one candidate hull2P emits: source candidate i of
-// polarity p, buffered with library type bi.
+// hullPick is one picked candidate: source candidate i of polarity p,
+// buffered with library type bi.
 type hullPick struct {
 	bi, i int32
 	p     int8
 }
 
 // hullDev holds one buffer type's load and delay forms at a site, and
-// the load form's variance, which every pick of the type caches.
+// the load form's variance, which every pick of the type caches (zero
+// when the frontier carries no moments).
 type hullDev struct {
 	cb, tb variation.Form
 	cbVar  float64
 }
 
+// pickRule is how addBuffers chooses the candidates it buffers at a site
+// (see the package comment of this file).
+type pickRule uint8
+
+const (
+	pickExact pickRule = iota
+	pickMeans
+	pickCertain
+)
+
 // prep resets the per-site state for polarity p and builds the tn
 // prefix-max over the n0 original candidates. It returns false when the
 // originals are not weakly sorted by mean load — the invariant every
 // frontier producer (leaf, wire propagation, merge + prune) maintains —
-// in which case the caller must fall back to exact generation.
+// in which case the site takes the exact pick rule.
 func (hs *hullScratch) prep(p int, f *frontier, n0 int) bool {
 	hs.emitted[p] = hs.emitted[p][:0]
 	if cap(hs.pmax[p]) < n0 {
@@ -151,148 +163,97 @@ func (hs *hullScratch) dominatedOnArrival(target int, tf *frontier, n0 int, cbn,
 	return false
 }
 
-// addBuffersHull is the hull-kernel replacement for addBuffersExact,
-// dispatching on the active 2P flavor. The engine only routes here for
-// 2P rules (4P keeps the exact path).
-func (w *worker) addBuffersHull(id rctree.NodeID, node *rctree.Node, pl polarityLists) polarityLists {
-	if w.prn.exactMeans {
-		n0 := [2]int{pl[0].len(), pl[1].len()}
-		for p := 0; p < 2; p++ {
-			if !w.hull.prep(p, pl[p], n0[p]) {
-				w.stats.HullFallbacks++
-				return w.addBuffersExact(id, node, pl)
+// addBuffers augments the polarity frontiers with buffered candidates at
+// a legal site (eq. 27–28 / 35–36). Both C_b and T_b of a buffer at one
+// site share the same underlying deviation (they are driven by the same
+// device's process parameters), per eq. 23–24. A non-inverting buffer
+// keeps the candidate's required polarity; an inverter flips it. Every
+// pick rule yields frontiers whose surviving candidates are bit-identical
+// after the prune.
+//
+// Drive-capability semantics: MaxLoad is compared against the
+// candidate's *nominal* downstream load only. Under variation the true
+// load is a distribution (L = ln ± σ), and a buffer is considered able
+// to drive any candidate whose mean load fits — load σ is deliberately
+// ignored, mirroring the deterministic library characterization the
+// MaxLoad figure comes from. A yield-aware drive check (e.g. nominal +
+// k·σ ≤ MaxLoad) would be a semantic change to the DP's feasible set;
+// TestMaxLoadNominalSemantics pins the current behavior.
+func (w *worker) addBuffers(id rctree.NodeID, pl polarityLists) polarityLists {
+	e := w.eng
+	hs := &w.hull
+	out := pl
+	// Snapshot the input lengths: buffered candidates are appended to the
+	// same frontiers but must never be buffered again at this node.
+	n0 := [2]int{pl[0].len(), pl[1].len()}
+	rule := pickExact
+	if e.hull {
+		rule = pickCertain
+		if w.prn.exactMeans {
+			rule = pickMeans
+			for p := 0; p < 2; p++ {
+				if !hs.prep(p, pl[p], n0[p]) {
+					rule = pickExact
+					w.stats.HullFallbacks++
+					break
+				}
 			}
 		}
-		return w.hullExactMeans(id, pl, n0)
 	}
-	return w.hull2P(id, pl)
-}
-
-// hullExactMeans handles deterministic runs and 2P at pbar = 0.5: per
-// (type, source polarity) it materializes only the staircase argmax of
-// the buffered objective, and skips even that when it is dominated on
-// arrival. The drive-capability gate mirrors the exact path: MaxLoad is
-// compared against the candidate's *nominal* load only (see
-// addBuffersExact).
-func (w *worker) hullExactMeans(id rctree.NodeID, pl polarityLists, n0 [2]int) polarityLists {
-	e := w.eng
+	if rule != pickExact {
+		w.stats.HullSites++
+	}
 	dev := e.deviation(id)
-	out := pl
-	w.stats.HullSites++
-	hs := &w.hull
-	emitted := 0
-	// Each type emits at most one candidate into each target list, so
-	// growing a list once by the library size covers the whole site.
-	var grown [2]bool
+	needSig := w.prn.needSigmas()
+	zT := w.prn.zT
+	hs.picks, hs.devs = hs.picks[:0], hs.devs[:0]
+	var need [2]int
 	for bi, b := range e.opts.Library {
-		// Materialize the device forms exactly as the exact path does, so
-		// the scan keys below are read from the very floats that will be
-		// pushed — no separately-computed mirror can drift.
-		cbForm := dev.ScaleIn(w.terms, b.Cb0).Shift(b.Cb0)
-		tbForm := dev.ScaleIn(w.terms, b.Tb0).Shift(b.Tb0)
-		cbn, tbn := cbForm.Nominal, tbForm.Nominal
+		// The scan keys below read cbn and tbn from the very forms the
+		// build pushes, so no separately computed mirror can drift.
+		d := hullDev{
+			cb: dev.ScaleIn(w.terms, b.Cb0).Shift(b.Cb0),
+			tb: dev.ScaleIn(w.terms, b.Tb0).Shift(b.Tb0),
+		}
+		if needSig {
+			d.cbVar = d.cb.Var(e.space)
+		}
+		hs.devs = append(hs.devs, d)
+		cbn, tbn := d.cb.Nominal, d.tb.Nominal
 		nrb := -b.Rb
+		var lOK bool
+		var tbSigma float64
+		if rule == pickCertain {
+			cbSigma := math.Sqrt(d.cbVar)
+			tbSigma = d.tb.Sigma(e.space)
+			lOK = probAtLeastShared(0, cbSigma, cbSigma, w.prn.zL, d.cbVar)
+		}
 		for p := 0; p < 2; p++ {
 			target := p
 			if b.Inverting {
 				target = 1 - p
 			}
 			src := pl[p]
+			pick := func(i int) {
+				hs.picks = append(hs.picks, hullPick{bi: int32(bi), i: int32(i), p: int8(p)})
+				need[target]++
+			}
 			best, eligible := -1, 0
 			bestV := 0.0
 			for i := 0; i < n0[p]; i++ {
+				// Drive-capability constraint, on nominal load.
 				if b.MaxLoad > 0 && src.ln[i] > b.MaxLoad {
 					continue
 				}
 				eligible++
-				// Mirrors the nominal arithmetic of SubIn + AXPYIn below:
-				// tn + (-1)·tbn is bitwise tn − tbn, and the add-of-product
-				// shape matches AXPYIn's so any FMA contraction the compiler
-				// applies is applied to both.
-				v := (src.tn[i] - tbn) + nrb*src.ln[i]
-				if best < 0 || v > bestV {
-					best, bestV = i, v
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			if hs.dominatedOnArrival(target, pl[target], n0[target], cbn, bestV) {
-				w.stats.HullSkipped += int64(eligible)
-				continue
-			}
-			w.stats.HullSkipped += int64(eligible - 1)
-			nt := src.tform(best).SubIn(w.terms, tbForm).AXPYIn(w.terms, nrb, src.lform(best))
-			ref := w.prov.alloc(prov{pred: src.ref[best], pred2: -1, node: id, aux: int32(bi), op: opBuffer})
-			if !grown[target] {
-				out[target] = w.room(out[target], len(e.opts.Library))
-				grown[target] = true
-			}
-			out[target].push(cbForm, nt, ref, e.space)
-			w.stats.Generated++
-			emitted++
-			hs.emitted[target] = append(hs.emitted[target], hullEmit{ln: cbn, tn: nt.Nominal})
-		}
-	}
-	if emitted > w.stats.HullPeak {
-		w.stats.HullPeak = emitted
-	}
-	return out
-}
-
-// hull2P handles 2P runs at pbar > 0.5, where dominance is probabilistic
-// and reduction to one candidate per type is unsound. Every type still
-// emits its mean-best candidate; the other candidates of the type are
-// emitted too unless the mean-best *certainly* dominates them:
-//
-//   - L: both share the identical load form cbForm, and L-dominance
-//     between identical forms is decided by probAtLeast's covariance
-//     fallback, whose outcome depends on how round(sqrt(Var))² compares
-//     to Var — a per-type constant the kernel evaluates once with the
-//     sweep's own code. When that test says no, the type pre-prunes
-//     nothing.
-//   - T: the mean gap must clear z_T times the pessimistic bound
-//     σ(T_best) + σ(T_i), each bounded by the triangle inequality
-//     σ(T) ≤ σ(T_src) + R_b·σ(L_src) + σ(tbForm) from the cached
-//     frontier sigmas, with hullSafety slack. A gap that large passes
-//     the sweep's certain-yes branch no matter the covariance — and the
-//     chain in DESIGN.md §14 shows any kept candidate that pruned the
-//     mean-best also certainly prunes i.
-//
-// The decisions are taken first and the picks materialized after, so
-// each target list grows once, to the counted size.
-func (w *worker) hull2P(id rctree.NodeID, pl polarityLists) polarityLists {
-	e := w.eng
-	dev := e.deviation(id)
-	out := pl
-	n0 := [2]int{pl[0].len(), pl[1].len()}
-	w.stats.HullSites++
-	zT := w.prn.zT
-	hs := &w.hull
-	hs.picks, hs.devs = hs.picks[:0], hs.devs[:0]
-	var need [2]int
-	for bi, b := range e.opts.Library {
-		cbForm := dev.ScaleIn(w.terms, b.Cb0).Shift(b.Cb0)
-		tbForm := dev.ScaleIn(w.terms, b.Tb0).Shift(b.Tb0)
-		cbVar := cbForm.Var(e.space) // the moments every pick caches
-		hs.devs = append(hs.devs, hullDev{cb: cbForm, tb: tbForm, cbVar: cbVar})
-		tbn := tbForm.Nominal
-		nrb := -b.Rb
-		cbSigma := math.Sqrt(cbVar)
-		tbSigma := tbForm.Sigma(e.space)
-		lOK := probAtLeastShared(0, cbSigma, cbSigma, w.prn.zL, cbVar)
-		for p := 0; p < 2; p++ {
-			target := p
-			if b.Inverting {
-				target = 1 - p
-			}
-			src := pl[p]
-			best := -1
-			bestV := 0.0
-			for i := 0; i < n0[p]; i++ {
-				if b.MaxLoad > 0 && src.ln[i] > b.MaxLoad {
+				if rule == pickExact {
+					pick(i)
 					continue
 				}
+				// Mirrors the nominal arithmetic of SubIn + AXPYIn in the
+				// build: tn + (-1)·tbn is bitwise tn − tbn, and the
+				// add-of-product shape matches AXPYIn's so any FMA
+				// contraction the compiler applies is applied to both.
 				v := (src.tn[i] - tbn) + nrb*src.ln[i]
 				if best < 0 || v > bestV {
 					best, bestV = i, v
@@ -301,6 +262,30 @@ func (w *worker) hull2P(id rctree.NodeID, pl polarityLists) polarityLists {
 			if best < 0 {
 				continue
 			}
+			if rule == pickMeans {
+				if hs.dominatedOnArrival(target, pl[target], n0[target], cbn, bestV) {
+					w.stats.HullSkipped += int64(eligible)
+					continue
+				}
+				w.stats.HullSkipped += int64(eligible - 1)
+				pick(best)
+				// bestV is bitwise the nominal the build pushes (see above).
+				hs.emitted[target] = append(hs.emitted[target], hullEmit{ln: cbn, tn: bestV})
+				continue
+			}
+			// Certain dominance. L-leg: the mean-best and candidate i share
+			// the load form cb, and L-dominance between identical forms is
+			// decided by probAtLeast's covariance fallback, whose outcome
+			// depends on how round(sqrt(Var))² compares to Var — a per-type
+			// constant (lOK) evaluated with the sweep's own code; when it
+			// says no, the type pre-prunes nothing. T-leg: the mean gap must
+			// clear z_T times the pessimistic bound σ(T_best) + σ(T_i), each
+			// bounded by the triangle inequality σ(T) ≤ σ(T_src) +
+			// R_b·σ(L_src) + σ(tb) from the cached frontier sigmas, with
+			// hullSafety slack. A gap that large passes the sweep's
+			// certain-yes branch no matter the covariance — and the chain in
+			// DESIGN.md §14 shows any kept candidate that pruned the
+			// mean-best also certainly prunes i.
 			var ubBest float64
 			if lOK {
 				ubBest = (src.st[best] + b.Rb*src.sl[best]) + tbSigma
@@ -323,8 +308,7 @@ func (w *worker) hull2P(id rctree.NodeID, pl polarityLists) polarityLists {
 						continue
 					}
 				}
-				hs.picks = append(hs.picks, hullPick{bi: int32(bi), i: int32(i), p: int8(p)})
-				need[target]++
+				pick(i)
 			}
 		}
 	}
@@ -346,7 +330,7 @@ func (w *worker) hull2P(id rctree.NodeID, pl polarityLists) polarityLists {
 		out[target].pushVar(d.cb, nt, d.cbVar, ref, e.space)
 	}
 	w.stats.Generated += int64(len(hs.picks))
-	if len(hs.picks) > w.stats.HullPeak {
+	if rule != pickExact && len(hs.picks) > w.stats.HullPeak {
 		w.stats.HullPeak = len(hs.picks)
 	}
 	return out

@@ -120,7 +120,7 @@ func checkHullDifferential(t *testing.T, seed int64, cfg string, par int) int64 
 		o := opts
 		o.HullBuffering, o.Parallelism = hull, par
 		if cache != nil {
-			o.SubtreeCache, o.SubtreeCacheMinNodes = cache, 4
+			o.SubtreeCache = cache
 		}
 		res, err := Insert(tr, o)
 		if err != nil {
@@ -185,23 +185,23 @@ func FuzzFrontierReuse(f *testing.F) {
 // and count a fallback, producing the same candidates.
 func TestHullFallbackUnsorted(t *testing.T) {
 	lib := device.DefaultLibrary()
-	mkInput := func() (*worker, polarityLists) {
+	mkInput := func(hull bool) (*worker, polarityLists) {
 		w := testWorker(Rule2P)
 		w.eng.opts.Library = lib
-		w.eng.hull = true
+		w.eng.hull = hull
 		f := w.mkLeafFrontier([2]float64{5, -10}, [2]float64{2, -30}, [2]float64{9, -5})
 		return w, polarityLists{f, nil}
 	}
-	wh, plh := mkInput()
-	hullOut := wh.addBuffersHull(0, nil, plh)
+	wh, plh := mkInput(true)
+	hullOut := wh.addBuffers(0, plh)
 	if wh.stats.HullFallbacks != 1 {
 		t.Fatalf("HullFallbacks = %d, want 1", wh.stats.HullFallbacks)
 	}
 	if wh.stats.HullSites != 0 || wh.stats.HullSkipped != 0 {
 		t.Fatalf("fallback site still counted hull stats: %+v", wh.stats)
 	}
-	we, ple := mkInput()
-	exactOut := we.addBuffersExact(0, nil, ple)
+	we, ple := mkInput(false)
+	exactOut := we.addBuffers(0, ple)
 	if wh.stats.Generated != we.stats.Generated {
 		t.Fatalf("generated %d vs exact %d", wh.stats.Generated, we.stats.Generated)
 	}
@@ -222,10 +222,11 @@ func TestHullFallbackUnsorted(t *testing.T) {
 // TestMaxLoadNominalSemantics pins the drive-capability contract for
 // variation-aware runs: MaxLoad is checked against the nominal load only.
 // A candidate whose mean load fits but whose +1σ load exceeds the cap is
-// still buffered — by the exact path and the hull kernel alike. If this
-// test breaks because a yield-aware check (nominal + k·σ) was introduced,
-// that is a deliberate semantic change: update DESIGN.md §14 and the
-// addBuffersExact comment together with this test.
+// still buffered — by the exact rule and the certain-dominance rule
+// alike, the two the pbar 0.9 run takes under HullOff and HullAuto. If
+// this test breaks because a yield-aware check (nominal + k·σ) was
+// introduced, that is a deliberate semantic change: update DESIGN.md §14
+// and the addBuffers comment together with this test.
 func TestMaxLoadNominalSemantics(t *testing.T) {
 	const (
 		nominal = 50.0
@@ -244,7 +245,7 @@ func TestMaxLoadNominalSemantics(t *testing.T) {
 		pushStatCand(f, space, nominal, sigma, -20, 1)
 		// Mean load over the cap: must be filtered, however small its σ.
 		pushStatCand(f, space, nominal+2, 0.01, -5, 1)
-		out := w.addBuffers(0, nil, polarityLists{f, nil})
+		out := w.addBuffers(0, polarityLists{f, nil})
 		buffered := out[0].len() - 2 // minus the two original candidates
 		if buffered != 1 {
 			t.Fatalf("mode %v: %d buffered candidates, want exactly 1 (nominal-only MaxLoad)", mode, buffered)

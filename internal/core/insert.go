@@ -29,7 +29,7 @@ type engine struct {
 	// by milliseconds while every P runs a DP worker, so dp also compares
 	// the clock with it.
 	deadline time.Time
-	// hull routes buffering through the convex-hull kernel (hull.go).
+	// hull lets addBuffers take the convex-hull pick rules (hull.go).
 	// Resolved once per run: HullBuffering != off and a 2P-family rule
 	// (the 4P partial order has no per-type single-survivor property).
 	hull bool
@@ -45,11 +45,10 @@ type engine struct {
 
 	// Subtree-cache state (nil/empty when Options.SubtreeCache is unset):
 	// fps[id] is the canonical fingerprint of the subtree rooted at id,
-	// subSize[id] its node count, cacheMin the eligibility floor.
-	cache    *SubtreeCache
-	fps      []subtreeKey
-	subSize  []int32
-	cacheMin int
+	// subSize[id] its node count.
+	cache   *SubtreeCache
+	fps     []subtreeKey
+	subSize []int32
 
 	// sem holds the spawn tokens for extra DP workers (nil = serial).
 	sem chan struct{}
@@ -124,10 +123,6 @@ func Insert(tree *rctree.Tree, opts Options) (*Result, error) {
 	}
 	if o.SubtreeCache != nil {
 		e.cache = o.SubtreeCache
-		e.cacheMin = o.SubtreeCacheMinNodes
-		if e.cacheMin <= 0 {
-			e.cacheMin = DefaultSubtreeCacheMinNodes
-		}
 		e.fps, e.subSize = subtreeFingerprints(tree, &o)
 	}
 	if o.Parallelism > 1 {
@@ -245,7 +240,7 @@ func (w *worker) dp(id rctree.NodeID) (polarityLists, error) {
 			return polarityLists{}, e.fail(w.contextErr(cerr))
 		}
 	}
-	if e.fps != nil && e.subSize[id] >= int32(e.cacheMin) {
+	if e.fps != nil && e.subSize[id] >= subtreeCacheMinNodes {
 		if ent := e.cache.lookup(e.fps[id]); ent != nil {
 			w.stats.SubtreeHits++
 			pl := w.restoreCached(id, ent)
@@ -354,7 +349,7 @@ func (w *worker) dpCompute(id rctree.NodeID) (polarityLists, error) {
 		}
 	}
 	if node.BufferOK {
-		raw := w.addBuffers(id, node, pl)
+		raw := w.addBuffers(id, pl)
 		if err := w.checkBudget(raw[0].len() + raw[1].len()); err != nil {
 			return polarityLists{}, e.fail(err)
 		}
@@ -445,92 +440,8 @@ func (e *engine) deviation(id rctree.NodeID) variation.Form {
 	return e.dev[id]
 }
 
-// addBuffers augments the polarity frontiers with buffered candidates at
-// a legal site, dispatching between the exact per-pair generator and the
-// convex-hull kernel (hull.go). Both paths produce frontiers whose
-// surviving candidates are bit-identical after the prune.
-func (w *worker) addBuffers(id rctree.NodeID, node *rctree.Node, pl polarityLists) polarityLists {
-	if w.eng.hull {
-		return w.addBuffersHull(id, node, pl)
-	}
-	return w.addBuffersExact(id, node, pl)
-}
-
-// addBuffersExact augments the polarity frontiers with one buffered
-// candidate per (existing candidate, buffer type) pair (eq. 27–28 /
-// 35–36). Both C_b and T_b of a buffer at one site share the same
-// underlying deviation (they are driven by the same device's process
-// parameters), per eq. 23–24. A non-inverting buffer keeps the
-// candidate's required polarity; an inverter flips it.
-//
-// Drive-capability semantics: MaxLoad is compared against the
-// candidate's *nominal* downstream load only. Under variation the true
-// load is a distribution (L = ln ± σ), and a buffer is considered able
-// to drive any candidate whose mean load fits — load σ is deliberately
-// ignored, mirroring the deterministic library characterization the
-// MaxLoad figure comes from. A yield-aware drive check (e.g. nominal +
-// k·σ ≤ MaxLoad) would be a semantic change to the DP's feasible set;
-// TestMaxLoadNominalSemantics pins the current behavior. The hull
-// kernel applies the identical gate.
-func (w *worker) addBuffersExact(id rctree.NodeID, node *rctree.Node, pl polarityLists) polarityLists {
-	dev := w.eng.deviation(id)
-	out := pl
-	// Snapshot the input lengths: buffered candidates are appended to the
-	// same frontiers but must never be buffered again at this node.
-	n0 := [2]int{pl[0].len(), pl[1].len()}
-	// Count the candidates each target list receives and grow it once.
-	var need [2]int
-	for _, b := range w.eng.opts.Library {
-		for p := 0; p < 2; p++ {
-			target := p
-			if b.Inverting {
-				target = 1 - p
-			}
-			for i := 0; i < n0[p]; i++ {
-				if b.MaxLoad <= 0 || pl[p].ln[i] <= b.MaxLoad {
-					need[target]++
-				}
-			}
-		}
-	}
-	for p := 0; p < 2; p++ {
-		if need[p] > 0 {
-			out[p] = w.room(out[p], need[p])
-		}
-	}
-	needSig := w.prn.needSigmas()
-	for bi, b := range w.eng.opts.Library {
-		cbForm := dev.ScaleIn(w.terms, b.Cb0).Shift(b.Cb0)
-		tbForm := dev.ScaleIn(w.terms, b.Tb0).Shift(b.Tb0)
-		cbVar := 0.0
-		if needSig {
-			cbVar = cbForm.Var(w.eng.space) // shared by every pick of the type
-		}
-		for p := 0; p < 2; p++ {
-			target := p
-			if b.Inverting {
-				target = 1 - p
-			}
-			src := pl[p]
-			for i := 0; i < n0[p]; i++ {
-				// Drive-capability constraint: a buffer may not drive
-				// more than its MaxLoad (checked on nominal load).
-				if b.MaxLoad > 0 && src.ln[i] > b.MaxLoad {
-					continue
-				}
-				sT := src.tform(i)
-				nt := sT.SubIn(w.terms, tbForm).AXPYIn(w.terms, -b.Rb, src.lform(i))
-				ref := w.prov.alloc(prov{pred: src.ref[i], pred2: -1, node: id, aux: int32(bi), op: opBuffer})
-				out[target].pushVar(cbForm, nt, cbVar, ref, w.eng.space)
-				w.stats.Generated++
-			}
-		}
-	}
-	return out
-}
-
 // room returns f with space for n more candidates, or a new frontier of
-// that capacity when f is nil. The buffering paths call it once per
+// that capacity when f is nil. addBuffers calls it once per
 // target list and site, so the wired list is not regrown push by push.
 func (w *worker) room(f *frontier, n int) *frontier {
 	if f == nil {

@@ -154,9 +154,6 @@ type Options struct {
 	// to uncached runs; Stats candidate/arena counters reflect only the
 	// work actually performed.
 	SubtreeCache *SubtreeCache
-	// SubtreeCacheMinNodes is the smallest subtree (node count) worth
-	// caching; 0 selects DefaultSubtreeCacheMinNodes.
-	SubtreeCacheMinNodes int
 	// HullBuffering selects the convex-hull buffering kernel for b-type
 	// libraries (default HullAuto = on wherever the rule supports it).
 	// Results are bit-identical in every mode; only the Stats counters
@@ -222,9 +219,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if opts.Parallelism == 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.SubtreeCacheMinNodes < 0 {
-		return opts, fmt.Errorf("core: negative SubtreeCacheMinNodes %d", opts.SubtreeCacheMinNodes)
 	}
 	for i, wc := range opts.WireLibrary {
 		if wc.Params.R <= 0 || wc.Params.C <= 0 {

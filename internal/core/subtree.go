@@ -12,10 +12,10 @@ import (
 	"vabuf/internal/variation"
 )
 
-// DefaultSubtreeCacheMinNodes is the smallest subtree (node count) the
-// cache will memoize when Options.SubtreeCacheMinNodes is zero. Tiny
-// subtrees cost more to fingerprint-lookup and restore than to recompute.
-const DefaultSubtreeCacheMinNodes = 16
+// subtreeCacheMinNodes is the smallest subtree (node count) the cache
+// memoizes. Tiny subtrees cost more to fingerprint-lookup and restore
+// than to recompute.
+const subtreeCacheMinNodes = 16
 
 // subtreeKey is the canonical fingerprint of (subtree, run configuration):
 // equal keys guarantee the DP computes bit-identical candidate frontiers.

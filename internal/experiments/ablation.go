@@ -193,9 +193,9 @@ func MinVarianceAblation(cfg Config) ([]MinVarianceRow, error) {
 		const trials = 2000
 		for i := 0; i < trials; i++ {
 			space := variation.NewSpace()
-			shared := space.Add(variation.ClassInterDie, 1, "s")
-			a := space.Add(variation.ClassRandom, 1, "a")
-			b := space.Add(variation.ClassRandom, 1, "b")
+			shared := space.Add(variation.ClassInterDie, 1)
+			a := space.Add(variation.ClassRandom, 1)
+			b := space.Add(variation.ClassRandom, 1)
 			// Construct two unit-variance forms with correlation rho.
 			sh := math.Sqrt(rho)
 			ind := math.Sqrt(1 - rho)

@@ -46,7 +46,7 @@ func mirrorForms(seed uint64, shape uint8, gap float64) (f, g Form, space *Space
 		if r.IntN(8) == 0 {
 			sigma = 0
 		}
-		space.Add(ClassRandom, sigma, "")
+		space.Add(ClassRandom, sigma)
 	}
 	coef := func() float64 {
 		if c := r.NormFloat64() * math.Pow(10, float64(r.IntN(5)-2)); c != 0 {

@@ -13,12 +13,12 @@ func benchForms(nTerms int) (Form, Form, *Space) {
 	rng := rand.New(rand.NewSource(42))
 	shared := make([]Term, nTerms/2)
 	for i := range shared {
-		shared[i] = Term{ID: space.Add(ClassRandom, 1, "s"), Coef: rng.Float64()}
+		shared[i] = Term{ID: space.Add(ClassRandom, 1), Coef: rng.Float64()}
 	}
 	mk := func() Form {
 		terms := append([]Term(nil), shared...)
 		for i := 0; i < nTerms-len(shared); i++ {
-			terms = append(terms, Term{ID: space.Add(ClassRandom, 1, "p"), Coef: rng.Float64()})
+			terms = append(terms, Term{ID: space.Add(ClassRandom, 1), Coef: rng.Float64()})
 		}
 		return NewForm(rng.Float64()*100, terms)
 	}

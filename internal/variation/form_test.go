@@ -13,7 +13,7 @@ import (
 func testSpace(n int) *Space {
 	s := NewSpace()
 	for i := 0; i < n; i++ {
-		s.Add(ClassRandom, 1, "x")
+		s.Add(ClassRandom, 1)
 	}
 	return s
 }
@@ -135,8 +135,8 @@ func TestFormAlgebraProperties(t *testing.T) {
 
 func TestVarCovCorr(t *testing.T) {
 	space := NewSpace()
-	a := space.Add(ClassRandom, 2, "a") // sigma 2
-	b := space.Add(ClassRandom, 3, "b") // sigma 3
+	a := space.Add(ClassRandom, 2) // sigma 2
+	b := space.Add(ClassRandom, 3) // sigma 3
 	f := NewForm(0, []Term{{a, 1}, {b, 1}})
 	if v := f.Var(space); math.Abs(v-13) > 1e-12 {
 		t.Errorf("Var = %g, want 13", v)
@@ -238,7 +238,7 @@ func TestAXPYVarMatchesAXPY(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	space := NewSpace()
 	for i := 0; i < 24; i++ {
-		space.Add(ClassRandom, 0.1+rng.Float64()*3, "x")
+		space.Add(ClassRandom, 0.1+rng.Float64()*3)
 	}
 	randForm := func() Form {
 		var ts []Term

@@ -121,11 +121,11 @@ func NewModel(cfg ModelConfig) (*Model, error) {
 		devs:    make(map[int][]siteDeviation),
 		token:   modelTokens.Add(1),
 	}
-	m.interDie = m.Space.Add(ClassInterDie, 1, "G")
+	m.interDie = m.Space.Add(ClassInterDie, 1)
 	if cfg.SpatialFrac > 0 {
 		m.spatial = make([]SourceID, grid.NumCells())
 		for i := range m.spatial {
-			m.spatial[i] = m.Space.Add(ClassSpatial, 1, fmt.Sprintf("Y%d", i))
+			m.spatial[i] = m.Space.Add(ClassSpatial, 1)
 		}
 	}
 	return m, nil
@@ -137,7 +137,7 @@ func (m *Model) RandomSourceFor(siteKey int) SourceID {
 	if id, ok := m.random[siteKey]; ok {
 		return id
 	}
-	id := m.Space.Add(ClassRandom, 1, fmt.Sprintf("X@%d", siteKey))
+	id := m.Space.Add(ClassRandom, 1)
 	m.random[siteKey] = id
 	return id
 }

@@ -48,8 +48,6 @@ type Source struct {
 	// Sigma is the standard deviation of the source. All model-allocated
 	// sources are unit normal; coefficients carry the scaling.
 	Sigma float64
-	// Label is a short human-readable description (for debugging output).
-	Label string
 }
 
 // Space is a registry of independent variation sources. A single Space is
@@ -66,12 +64,12 @@ type Space struct {
 func NewSpace() *Space { return &Space{} }
 
 // Add registers a new independent source and returns its ID.
-func (s *Space) Add(class Class, sigma float64, label string) SourceID {
-	if sigma < 0 {
-		panic(fmt.Sprintf("variation: negative sigma %g for source %q", sigma, label))
-	}
+func (s *Space) Add(class Class, sigma float64) SourceID {
 	id := SourceID(len(s.sources))
-	s.sources = append(s.sources, Source{ID: id, Class: class, Sigma: sigma, Label: label})
+	if sigma < 0 {
+		panic(fmt.Sprintf("variation: negative sigma %g for source %d", sigma, id))
+	}
+	s.sources = append(s.sources, Source{ID: id, Class: class, Sigma: sigma})
 	s.sigmas = append(s.sigmas, sigma)
 	return id
 }

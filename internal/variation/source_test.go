@@ -9,9 +9,9 @@ import (
 
 func TestSpaceAddAndLookup(t *testing.T) {
 	s := NewSpace()
-	a := s.Add(ClassRandom, 1, "a")
-	b := s.Add(ClassSpatial, 2, "b")
-	c := s.Add(ClassInterDie, 3, "c")
+	a := s.Add(ClassRandom, 1)
+	b := s.Add(ClassSpatial, 2)
+	c := s.Add(ClassInterDie, 3)
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
@@ -19,7 +19,7 @@ func TestSpaceAddAndLookup(t *testing.T) {
 		t.Errorf("IDs not dense: %d %d %d", a, b, c)
 	}
 	src := s.Source(b)
-	if src.Class != ClassSpatial || src.Sigma != 2 || src.Label != "b" {
+	if src.Class != ClassSpatial || src.Sigma != 2 {
 		t.Errorf("Source(b) = %+v", src)
 	}
 	if s.Sigma(c) != 3 {
@@ -37,7 +37,7 @@ func TestAddNegativeSigmaPanics(t *testing.T) {
 			t.Error("negative sigma did not panic")
 		}
 	}()
-	NewSpace().Add(ClassRandom, -1, "bad")
+	NewSpace().Add(ClassRandom, -1)
 }
 
 func TestClassString(t *testing.T) {
@@ -53,8 +53,8 @@ func TestClassString(t *testing.T) {
 
 func TestSampleMoments(t *testing.T) {
 	s := NewSpace()
-	s.Add(ClassRandom, 1, "u")
-	s.Add(ClassRandom, 4, "w")
+	s.Add(ClassRandom, 1)
+	s.Add(ClassRandom, 4)
 	draws := NewDraws(99)
 	const n = 100000
 	xs := make([]float64, 0, n)
@@ -88,8 +88,8 @@ func TestSampleMoments(t *testing.T) {
 
 func TestSampleReusesBuffer(t *testing.T) {
 	s := NewSpace()
-	s.Add(ClassRandom, 1, "a")
-	s.Add(ClassRandom, 1, "b")
+	s.Add(ClassRandom, 1)
+	s.Add(ClassRandom, 1)
 	buf := make([]float64, 10)
 	out := s.Sample(NewDraws(1), 0, buf)
 	if len(out) != 2 {
@@ -104,8 +104,8 @@ func TestFormSamplingMatchesAnalyticMoments(t *testing.T) {
 	// End-to-end: the analytic Var of a form equals the sample variance of
 	// its evaluations.
 	s := NewSpace()
-	a := s.Add(ClassRandom, 1, "a")
-	b := s.Add(ClassRandom, 2, "b")
+	a := s.Add(ClassRandom, 1)
+	b := s.Add(ClassRandom, 2)
 	f := NewForm(10, []Term{{a, 3}, {b, -1}})
 	draws := NewDraws(5)
 	const n = 200000

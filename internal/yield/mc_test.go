@@ -97,9 +97,9 @@ func checkPrefixProgram(t *testing.T, p *Design, n int, seed int64) {
 func prefixSpace() *variation.Space {
 	space := variation.NewSpace()
 	for i := 0; i < 4; i++ {
-		space.Add(variation.ClassRandom, 1, "x")
+		space.Add(variation.ClassRandom, 1)
 	}
-	space.Add(variation.ClassRandom, 0, "zero")
+	space.Add(variation.ClassRandom, 0)
 	return space
 }
 
@@ -204,7 +204,7 @@ func FuzzSharedPrefixEval(f *testing.F) {
 		nsrc := 1 + int(data[0])%6
 		space := variation.NewSpace()
 		for i := 0; i < nsrc; i++ {
-			space.Add(variation.ClassRandom, float64(i%3), "x")
+			space.Add(variation.ClassRandom, float64(i%3))
 		}
 		next := func() int {
 			if len(data) == 0 {

@@ -219,7 +219,7 @@ func TestYieldAtTarget(t *testing.T) {
 
 func TestNormalYieldAtTarget(t *testing.T) {
 	space := variation.NewSpace()
-	id := space.Add(variation.ClassRandom, 1, "x")
+	id := space.Add(variation.ClassRandom, 1)
 	rat := variation.NewForm(-100, []variation.Term{{ID: id, Coef: 10}})
 	mean, sigma := rat.Nominal, rat.Sigma(space)
 	// Target at the mean: 50%.
