@@ -3,11 +3,18 @@ package vabuf_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"vabuf"
+	"vabuf/internal/server"
 )
 
 func writeFile(path, content string) error {
@@ -111,6 +118,101 @@ func TestBufinsJSONOutput(t *testing.T) {
 	if res.SigmaPS != 0 {
 		t.Errorf("nom run has sigma %g", res.SigmaPS)
 	}
+}
+
+// TestBufinsMatchesDaemon runs bufins locally and POSTs the same fields
+// to /v1/insert on a daemon whose result and subtree caches are off, so
+// both answers come from a fresh DP: the DTOs must agree field for field
+// but for the wall clocks and the cache-hit flags.
+func TestBufinsMatchesDaemon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI tests build binaries")
+	}
+	bin := buildCmd(t, "./cmd/bufins")
+	// netFile writes a small generated net and returns its path and text.
+	netFile := func(sinks int, seed int64) (string, string) {
+		net, err := vabuf.GenerateTree(vabuf.BenchmarkSpec{Name: "cli", Sinks: sinks, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text bytes.Buffer
+		if err := vabuf.WriteTree(&text, net); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "net.tree")
+		if err := writeFile(path, text.String()); err != nil {
+			t.Fatal(err)
+		}
+		return path, text.String()
+	}
+	// 4P keeps every candidate whose bands overlap, so its net stays at
+	// three sinks: four already lists ~60k candidates under WID.
+	file4p, text4p := netFile(3, 7)
+	fileInv, textInv := netFile(10, 5)
+	srv := server.New(server.Config{Workers: 1, ResultCacheSize: -1, SubtreeCacheMB: -1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+
+	for _, tc := range []struct {
+		name string
+		args []string
+		req  server.InsertRequest
+	}{
+		{"nom p1", []string{"-bench", "p1", "-algo", "nom"},
+			server.InsertRequest{Bench: "p1", Algo: "nom"}},
+		{"wid pbar 0.9", []string{"-bench", "p1", "-algo", "wid", "-pbar", "0.9"},
+			server.InsertRequest{Bench: "p1", Algo: "wid", Pbar: 0.9}},
+		{"4p tree file", []string{"-tree", file4p, "-algo", "wid", "-rule", "4p"},
+			server.InsertRequest{Tree: text4p, Algo: "wid", Rule: "4p"}},
+		{"inverters wire sizing", []string{"-tree", fileInv, "-algo", "d2d", "-inverters", "-wire-sizing"},
+			server.InsertRequest{Tree: textInv, Algo: "d2d", Inverters: true, WireSizing: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(tc.args, "-parallel", "1", "-json", "-print-assignment")
+			out, stderr, err := runCmd(t, bin, args...)
+			if err != nil {
+				t.Fatalf("bufins %v: %v\n%s", args, err, stderr)
+			}
+			req := tc.req
+			req.Parallelism, req.IncludeAssignment = 1, true
+			payload, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/insert", "application/json", bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("/v1/insert: %v %s: %s", err, resp.Status, body)
+			}
+			local, served := decodeRun(t, []byte(out)), decodeRun(t, body)
+			if !reflect.DeepEqual(local, served) {
+				t.Errorf("bufins and vabufd disagree:\nbufins %+v\nvabufd %+v", local, served)
+			}
+			if len(local.Assignment) != local.NumBuffers {
+				t.Errorf("assignment has %d entries, num_buffers %d", len(local.Assignment), local.NumBuffers)
+			}
+		})
+	}
+}
+
+// decodeRun parses an insert DTO and clears what differs between two
+// runs of one request: the wall clocks and the cache-hit flags.
+func decodeRun(t *testing.T, raw []byte) server.InsertResult {
+	t.Helper()
+	var res server.InsertResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatalf("not the insert DTO: %v\n%s", err, raw)
+	}
+	res.ElapsedMS, res.Stats.ElapsedMS = 0, 0
+	res.TreeCacheHit, res.ModelCacheHit = false, false
+	return res
 }
 
 func TestBenchgenCLIRoundTrip(t *testing.T) {

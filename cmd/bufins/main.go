@@ -28,7 +28,9 @@
 // Algorithms: nom (deterministic van Ginneken), d2d (random + inter-die
 // variation), wid (all variation classes, the paper's algorithm). The
 // -rule flag selects 2P (default) or the 4P baseline, and -pbar sets the
-// 2P thresholds.
+// 2P thresholds. A local run takes vabufd's recipe: the flags make the
+// /v1/insert request, and the tree, options and variation model come from
+// it as they do in the daemon (-library swaps the built-in library).
 package main
 
 import (
@@ -52,7 +54,6 @@ import (
 
 	"vabuf"
 	"vabuf/internal/server"
-	"vabuf/internal/variation"
 )
 
 func main() {
@@ -145,6 +146,10 @@ func run() error {
 		}
 	}()
 
+	pol := retryPolicy{retries: *retries, base: *retryBase, max: *retryMax}
+	if *timeout > 0 {
+		pol.deadline = time.Now().Add(*timeout)
+	}
 	if *batchFile != "" {
 		if *bench != "" || *treeFile != "" {
 			return fmt.Errorf("-batch is exclusive with -bench/-tree: the batch file carries the trees")
@@ -156,11 +161,50 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		pol := retryPolicy{retries: *retries, base: *retryBase, max: *retryMax}
-		if *timeout > 0 {
-			pol.deadline = time.Now().Add(*timeout)
-		}
 		return runBatch(*batchFile, base, pol)
+	}
+
+	// A request reads a zero as "the default", the command line as a
+	// value, so the flags a zero would silently replace are refused here.
+	if err := server.CheckUnitInterval("-pbar", *pbar); err != nil {
+		return err
+	}
+	if err := server.CheckUnitInterval("-quantile", *quantile); err != nil {
+		return err
+	}
+	if *budget == 0 {
+		return fmt.Errorf("-budget must be positive (-algo nom runs without variation)")
+	}
+	req := server.YieldRequest{
+		InsertRequest: server.InsertRequest{
+			Bench:             *bench,
+			Algo:              *algo,
+			Rule:              *ruleName,
+			Hull:              *hullName,
+			Pbar:              *pbar,
+			Budget:            *budget,
+			Heterogeneous:     hetero,
+			Quantile:          *quantile,
+			MaxCandidates:     *maxCand,
+			TimeoutMS:         timeout.Milliseconds(),
+			Parallelism:       *parallel,
+			WireSizing:        *wireSize,
+			Inverters:         *inverters,
+			IncludeAssignment: *printAsgn,
+		},
+		MonteCarlo: *mcN,
+		Seed:       *seed,
+		MCTol:      *mcTol,
+	}
+	if *treeFile != "" {
+		raw, err := os.ReadFile(*treeFile)
+		if err != nil {
+			return err
+		}
+		req.Tree = string(raw)
+	}
+	if err := req.Normalize(); err != nil {
+		return err
 	}
 
 	if *stream {
@@ -172,57 +216,16 @@ func run() error {
 		case *critN > 0:
 			return fmt.Errorf("-criticality is local-only, not available with -stream")
 		}
-		req := server.YieldRequest{
-			InsertRequest: server.InsertRequest{
-				Bench:             *bench,
-				Algo:              *algo,
-				Rule:              *ruleName,
-				Hull:              *hullName,
-				Pbar:              *pbar,
-				Budget:            *budget,
-				Heterogeneous:     hetero,
-				Quantile:          *quantile,
-				MaxCandidates:     *maxCand,
-				TimeoutMS:         timeout.Milliseconds(),
-				Parallelism:       *parallel,
-				WireSizing:        *wireSize,
-				Inverters:         *inverters,
-				IncludeAssignment: *printAsgn,
-			},
-			MonteCarlo: *mcN,
-			Seed:       *seed,
-			MCTol:      *mcTol,
-		}
-		switch {
-		case *bench != "" && *treeFile != "":
-			return fmt.Errorf("give either -bench or -tree, not both")
-		case *treeFile != "":
-			raw, err := os.ReadFile(*treeFile)
-			if err != nil {
-				return err
-			}
-			req.Tree = string(raw)
-		case *bench == "":
-			return fmt.Errorf("one of -bench or -tree is required")
-		}
 		base, err := baseURL(*serverURL)
 		if err != nil {
 			return err
 		}
-		pol := retryPolicy{retries: *retries, base: *retryBase, max: *retryMax}
-		if *timeout > 0 {
-			pol.deadline = time.Now().Add(*timeout)
-		}
 		return runStream(req, base, pol, *jsonOut)
 	}
 
-	if err := server.CheckUnitInterval("-pbar", *pbar); err != nil {
-		return err
-	}
-	if err := server.CheckUnitInterval("-quantile", *quantile); err != nil {
-		return err
-	}
-	tree, err := loadTree(*bench, *treeFile)
+	// A local run takes the daemon's recipe: the same tree, options and
+	// variation model a /v1/insert of this request would run.
+	tree, err := req.BuildTree()
 	if err != nil {
 		return err
 	}
@@ -238,52 +241,14 @@ func run() error {
 			return err
 		}
 	}
-	if *inverters {
-		lib = append(lib, vabuf.InverterLibrary()...)
-	}
-	opts := vabuf.Options{
-		Library:        lib,
-		PbarL:          *pbar,
-		PbarT:          *pbar,
-		SelectQuantile: *quantile,
-		MaxCandidates:  *maxCand,
-		Parallelism:    *parallel,
-	}
-	if *wireSize {
-		opts.WireLibrary = vabuf.DefaultWireLibrary()
-	}
-	switch *ruleName {
-	case "2p":
-		opts.Rule = vabuf.Rule2P
-	case "4p":
-		opts.Rule = vabuf.Rule4P
-	default:
-		return fmt.Errorf("unknown rule %q", *ruleName)
-	}
-	opts.HullBuffering, err = vabuf.ParseHullMode(*hullName)
-	if err != nil {
-		return err
-	}
+	opts := req.Options(lib)
 	var model *vabuf.VariationModel
-	switch *algo {
-	case "nom":
-	case "d2d", "wid":
-		cfg := vabuf.DefaultModelConfig(tree)
-		cfg.RandomFrac = *budget
-		cfg.InterDieFrac = *budget
-		cfg.SpatialFrac = *budget
-		cfg.Heterogeneous = *hetero
-		if *algo == "d2d" {
-			cfg.SpatialFrac = 0
-			cfg.Heterogeneous = false
-		}
-		model, err = variation.NewModel(cfg)
+	if req.Algo != "nom" {
+		model, err = vabuf.NewVariationModel(server.ModelConfig(tree, req.Algo, req.Budget, *hetero))
 		if err != nil {
 			return err
 		}
 		opts.Model = model
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 
 	if *timeout > 0 {
@@ -299,8 +264,8 @@ func run() error {
 	elapsed := time.Since(t0)
 
 	if *jsonOut {
-		out := server.NewInsertResult(tree, lib, *algo, opts, res, elapsed, *printAsgn)
-		out.Bench = *bench
+		out := server.NewInsertResult(tree, opts.Library, req.Algo, opts, res, elapsed, req.IncludeAssignment)
+		out.Bench = req.Bench
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
@@ -308,9 +273,9 @@ func run() error {
 
 	fmt.Printf("tree: %d sinks, %d buffer positions, %.0f µm wire\n",
 		tree.NumSinks(), tree.NumBufferPositions(), tree.TotalWireLength())
-	fmt.Printf("algo: %s (rule %v, pbar %.2f)\n", *algo, opts.Rule, *pbar)
+	fmt.Printf("algo: %s (rule %v, pbar %.2f)\n", req.Algo, opts.Rule, req.Pbar)
 	fmt.Printf("RAT:  mean %.2f ps, sigma %.2f ps, %g%%-yield RAT %.2f ps\n",
-		res.Mean, res.Sigma, 100*(1-*quantile), res.Objective)
+		res.Mean, res.Sigma, 100*(1-req.Quantile), res.Objective)
 	fmt.Printf("buffers: %d, root candidates: %d\n", res.NumBuffers, res.RootCandidates)
 	fmt.Printf("runtime: %.3fs (%d candidates generated, %d pruned, peak list %d)\n",
 		elapsed.Seconds(), res.Stats.Generated, res.Stats.Pruned, res.Stats.PeakList)
@@ -333,11 +298,11 @@ func run() error {
 		slices.Sort(ids)
 		for _, id := range ids {
 			n := tree.Node(id)
-			fmt.Printf("  node %-6d %-8s at %s -> %s\n", id, n.Kind, n.Loc, lib[res.Assignment[id]].Name)
+			fmt.Printf("  node %-6d %-8s at %s -> %s\n", id, n.Kind, n.Loc, opts.Library[res.Assignment[id]].Name)
 		}
 	}
 	if *critN > 0 {
-		crit, err := vabuf.SinkCriticality(tree, lib, res.Assignment, model)
+		crit, err := vabuf.SinkCriticality(tree, opts.Library, res.Assignment, model)
 		if err != nil {
 			return err
 		}
@@ -600,22 +565,4 @@ func runStream(req server.YieldRequest, base string, pol retryPolicy, jsonOut bo
 			mc.Samples, state, mc.MeanPS, mc.SigmaPS, mc.QuantileRAT, mc.CIHalfWidthPS)
 	}
 	return nil
-}
-
-func loadTree(bench, file string) (*vabuf.Tree, error) {
-	switch {
-	case bench != "" && file != "":
-		return nil, fmt.Errorf("give either -bench or -tree, not both")
-	case bench != "":
-		return vabuf.GenerateBenchmark(bench)
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return vabuf.ReadTree(f)
-	default:
-		return nil, fmt.Errorf("one of -bench or -tree is required")
-	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -146,9 +147,43 @@ func TestCornerAblationShape(t *testing.T) {
 	}
 }
 
+// skewMemo holds SkewExtension's rows by the only Config fields it reads,
+// Seed and BudgetFrac: TestSkewExtensionShape and TestRunAllQuick both
+// run it on QuickConfig's, and share one computation.
+var skewMemo struct {
+	sync.Mutex
+	rows map[skewKey][]SkewRow
+}
+
+type skewKey struct {
+	seed   int64
+	budget float64
+}
+
+func init() {
+	skewExtension = func(cfg Config) ([]SkewRow, error) {
+		cfg = cfg.withDefaults()
+		key := skewKey{cfg.Seed, cfg.BudgetFrac}
+		skewMemo.Lock()
+		defer skewMemo.Unlock()
+		if rows, ok := skewMemo.rows[key]; ok {
+			return rows, nil
+		}
+		rows, err := SkewExtension(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if skewMemo.rows == nil {
+			skewMemo.rows = make(map[skewKey][]SkewRow)
+		}
+		skewMemo.rows[key] = rows
+		return rows, nil
+	}
+}
+
 func TestSkewExtensionShape(t *testing.T) {
 	cfg := QuickConfig()
-	rows, err := SkewExtension(cfg)
+	rows, err := skewExtension(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

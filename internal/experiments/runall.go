@@ -14,6 +14,10 @@ type Figures struct {
 	Fig6 *Figure6Result
 }
 
+// skewExtension is the SkewExtension RunAll calls: the package's tests
+// memoize it, so one test binary computes the extension once.
+var skewExtension = SkewExtension
+
 // RunAll executes every experiment in sequence, renders the paper's
 // tables and figures to w and returns the figure data it rendered. It is
 // the engine behind cmd/experiments and the EXPERIMENTS.md record.
@@ -165,7 +169,7 @@ func RunAll(w io.Writer, cfg Config) (*Figures, error) {
 	}
 
 	section("Extension: clock-skew minimization")
-	se, err := SkewExtension(cfg)
+	se, err := skewExtension(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("skew extension: %w", err)
 	}

@@ -45,15 +45,19 @@ func (b *fleetBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // newFleet starts n backends named b0..b{n-1}, all with the given epoch.
 func newFleet(t *testing.T, n int, epoch string) []*fleetBackend {
+	return newFleetConfig(t, n, server.Config{Epoch: epoch})
+}
+
+// newFleetConfig starts n backends named b0..b{n-1} on cfg, each with
+// two workers.
+func newFleetConfig(t *testing.T, n int, cfg server.Config) []*fleetBackend {
 	t.Helper()
 	fleet := make([]*fleetBackend, n)
 	for i := range fleet {
 		b := &fleetBackend{name: fmt.Sprintf("b%d", i)}
-		b.srv = server.New(server.Config{
-			Workers:  2,
-			Instance: b.name,
-			Epoch:    epoch,
-		})
+		c := cfg
+		c.Workers, c.Instance = 2, b.name
+		b.srv = server.New(c)
 		b.ts = httptest.NewServer(b)
 		t.Cleanup(func() {
 			b.ts.Close()

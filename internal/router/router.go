@@ -354,27 +354,12 @@ func (rt *Router) writeJSON(w http.ResponseWriter, endpoint string, status int, 
 
 func errorBody(err error) server.ErrorResult { return server.ErrorResult{Error: err.Error()} }
 
-// readBody reads the request body under the configured limit, mapping
-// overruns to 413 like the backends do.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxRequestBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf(
-				"request body exceeds the %d-byte limit", tooBig.Limit)
-		}
-		return nil, http.StatusBadRequest, fmt.Errorf("reading request: %w", err)
-	}
-	return body, 0, nil
-}
-
 // parseSingle reads and parses a single request of kind, answering a
 // failure itself, and returns the body to forward and its partition
 // key: the backend's fingerprint under the *empty* epoch, so an epoch
 // bump invalidates caches without moving any partition.
 func (rt *Router) parseSingle(w http.ResponseWriter, r *http.Request, endpoint, kind string) ([]byte, string, bool) {
-	body, status, err := rt.readBody(w, r)
+	body, status, err := server.ReadBody(w, r, rt.cfg.MaxRequestBytes)
 	if err != nil {
 		rt.writeJSON(w, endpoint, status, errorBody(err))
 		return nil, "", false
@@ -450,10 +435,6 @@ func (rt *Router) openStream(ctx context.Context, url, path string, payload []by
 	return att, nil
 }
 
-// statusClientClosed mirrors the backends' non-standard 499 for requests
-// whose client went away while the router was serving them.
-const statusClientClosed = 499
-
 // errDeadlineSpent answers requests whose propagated deadline budget is
 // already gone; errDeadlineExpired answers those whose budget ran out
 // while the router was still trying backends.
@@ -468,17 +449,13 @@ var (
 // context carries the remaining budget as its deadline and every
 // outbound hop re-stamps what is left.
 func (rt *Router) deadlineContext(endpoint string, w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
-	remaining, has := server.DeadlineFromHeader(r.Header)
-	if !has {
-		return r.Context(), func() {}, true
-	}
-	if remaining <= 0 {
+	dr, cancel, doomed := server.WithRequestDeadline(r)
+	if doomed {
 		rt.met.deadlineRejected.Inc(endpoint)
 		rt.writeJSON(w, endpoint, http.StatusGatewayTimeout, errorBody(errDeadlineSpent))
 		return nil, nil, false
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), remaining)
-	return ctx, cancel, true
+	return dr.Context(), cancel, true
 }
 
 // finishUnserved answers a request no backend served: 504 when its
@@ -490,7 +467,7 @@ func (rt *Router) finishUnserved(w http.ResponseWriter, endpoint string, ctx con
 		if errors.Is(err, context.DeadlineExceeded) {
 			rt.writeJSON(w, endpoint, http.StatusGatewayTimeout, errorBody(errDeadlineExpired))
 		} else {
-			rt.writeJSON(w, endpoint, statusClientClosed, errorBody(
+			rt.writeJSON(w, endpoint, server.StatusClientClosed, errorBody(
 				fmt.Errorf("client closed request: %w", err)))
 		}
 		return
@@ -805,7 +782,7 @@ func (rt *Router) adminGetBackends(w http.ResponseWriter, _ *http.Request) {
 // programmatic twin of SIGHUP + -backends-file.
 func (rt *Router) adminSetBackends(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "/admin/backends"
-	body, status, err := rt.readBody(w, r)
+	body, status, err := server.ReadBody(w, r, rt.cfg.MaxRequestBytes)
 	if err != nil {
 		rt.writeJSON(w, endpoint, status, errorBody(err))
 		return
@@ -861,7 +838,7 @@ func (rt *Router) batch(endpoint, kind string) http.HandlerFunc {
 			return
 		}
 		defer cancel()
-		body, status, err := rt.readBody(w, r)
+		body, status, err := server.ReadBody(w, r, rt.cfg.MaxRequestBytes)
 		if err != nil {
 			rt.writeJSON(w, endpoint, status, errorBody(err))
 			return

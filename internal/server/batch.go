@@ -42,7 +42,7 @@ func (s *Server) batch(kind, endpoint string) func(*http.Request) (int, any) {
 		if s.isDraining() {
 			return http.StatusServiceUnavailable, errBody(errDraining)
 		}
-		body, status, err := readBody(r, s.cfg.MaxRequestBytes)
+		body, status, err := ReadBody(nil, r, s.cfg.MaxRequestBytes)
 		if err != nil {
 			return status, errBody(err)
 		}

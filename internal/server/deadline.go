@@ -79,12 +79,12 @@ func FormatDeadline(remaining time.Duration) string {
 	return strconv.FormatInt(ms, 10)
 }
 
-// withRequestDeadline derives the request's working context from the
+// WithRequestDeadline derives the request's working context from the
 // propagated deadline header: expired budgets report doomed=true (the
 // caller answers 504 without doing any work), live ones return a
 // context that cancels when the budget runs out. Requests without the
 // header pass through untouched.
-func withRequestDeadline(r *http.Request) (req *http.Request, cancel context.CancelFunc, doomed bool) {
+func WithRequestDeadline(r *http.Request) (req *http.Request, cancel context.CancelFunc, doomed bool) {
 	remaining, ok := DeadlineFromHeader(r.Header)
 	if !ok {
 		return r, func() {}, false

@@ -378,6 +378,53 @@ func (r *InsertRequest) heterogeneous() bool {
 	return *r.Heterogeneous
 }
 
+// BuildTree builds the request's tree: the named benchmark or the parsed
+// inline text.
+func (r *InsertRequest) BuildTree() (*vabuf.Tree, error) {
+	if r.Bench != "" {
+		return vabuf.GenerateBenchmark(r.Bench)
+	}
+	return vabuf.ReadTree(strings.NewReader(r.Tree))
+}
+
+// Options returns the insertion options of a normalized request over the
+// buffer library base; inverters go on a copy. Model, Context and
+// SubtreeCache are the caller's.
+func (r *InsertRequest) Options(base vabuf.Library) vabuf.Options {
+	opts := vabuf.Options{
+		Library:        base,
+		PbarL:          r.Pbar,
+		PbarT:          r.Pbar,
+		SelectQuantile: r.Quantile,
+		MaxCandidates:  r.MaxCandidates,
+		Parallelism:    r.Parallelism,
+	}
+	if r.Inverters {
+		opts.Library = append(slices.Clip(base), vabuf.InverterLibrary()...)
+	}
+	if r.Rule == "4p" {
+		opts.Rule = vabuf.Rule4P
+	}
+	// Normalize already validated the string; the error branch is dead.
+	opts.HullBuffering, _ = vabuf.ParseHullMode(r.Hull)
+	if r.WireSizing {
+		opts.WireLibrary = vabuf.DefaultWireLibrary()
+	}
+	return opts
+}
+
+// ModelConfig is the §5.1 variation model of algo (d2d or wid) on tree,
+// every class at the per-class budget; d2d has no spatial class.
+func ModelConfig(tree *vabuf.Tree, algo string, budget float64, hetero bool) vabuf.ModelConfig {
+	cfg := vabuf.DefaultModelConfig(tree)
+	cfg.RandomFrac, cfg.InterDieFrac, cfg.SpatialFrac = budget, budget, budget
+	cfg.Heterogeneous = hetero
+	if algo == "d2d" {
+		cfg.SpatialFrac, cfg.Heterogeneous = 0, false
+	}
+	return cfg
+}
+
 // NewInsertResult assembles the result DTO from an insertion run. The
 // bufins CLI and the /v1/insert handler both use it, so the two output
 // shapes can never drift apart.

@@ -39,7 +39,7 @@ type CacheLookupRequest struct {
 // would have answered on /v1/insert or /v1/yield — so the router can
 // relay it to the client verbatim. A miss answers 404.
 func (s *Server) cacheLookup(r *http.Request) (int, any) {
-	raw, status, err := readBody(r, s.cfg.MaxRequestBytes)
+	raw, status, err := ReadBody(nil, r, s.cfg.MaxRequestBytes)
 	if err != nil {
 		return status, errBody(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -276,7 +275,7 @@ func (s *Server) Close() {
 // overload/unavailable responses, and writes the JSON body.
 func (s *Server) instrument(endpoint string, h func(*http.Request) (int, any)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		dr, cancel, doomed := withRequestDeadline(r)
+		dr, cancel, doomed := WithRequestDeadline(r)
 		if doomed {
 			s.met.deadlineRejected.Inc(endpoint)
 			s.writeJSON(w, endpoint, http.StatusGatewayTimeout, errBody(errDeadlineSpent))
@@ -312,15 +311,16 @@ var (
 	errDeadlineSpent = errors.New("request deadline already spent before admission")
 )
 
-// statusClientClosed mirrors nginx's non-standard 499 "client closed
-// request" for requests abandoned while their job was queued or running.
-const statusClientClosed = 499
+// StatusClientClosed mirrors nginx's non-standard 499 "client closed
+// request" for requests abandoned while vabufd or vabufr served them.
+const StatusClientClosed = 499
 
 func errBody(err error) ErrorResult { return ErrorResult{Error: err.Error()} }
 
-// readBody reads the request body, answering 413 past limit.
-func readBody(r *http.Request, limit int64) ([]byte, int, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, limit))
+// ReadBody reads the request body, answering 413 past limit and 400 on a
+// failed read. w, when non-nil, closes the connection of an overrun.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		status, err := bodyFailure(fmt.Errorf("reading request: %w", err))
 		return nil, status, err
@@ -352,7 +352,6 @@ func bodyFailure(err error) (int, error) {
 // preparedRun is everything a worker needs for one insertion job.
 type preparedRun struct {
 	tree     *vabuf.Tree
-	lib      vabuf.Library
 	opts     vabuf.Options
 	timeout  time.Duration         // run time limit (timeout_ms or DefaultTimeout; 0 = none)
 	model    *vabuf.VariationModel // nil for deterministic (nom) runs
@@ -384,28 +383,9 @@ func (s *Server) prepare(req *InsertRequest) (*preparedRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	lib := vabuf.DefaultLibrary()
-	if req.Inverters {
-		lib = append(lib, vabuf.InverterLibrary()...)
-	}
-	opts := vabuf.Options{
-		Library:        lib,
-		PbarL:          req.Pbar,
-		PbarT:          req.Pbar,
-		SelectQuantile: req.Quantile,
-		MaxCandidates:  req.MaxCandidates,
-		Parallelism:    req.Parallelism,
-		SubtreeCache:   s.subtrees,
-	}
-	if req.Rule == "4p" {
-		opts.Rule = vabuf.Rule4P
-	}
-	// Normalize already validated the string; the error branch is dead.
-	opts.HullBuffering, _ = vabuf.ParseHullMode(req.Hull)
-	if req.WireSizing {
-		opts.WireLibrary = vabuf.DefaultWireLibrary()
-	}
-	p := &preparedRun{tree: tree, lib: lib, opts: opts, timeout: s.cfg.DefaultTimeout, treeHit: treeHit}
+	opts := req.Options(vabuf.DefaultLibrary())
+	opts.SubtreeCache = s.subtrees
+	p := &preparedRun{tree: tree, opts: opts, timeout: s.cfg.DefaultTimeout, treeHit: treeHit}
 	if req.TimeoutMS > 0 {
 		p.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
@@ -434,13 +414,7 @@ func treeCacheKey(req *InsertRequest) string {
 // loadTree resolves the request's tree through the LRU cache. Cached
 // trees are shared across concurrent runs — insertion never mutates them.
 func (s *Server) loadTree(req *InsertRequest) (*vabuf.Tree, bool, error) {
-	var build func() (any, error)
-	if req.Bench != "" {
-		build = func() (any, error) { return vabuf.GenerateBenchmark(req.Bench) }
-	} else {
-		build = func() (any, error) { return vabuf.ReadTree(strings.NewReader(req.Tree)) }
-	}
-	v, hit, err := s.trees.do(treeCacheKey(req), build)
+	v, hit, err := s.trees.do(treeCacheKey(req), func() (any, error) { return req.BuildTree() })
 	if err != nil {
 		return nil, false, err
 	}
@@ -455,16 +429,7 @@ func (s *Server) loadTree(req *InsertRequest) (*vabuf.Tree, bool, error) {
 // snapshot-restore path share it, so a restored model is bit-identical
 // to one built for a live request.
 func buildModelEntry(tree *vabuf.Tree, treeKey, algo string, budget float64, hetero bool) (*modelEntry, error) {
-	cfg := vabuf.DefaultModelConfig(tree)
-	cfg.RandomFrac = budget
-	cfg.InterDieFrac = budget
-	cfg.SpatialFrac = budget
-	cfg.Heterogeneous = hetero
-	if algo == "d2d" {
-		cfg.SpatialFrac = 0
-		cfg.Heterogeneous = false
-	}
-	model, err := vabuf.NewVariationModel(cfg)
+	model, err := vabuf.NewVariationModel(ModelConfig(tree, algo, budget, hetero))
 	if err != nil {
 		return nil, err
 	}
@@ -599,7 +564,7 @@ func ctxFailure(ctx context.Context, what string) (int, error) {
 	if err := ctx.Err(); errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusGatewayTimeout, fmt.Errorf("%s: %w", what, err)
 	}
-	return statusClientClosed, fmt.Errorf("client closed request: %w", ctx.Err())
+	return StatusClientClosed, fmt.Errorf("client closed request: %w", ctx.Err())
 }
 
 // statusForRunError maps an insertion failure to an HTTP status: the
@@ -614,7 +579,7 @@ func statusForRunError(err error) int {
 	case errors.Is(err, vabuf.ErrCapacity):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, vabuf.ErrCanceled):
-		return statusClientClosed
+		return StatusClientClosed
 	default:
 		return http.StatusBadRequest
 	}
@@ -631,7 +596,7 @@ func (s *Server) runPrepared(ctx context.Context, req *InsertRequest,
 		return nil, nil, statusForRunError(err), err
 	}
 	s.met.recordRun(req.Algo, p.opts.Rule.String(), elapsed, res)
-	out := NewInsertResult(p.tree, p.lib, req.Algo, p.opts, res, elapsed, req.IncludeAssignment)
+	out := NewInsertResult(p.tree, p.opts.Library, req.Algo, p.opts, res, elapsed, req.IncludeAssignment)
 	out.Bench = req.Bench
 	out.TreeCacheHit = p.treeHit
 	out.ModelCacheHit = p.modelHit
@@ -647,7 +612,7 @@ func (s *Server) runPreparedYield(ctx context.Context, req *YieldRequest,
 	if err != nil {
 		return nil, status, err
 	}
-	report, err := vabuf.EvaluateYield(p.tree, p.lib, res.Assignment, p.model, req.Quantile)
+	report, err := vabuf.EvaluateYield(p.tree, p.opts.Library, res.Assignment, p.model, req.Quantile)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
@@ -776,7 +741,7 @@ func (s *Server) runMonteCarlo(req *YieldRequest, p *preparedRun,
 		return nil, nil
 	}
 	if req.MCTol > 0 || onEstimate != nil {
-		samples, est, err := vabuf.MonteCarloRATAdaptive(p.tree, p.lib, assignment,
+		samples, est, err := vabuf.MonteCarloRATAdaptive(p.tree, p.opts.Library, assignment,
 			model, vabuf.MCAdaptiveOptions{
 				MaxSamples: req.MonteCarlo,
 				Seed:       req.Seed,
@@ -798,7 +763,7 @@ func (s *Server) runMonteCarlo(req *YieldRequest, p *preparedRun,
 		}
 		return mc, nil
 	}
-	samples, err := vabuf.MonteCarloRATParallel(p.tree, p.lib, assignment,
+	samples, err := vabuf.MonteCarloRATParallel(p.tree, p.opts.Library, assignment,
 		model, req.MonteCarlo, req.Seed, req.Parallelism)
 	if err != nil {
 		return nil, err

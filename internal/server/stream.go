@@ -53,7 +53,7 @@ func (s *Server) yieldStream(w http.ResponseWriter, r *http.Request) {
 	// deadline itself: spent budgets answer 504 before any work, live
 	// ones bound the run through the request context.
 	const endpoint = "/v1/yield:stream"
-	dr, cancel, doomed := withRequestDeadline(r)
+	dr, cancel, doomed := WithRequestDeadline(r)
 	if doomed {
 		s.met.deadlineRejected.Inc(endpoint)
 		s.writeJSON(w, endpoint, http.StatusGatewayTimeout, errBody(errDeadlineSpent))

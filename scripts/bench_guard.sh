@@ -12,14 +12,15 @@ cd "$(dirname "$0")/.."
 # land near the 2x bound, so the insertions run enough iterations to
 # resolve them:
 #   * the end-to-end serial WID r3 insertion (the headline number), 20,
-#   * the 1024-candidate 2P frontier scan (the SoA prune hot loop),
+#   * the 1024-candidate 2P frontier scan (the SoA prune hot loop), at
+#     ~0.15 ms an op 2000, since two iterations are mostly set-up,
 #   * the warm subtree-cache re-insert (a silently dead cache would
 #     regress this one ~8x back to the cold time), at ~3 ms an op 200,
 #   * the 32-cell-library r3 insertion (a silently disabled convex-hull
 #     pick rule would regress this one ~5.7x to the exact time), 20.
 GUARDS="
 .:BenchmarkInsertWIDr3Serial:20x
-./internal/core/:BenchmarkPrune2P1024:2x
+./internal/core/:BenchmarkPrune2P1024:2000x
 ./internal/core/:BenchmarkInsertSubtreeWarmWIDr3:200x
 ./internal/core/:BenchmarkInsertLib32NOMr3Serial:20x
 "
